@@ -6,11 +6,10 @@
 #include "core/model/anomaly.hh"
 
 #include <algorithm>
-#include <cmath>
 
+#include "core/check.hh"
 #include "core/model/cascade.hh"
 #include "core/model/distance.hh"
-#include "obs/obs.hh"
 #include "stats/summary.hh"
 
 namespace rbv::core {
@@ -19,29 +18,15 @@ CentroidAnomaly
 detectCentroidAnomaly(const std::vector<MetricSeries> &series,
                       double async_penalty, int jobs)
 {
-    // Thin wrapper over the streaming core: batch detection is the
-    // windowed algorithm with a window covering every series.
-    std::vector<const MetricSeries *> items;
-    items.reserve(series.size());
-    for (const auto &s : series)
-        items.push_back(&s);
-    return detail::centroidAnomalyOver(items.data(), items.size(),
-                                       async_penalty, jobs);
-}
-
-CentroidAnomaly
-detail::centroidAnomalyOver(const MetricSeries *const *items,
-                            std::size_t n, double async_penalty,
-                            int jobs)
-{
     CentroidAnomaly out;
+    const std::size_t n = series.size();
     if (n < 2)
         return out;
 
     const DistanceMatrix dm = DistanceMatrix::build(
         n,
         [&](std::size_t i, std::size_t j) {
-            return dtwDistance(*items[i], *items[j], async_penalty);
+            return dtwDistance(series[i], series[j], async_penalty);
         },
         jobs);
 
@@ -79,24 +64,22 @@ detectMetricPairAnomaly(const std::vector<MetricSeries> &refs_series,
 {
     MetricPairAnomaly out;
     const std::size_t n = refs_series.size();
+    RBV_CHECK(cpi_series.size() == n,
+              "detectMetricPairAnomaly: " << n << " refs series but "
+                                          << cpi_series.size()
+                                          << " CPI series");
     if (n < 2)
         return out;
 
     // Refs-side envelopes for the LB cascade: the pair search only
     // consumes a refs distance when it is small enough to displace
     // the incumbent, so most refs DPs are rejected by a sound lower
-    // bound before they start. The radius spans the worst pairwise
-    // length mismatch (plus warp slack); it tunes prune rates only.
-    std::size_t max_len = 0, min_len = ~std::size_t{0};
-    for (const auto &s : refs_series) {
-        max_len = std::max(max_len, s.size());
-        min_len = std::min(min_len, s.size());
-    }
-    const std::size_t radius =
-        (max_len - min_len) + std::max<std::size_t>(1, max_len / 16);
-    std::vector<SeriesEnvelope> envs(n);
+    // bound before they start.
+    std::vector<const MetricSeries *> refs(n);
     for (std::size_t i = 0; i < n; ++i)
-        buildEnvelope(refs_series[i], radius, envs[i]);
+        refs[i] = &refs_series[i];
+    const std::vector<SeriesEnvelope> envs =
+        buildEnvelopes(refs.data(), n);
 
     // Normalize distances per metric by series length so the score
     // is scale-free, then search all pairs.
@@ -112,45 +95,20 @@ detectMetricPairAnomaly(const std::vector<MetricSeries> &refs_series,
                 len;
             // The pair search maximizes dcpi / (dref + 1e-9): a pair
             // can only displace the incumbent when its refs distance
-            // is small, dref < dcpi / best_score - 1e-9. Abandoning
-            // the refs DTW at the strictly larger bound dcpi /
-            // best_score is therefore conservative — the trailing
-            // 1e-9 slack dwarfs any rounding in the bound — and a
-            // finite early-abandon result is bit-identical to the
-            // plain kernel, so the winning pair (and every printed
-            // number) is unchanged.
+            // is small, dref < dcpi / best_score - 1e-9. Gating the
+            // refs DTW at the strictly larger cutoff dcpi / best_score
+            // is therefore conservative — the trailing 1e-9 slack
+            // dwarfs any rounding in the cutoff. A finite gate result
+            // is bit-identical to the plain kernel and is scored even
+            // at or above the cutoff, so the winning pair (and every
+            // printed number) is unchanged.
             double dref;
             if (best_score > 0.0) {
                 const double cutoff = dcpi / best_score * len;
-                // LB cascade ahead of the DP: a deflated bound
-                // >= cutoff proves the exact refs distance is too
-                // (LbPruneMargin absorbs summation-order rounding),
-                // which is exactly the condition under which the
-                // abandoned DP would have returned inf — so skipping
-                // here changes nothing downstream.
-                if (lbKim(refs_series[i], refs_series[j],
-                          refs_penalty) *
-                        LbPruneMargin >=
-                    cutoff) {
-                    RBV_COUNT(ModelLbKimPrunes, 1);
-                    continue;
-                }
-                if (lbKeogh(refs_series[i], refs_series[j], envs[j],
-                            refs_penalty) *
-                            LbPruneMargin >=
-                        cutoff ||
-                    lbKeogh(refs_series[j], refs_series[i], envs[i],
-                            refs_penalty) *
-                            LbPruneMargin >=
-                        cutoff) {
-                    RBV_COUNT(ModelLbKeoghPrunes, 1);
-                    continue;
-                }
-                RBV_COUNT(ModelCascadeDpRuns, 1);
-                const double raw = dtwDistanceEarlyAbandon(
-                    refs_series[i], refs_series[j], refs_penalty,
-                    cutoff);
-                if (std::isinf(raw))
+                double raw = 0.0;
+                if (pruneGate(refs_series[i], refs_series[j], &envs[i],
+                              envs[j], refs_penalty, cutoff,
+                              raw) != PruneStage::Exact)
                     continue;
                 dref = raw / len;
             } else {

@@ -11,6 +11,7 @@
 
 #include "core/check.hh"
 #include "core/model/distance.hh"
+#include "core/model/kmedoids_impl.hh"
 #include "obs/obs.hh"
 
 namespace rbv::core {
@@ -129,7 +130,7 @@ lbKeogh(const MetricSeries &x, const MetricSeries &y,
 
     // Exit case: reaching offset |i-j| = r+1 and still ending at
     // offset |m-n| takes at least 2*(r+1) - |m-n| asynchronous
-    // steps — the dtwDistanceBanded exactness-guard argument.
+    // steps, each paying the penalty.
     const double exit_cost =
         (2.0 * static_cast<double>(r + 1) -
          static_cast<double>(diff)) *
@@ -137,28 +138,57 @@ lbKeogh(const MetricSeries &x, const MetricSeries &y,
     return corners + std::min(in_band, exit_cost);
 }
 
-DistanceCascade::DistanceCascade(const MetricSeries *const *items_,
-                                 std::size_t n, double async_penalty)
-    : items(items_), count(n), asyncPenalty(async_penalty),
-      envelopes(n),
-      memo(n < 2 ? 0 : n * (n - 1) / 2,
-           std::numeric_limits<double>::quiet_NaN())
+std::vector<SeriesEnvelope>
+buildEnvelopes(const MetricSeries *const *items, std::size_t n)
 {
-    // One radius for the whole set: wide enough that every pair's
-    // length mismatch fits inside the band (so the envelope arm of
-    // LB_Keogh applies everywhere), plus slack for genuine warping.
-    // The radius only tunes bound tightness, never soundness.
-    std::size_t max_len = 0, min_len = ~std::size_t{0};
+    std::size_t max_len = 0, min_len = n == 0 ? 0 : ~std::size_t{0};
     for (std::size_t i = 0; i < n; ++i) {
         max_len = std::max(max_len, items[i]->size());
         min_len = std::min(min_len, items[i]->size());
     }
-    if (n == 0)
-        min_len = 0;
     const std::size_t radius =
         (max_len - min_len) + std::max<std::size_t>(1, max_len / 16);
+    std::vector<SeriesEnvelope> envs(n);
     for (std::size_t i = 0; i < n; ++i)
-        buildEnvelope(*items[i], radius, envelopes[i]);
+        buildEnvelope(*items[i], radius, envs[i]);
+    return envs;
+}
+
+PruneStage
+pruneGate(const MetricSeries &x, const MetricSeries &y,
+          const SeriesEnvelope *env_x, const SeriesEnvelope &env_y,
+          double async_penalty, double cutoff, double &d)
+{
+    if (cutoff < Inf) {
+        if (lbKim(x, y, async_penalty) * LbPruneMargin >= cutoff) {
+            RBV_COUNT(ModelLbKimPrunes, 1);
+            return PruneStage::Kim;
+        }
+        if (lbKeogh(x, y, env_y, async_penalty) * LbPruneMargin >=
+                cutoff ||
+            (env_x != nullptr &&
+             lbKeogh(y, x, *env_x, async_penalty) * LbPruneMargin >=
+                 cutoff)) {
+            RBV_COUNT(ModelLbKeoghPrunes, 1);
+            return PruneStage::Keogh;
+        }
+    }
+    RBV_COUNT(ModelCascadeDpRuns, 1);
+    const double raw =
+        dtwDistanceEarlyAbandon(x, y, async_penalty, cutoff);
+    if (std::isinf(raw))
+        return PruneStage::Abandoned;
+    d = raw;
+    return PruneStage::Exact;
+}
+
+DistanceCascade::DistanceCascade(const MetricSeries *const *items_,
+                                 std::size_t n, double async_penalty)
+    : items(items_), count(n), asyncPenalty(async_penalty),
+      envelopes(buildEnvelopes(items_, n)),
+      memo(n < 2 ? 0 : n * (n - 1) / 2,
+           std::numeric_limits<double>::quiet_NaN())
+{
 }
 
 std::size_t
@@ -210,33 +240,26 @@ DistanceCascade::atMost(std::size_t i, std::size_t j, double cutoff,
         return true;
     }
 
-    const MetricSeries &x = *items[i];
-    const MetricSeries &y = *items[j];
-    if (lbKim(x, y, asyncPenalty) * LbPruneMargin >= cutoff) {
+    double raw = 0.0;
+    switch (pruneGate(*items[i], *items[j], &envelopes[i],
+                      envelopes[j], asyncPenalty, cutoff, raw)) {
+      case PruneStage::Kim:
         ++tallies.kimPrunes;
-        RBV_COUNT(ModelLbKimPrunes, 1);
         return false;
-    }
-    if (lbKeogh(x, y, envelopes[j], asyncPenalty) * LbPruneMargin >=
-            cutoff ||
-        lbKeogh(y, x, envelopes[i], asyncPenalty) * LbPruneMargin >=
-            cutoff) {
+      case PruneStage::Keogh:
         ++tallies.keoghPrunes;
-        RBV_COUNT(ModelLbKeoghPrunes, 1);
         return false;
-    }
-
-    ++tallies.dpRuns;
-    RBV_COUNT(ModelCascadeDpRuns, 1);
-    const double raw =
-        dtwDistanceEarlyAbandon(x, y, asyncPenalty, cutoff);
-    if (std::isinf(raw)) {
+      case PruneStage::Abandoned:
         // Provably >= cutoff, but not an exact value: leave the memo
         // cell unknown so a later query with a looser cutoff still
         // gets the exact distance.
+        ++tallies.dpRuns;
         ++tallies.eaAbandons;
         return false;
+      case PruneStage::Exact:
+        break;
     }
+    ++tallies.dpRuns;
     cell = raw; // finite early-abandon result == the exact DP value
     if (raw >= cutoff)
         return false;
@@ -262,115 +285,7 @@ Clustering
 kMedoidsCascade(DistanceCascade &dc, std::size_t k, stats::Rng &rng,
                 std::size_t max_iter)
 {
-    RBV_PROF_SCOPE(KMedoids);
-    const std::size_t n = dc.size();
-    Clustering cl;
-    if (n == 0)
-        return cl;
-    k = std::min(k, n);
-
-    // Greedy max-min seeding, identical to kMedoids(): the max-min
-    // comparison consumes every distance's value, so seeding runs on
-    // exact (memoized) distances — k*n cells, a sliver of the
-    // n*(n-1)/2 the cascade saves later.
-    std::vector<std::size_t> medoids;
-    medoids.push_back(rng.uniformInt(n));
-    std::vector<double> min_d(n, Inf);
-    while (medoids.size() < k) {
-        for (std::size_t i = 0; i < n; ++i)
-            min_d[i] = std::min(min_d[i], dc.exact(i, medoids.back()));
-        std::size_t far = 0;
-        double far_d = -1.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (min_d[i] > far_d) {
-                far_d = min_d[i];
-                far = i;
-            }
-        }
-        medoids.push_back(far);
-    }
-
-    // Pruned nearest-medoid argmin. The winner is decided by strict
-    // <, so skipping any candidate with d >= best_d cannot change it
-    // — and that is exactly what atMost() proves when it returns
-    // false. The surviving winner's distance is the exact value, so
-    // best_d (and with it totalCost) matches the matrix path bit for
-    // bit.
-    auto assignOne = [&](std::size_t i, double &best_d) {
-        std::size_t best = 0;
-        best_d = Inf;
-        for (std::size_t c = 0; c < medoids.size(); ++c) {
-            double d;
-            if (dc.atMost(i, medoids[c], best_d, d) && d < best_d) {
-                best_d = d;
-                best = c;
-            }
-        }
-        return best;
-    };
-
-    std::vector<std::size_t> assign(n, 0);
-    std::vector<std::vector<std::size_t>> members(medoids.size());
-    for (std::size_t iter = 0; iter < max_iter; ++iter) {
-        for (std::size_t i = 0; i < n; ++i) {
-            double best_d;
-            assign[i] = assignOne(i, best_d);
-        }
-
-        for (auto &m : members)
-            m.clear();
-        for (std::size_t i = 0; i < n; ++i)
-            members[assign[i]].push_back(i);
-
-        // Re-election with sum-abandon: member sums accumulate in
-        // the same ascending order as kMedoids(), so a completed sum
-        // is the identical float. A candidate is dropped as soon as
-        // its partial sum plus a lower bound on the next term
-        // reaches best_cost — every remaining term is nonnegative
-        // and the incumbent is only displaced by strict <, so the
-        // true winner (whose full sum is strictly smaller) can never
-        // be dropped, and best_cost only ever holds fully-summed
-        // values.
-        bool changed = false;
-        for (std::size_t c = 0; c < medoids.size(); ++c) {
-            std::size_t best = medoids[c];
-            double best_cost = Inf;
-            for (const std::size_t i : members[c]) {
-                double cost = 0.0;
-                bool viable = true;
-                for (const std::size_t j : members[c]) {
-                    if (cost + dc.cheapLowerBound(i, j) >=
-                        best_cost) {
-                        viable = false;
-                        break;
-                    }
-                    cost += dc.exact(i, j);
-                }
-                if (viable && cost < best_cost) {
-                    best_cost = cost;
-                    best = i;
-                }
-            }
-            if (best != medoids[c]) {
-                medoids[c] = best;
-                changed = true;
-            }
-        }
-        if (!changed)
-            break;
-    }
-
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        double best_d;
-        assign[i] = assignOne(i, best_d);
-        total += best_d;
-    }
-
-    cl.medoids = std::move(medoids);
-    cl.assignment = std::move(assign);
-    cl.totalCost = total;
-    return cl;
+    return detail::kMedoidsOver(dc, k, rng, max_iter);
 }
 
 } // namespace rbv::core

@@ -27,9 +27,11 @@
  *     within |i-j| <= r — then every interior row i pays at least
  *     E_i = max(0, x_i - U_i, L_i - x_i) at its cheapest in-window
  *     column, on top of the corners and |m-n| penalties — or it
- *     leaves the band, which costs at least 2*(r+1) - |m-n|
- *     penalties (the same exit argument dtwDistanceBanded's
- *     exactness guard uses). The minimum of the two cases is sound:
+ *     leaves the band. The warp pointers start at offset i-j = 0
+ *     and end at offset m-n, and only an asynchronous step moves the
+ *     offset, by one; so a path that reaches |i-j| = r+1 takes at
+ *     least 2*(r+1) - |m-n| asynchronous steps, each paying the
+ *     penalty. The minimum of the two cases is sound:
  *
  *         LB_Keogh = corners + min(|m-n|*p + sum_i E_i,
  *                                  (2*(r+1) - |m-n|) * p)
@@ -68,10 +70,9 @@ namespace rbv::core {
  * compared against a cutoff. The bounds are sound in real arithmetic,
  * but their summation order differs from the DP's, so a computed
  * bound can exceed the computed exact distance by a few ULPs on tight
- * inputs; the margin (same idiom as the banded-DTW exactness guard)
- * absorbs relative rounding error many orders of magnitude beyond
- * what the series lengths here can accumulate, keeping every prune
- * decision bit-safe.
+ * inputs; the margin absorbs relative rounding error many orders of
+ * magnitude beyond what the series lengths here can accumulate,
+ * keeping every prune decision bit-safe.
  */
 inline constexpr double LbPruneMargin = 0.999;
 
@@ -106,6 +107,43 @@ double lbKim(const MetricSeries &x, const MetricSeries &y,
 double lbKeogh(const MetricSeries &x, const MetricSeries &y,
                const SeriesEnvelope &env_y, double async_penalty);
 
+/**
+ * Envelopes of a set of series at one shared radius: wide enough that
+ * every pair's length mismatch fits inside the band (so LB_Keogh's
+ * envelope arm applies to every pair), plus slack for genuine
+ * warping. The radius only tunes bound tightness, never soundness.
+ */
+std::vector<SeriesEnvelope> buildEnvelopes(const MetricSeries *const *items,
+                                           std::size_t n);
+
+/** The cascade stage that decided a pruneGate() query. */
+enum class PruneStage
+{
+    Kim,       ///< LB_Kim reached the cutoff; no DP ran.
+    Keogh,     ///< LB_Keogh reached the cutoff; no DP ran.
+    Abandoned, ///< The DP ran and proved the distance >= cutoff.
+    Exact,     ///< The DP finished with the exact distance.
+};
+
+/**
+ * The cascade for one pair at one cutoff, cheapest stage first:
+ * LB_Kim, then LB_Keogh of @p x against @p env_y and, when @p env_x
+ * is given, of @p y against @p env_x — every bound deflated by
+ * LbPruneMargin — then dtwDistanceEarlyAbandon seeded with the
+ * cutoff. No bound can reach an infinite cutoff, so there the DP runs
+ * directly. Bumps model.lb_kim_prunes or model.lb_keogh_prunes when a
+ * bound decides and model.cascade_dp_runs when the DP runs.
+ *
+ * Writes @p d only on PruneStage::Exact: the exact distance,
+ * bit-identical to dtwDistance(), which may still be >= cutoff (the
+ * bounds are sound, not complete). Every other stage proves the
+ * distance >= cutoff.
+ */
+PruneStage pruneGate(const MetricSeries &x, const MetricSeries &y,
+                     const SeriesEnvelope *env_x,
+                     const SeriesEnvelope &env_y, double async_penalty,
+                     double cutoff, double &d);
+
 /** Where the cascade resolved its queries (per-instance tallies). */
 struct CascadeStats
 {
@@ -136,7 +174,6 @@ class DistanceCascade
                     double async_penalty);
 
     std::size_t size() const { return count; }
-    double penalty() const { return asyncPenalty; }
 
     /**
      * Exact dtwDistance(items[i], items[j]), memoized. Bit-identical
@@ -178,10 +215,9 @@ class DistanceCascade
 };
 
 /**
- * k-medoids over a DistanceCascade: the same algorithm, iteration
- * count, strict-< tie-breaks and floating-point summation order as
- * kMedoids() over a fully materialized DistanceMatrix — the result
- * is bit-identical by construction, which the property suite pins —
+ * k-medoids over a DistanceCascade: the one k-medoids loop kMedoids()
+ * also runs, so the result is bit-identical to kMedoids() over a
+ * fully materialized DistanceMatrix (the property suite pins it) —
  * but assignment candidates and re-election sums are abandoned via
  * the lower-bound cascade, so most pairwise DPs never run.
  */

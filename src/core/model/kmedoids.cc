@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <limits>
 #include <thread>
+
+#include "core/check.hh"
+#include "core/model/kmedoids_impl.hh"
 
 namespace rbv::core {
 
@@ -78,124 +80,58 @@ Clustering::membersOf(std::size_t cluster) const
     return out;
 }
 
+namespace {
+
+/**
+ * A full matrix as the k-medoids distance oracle: every query is
+ * answered exactly, and the lower bound is the exact cell. The
+ * re-election check `cost + at(i, j) >= best_cost` then computes the
+ * very partial sum the check before the next term would see, so it
+ * drops the same candidates one term sooner (or after their last
+ * term, when their full sum could not win the strict < anyway) and
+ * elects the same medoid.
+ */
+struct MatrixOracle
+{
+    const DistanceMatrix &dm;
+
+    std::size_t size() const { return dm.size(); }
+
+    double exact(std::size_t i, std::size_t j) const { return dm.at(i, j); }
+
+    bool
+    atMost(std::size_t i, std::size_t j, double, double &d) const
+    {
+        d = dm.at(i, j);
+        return true;
+    }
+
+    double
+    cheapLowerBound(std::size_t i, std::size_t j) const
+    {
+        return dm.at(i, j);
+    }
+};
+
+} // namespace
+
 Clustering
 kMedoids(const DistanceMatrix &dm, std::size_t k, stats::Rng &rng,
          std::size_t max_iter)
 {
-    RBV_PROF_SCOPE(KMedoids);
-    const std::size_t n = dm.size();
-    Clustering cl;
-    if (n == 0)
-        return cl;
-    k = std::min(k, n);
-
-    // Greedy max-min seeding: random first medoid, then repeatedly
-    // the item farthest from all chosen medoids.
-    std::vector<std::size_t> medoids;
-    medoids.push_back(rng.uniformInt(n));
-    std::vector<double> min_d(n,
-                              std::numeric_limits<double>::infinity());
-    while (medoids.size() < k) {
-        for (std::size_t i = 0; i < n; ++i)
-            min_d[i] = std::min(min_d[i], dm.at(i, medoids.back()));
-        std::size_t far = 0;
-        double far_d = -1.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (min_d[i] > far_d) {
-                far_d = min_d[i];
-                far = i;
-            }
-        }
-        medoids.push_back(far);
-    }
-
-    std::vector<std::size_t> assign(n, 0);
-    std::vector<std::vector<std::size_t>> members(medoids.size());
-    for (std::size_t iter = 0; iter < max_iter; ++iter) {
-        // Assignment step.
-        for (std::size_t i = 0; i < n; ++i) {
-            std::size_t best = 0;
-            double best_d = std::numeric_limits<double>::infinity();
-            for (std::size_t c = 0; c < medoids.size(); ++c) {
-                const double d = dm.at(i, medoids[c]);
-                if (d < best_d) {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            assign[i] = best;
-        }
-
-        // Medoid re-election over explicit member lists: summing over
-        // members[c] in ascending item order visits exactly the items
-        // the old full scan visited, in the same order, so the float
-        // sums and the strict-< tie-breaks are unchanged — only the
-        // O(k * n^2) skip-scan cost drops to O(sum |c|^2).
-        for (auto &m : members)
-            m.clear();
-        for (std::size_t i = 0; i < n; ++i)
-            members[assign[i]].push_back(i);
-
-        bool changed = false;
-        for (std::size_t c = 0; c < medoids.size(); ++c) {
-            std::size_t best = medoids[c];
-            double best_cost = std::numeric_limits<double>::infinity();
-            for (const std::size_t i : members[c]) {
-                double cost = 0.0;
-                bool viable = true;
-                for (const std::size_t j : members[c]) {
-                    // Sum-abandon: terms are nonnegative and the
-                    // incumbent only falls to a strictly smaller
-                    // full sum, so once the partial sum reaches
-                    // best_cost this candidate is out — and
-                    // best_cost still only ever holds fully-summed
-                    // values, keeping the elected medoid identical.
-                    if (cost >= best_cost) {
-                        viable = false;
-                        break;
-                    }
-                    cost += dm.at(i, j);
-                }
-                if (viable && cost < best_cost) {
-                    best_cost = cost;
-                    best = i;
-                }
-            }
-            if (best != medoids[c]) {
-                medoids[c] = best;
-                changed = true;
-            }
-        }
-        if (!changed)
-            break;
-    }
-
-    // Final assignment and cost.
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::size_t best = 0;
-        double best_d = std::numeric_limits<double>::infinity();
-        for (std::size_t c = 0; c < medoids.size(); ++c) {
-            const double d = dm.at(i, medoids[c]);
-            if (d < best_d) {
-                best_d = d;
-                best = c;
-            }
-        }
-        assign[i] = best;
-        total += best_d;
-    }
-
-    cl.medoids = std::move(medoids);
-    cl.assignment = std::move(assign);
-    cl.totalCost = total;
-    return cl;
+    MatrixOracle oracle{dm};
+    return detail::kMedoidsOver(oracle, k, rng, max_iter);
 }
 
 double
 divergenceFromCentroid(const Clustering &cl,
                        const std::vector<double> &prop)
 {
+    RBV_CHECK(prop.size() == cl.assignment.size(),
+              "divergenceFromCentroid: " << prop.size()
+                                         << " properties for "
+                                         << cl.assignment.size()
+                                         << " items");
     if (cl.assignment.empty())
         return 0.0;
     double sum = 0.0;

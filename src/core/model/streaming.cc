@@ -5,11 +5,8 @@
 
 #include "core/model/streaming.hh"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
-
-#include "core/model/distance.hh"
-#include "obs/obs.hh"
 
 namespace rbv::core {
 
@@ -116,11 +113,12 @@ StreamingClusterModel::recluster()
 namespace {
 
 /**
- * Nearest-medoid min/argmin with the LB cascade. A medoid is skipped
- * only when a sound lower bound (or the abandoned DP) proves its
- * distance >= the incumbent best, and the incumbent only falls to a
- * strictly smaller exact value — so the returned index and distance
- * are bit-identical to the plain scan over dtwDistance().
+ * Nearest-medoid min/argmin through pruneGate(). A medoid is skipped
+ * only when the gate proves its distance >= the incumbent best, and
+ * the incumbent only falls to a strictly smaller exact value — so the
+ * returned index and distance are bit-identical to the plain scan
+ * over dtwDistance(). A just-completed request has no envelope, so
+ * LB_Keogh runs one-sided, against each medoid's.
  */
 std::size_t
 nearestByCascade(const MetricSeries &series,
@@ -131,21 +129,10 @@ nearestByCascade(const MetricSeries &series,
     std::size_t best = ~std::size_t{0};
     best_d = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < meds.size(); ++i) {
-        if (std::isfinite(best_d)) {
-            if (lbKim(series, meds[i], p) * LbPruneMargin >= best_d) {
-                RBV_COUNT(ModelLbKimPrunes, 1);
-                continue;
-            }
-            if (lbKeogh(series, meds[i], envs[i], p) * LbPruneMargin >=
-                best_d) {
-                RBV_COUNT(ModelLbKeoghPrunes, 1);
-                continue;
-            }
-        }
-        RBV_COUNT(ModelCascadeDpRuns, 1);
-        const double d =
-            dtwDistanceEarlyAbandon(series, meds[i], p, best_d);
-        if (d < best_d) {
+        double d = 0.0;
+        if (pruneGate(series, meds[i], nullptr, envs[i], p, best_d, d) ==
+                PruneStage::Exact &&
+            d < best_d) {
             best_d = d;
             best = i;
         }
@@ -169,30 +156,6 @@ StreamingClusterModel::nearestMedoid(const MetricSeries &series) const
     double best_d;
     return nearestByCascade(series, meds, medEnvs, cfg.asyncPenalty,
                             best_d);
-}
-
-void
-WindowedAnomalyDetector::observe(MetricSeries series)
-{
-    const std::size_t w = cfg.window ? cfg.window : 1;
-    if (ring.size() < w) {
-        ring.push_back(std::move(series));
-    } else {
-        ring[head] = std::move(series);
-        head = (head + 1) % w;
-    }
-    ++seen;
-}
-
-CentroidAnomaly
-WindowedAnomalyDetector::evaluate() const
-{
-    std::vector<const MetricSeries *> window;
-    window.reserve(ring.size());
-    for (std::size_t i = 0; i < ring.size(); ++i)
-        window.push_back(&ring[(head + i) % ring.size()]);
-    return detail::centroidAnomalyOver(
-        window.data(), window.size(), cfg.asyncPenalty, cfg.jobs);
 }
 
 bool

@@ -10,12 +10,8 @@
  *  - StreamingSignatureBank: reservoir-sampled online admission into
  *    a fixed-capacity SignatureBank;
  *  - StreamingClusterModel: CLARA-style sampled k-medoids re-cluster
- *    over a sliding window of recent request series, reusing the
- *    packed DistanceMatrix on the sample;
- *  - WindowedAnomalyDetector: the centroid-anomaly core over a
- *    sliding window — the batch detectCentroidAnomaly() entry point
- *    is a thin wrapper that feeds every series through a detector
- *    whose window covers them all, so fig benches stay byte-identical;
+ *    over a sliding window of recent request series, run by
+ *    kMedoidsCascade over the sample's DistanceCascade;
  *  - RollingAnomalyScorer: per-request nearest-medoid scores with a
  *    decaying mean and sliding-quantile threshold.
  *
@@ -30,7 +26,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/model/anomaly.hh"
 #include "core/model/cascade.hh"
 #include "core/model/kmedoids.hh"
 #include "core/model/signature.hh"
@@ -85,14 +80,14 @@ class StreamingSignatureBank
 /**
  * Bounded-memory online k-medoids: a sliding window of the most
  * recent request series, periodically re-clustered CLARA-style on a
- * uniform sample of the window (the sample's packed DistanceMatrix
- * is the same code path the batch benches use). Medoid series are
- * copied out, so they stay valid as the window slides.
+ * uniform sample of the window by kMedoidsCascade, which shares its
+ * k-medoids loop with the batch kMedoids(). Medoid series are copied
+ * out, so they stay valid as the window slides.
  *
  * With window and sample at least the stream length, a final
- * recluster() is exactly the batch DistanceMatrix + kMedoids run
- * over all series in arrival order — the equivalence the
- * streaming-vs-batch tests pin down.
+ * recluster() returns exactly the clustering of the batch
+ * DistanceMatrix + kMedoids run over all series in arrival order —
+ * the equivalence the streaming-vs-batch tests pin down.
  */
 class StreamingClusterModel
 {
@@ -105,7 +100,6 @@ class StreamingClusterModel
         double asyncPenalty = 0.0; ///< DTW asynchrony penalty.
         /** Re-cluster after this many new series (0 = manual only). */
         std::size_t reclusterEvery = 256;
-        int jobs = 1; ///< DistanceMatrix build parallelism.
     };
 
     StreamingClusterModel(Config cfg_, stats::Rng rng_)
@@ -159,49 +153,6 @@ class StreamingClusterModel
     /** Envelope per medoid, for the scoring-path LB cascade. */
     std::vector<SeriesEnvelope> medEnvs;
     Clustering lastClustering;
-};
-
-/**
- * Centroid-anomaly detection over a sliding window: keeps the last
- * `window` series and, on evaluate(), finds the window's centroid
- * (minimal summed distance) and ranks members by their distance from
- * it, farthest first — exactly the batch algorithm of Fig. 8/9
- * applied to the window contents in arrival order.
- */
-class WindowedAnomalyDetector
-{
-  public:
-    struct Config
-    {
-        std::size_t window = 256;
-        double asyncPenalty = 0.0;
-        int jobs = 1;
-    };
-
-    explicit WindowedAnomalyDetector(Config cfg_) : cfg(cfg_)
-    {
-        ring.reserve(cfg.window ? cfg.window : 1);
-    }
-
-    /** Add one completed request's series to the window. */
-    void observe(MetricSeries series);
-
-    /**
-     * Run centroid-anomaly detection over the current window. The
-     * result's indices refer to window positions in arrival order
-     * (0 = oldest retained). Default result when the window holds
-     * fewer than 2 series.
-     */
-    CentroidAnomaly evaluate() const;
-
-    std::size_t windowSize() const { return ring.size(); }
-    std::size_t observedCount() const { return seen; }
-
-  private:
-    Config cfg;
-    std::vector<MetricSeries> ring;
-    std::size_t head = 0;
-    std::size_t seen = 0;
 };
 
 /**

@@ -289,6 +289,60 @@ TEST(Cascade, AtMostFalseImpliesExactAtLeastCutoff)
     }
 }
 
+TEST(Cascade, PruneGateSoundWithAndWithoutFirstEnvelope)
+{
+    constexpr std::size_t N = 20;
+    constexpr double Inf = std::numeric_limits<double>::infinity();
+    std::vector<MetricSeries> series;
+    for (std::size_t i = 0; i < N; ++i)
+        series.push_back(classSeries(36 + i % 12, i % 4, i + 11));
+    std::vector<const MetricSeries *> items;
+    for (const auto &s : series)
+        items.push_back(&s);
+    const std::vector<SeriesEnvelope> envs =
+        buildEnvelopes(items.data(), N);
+
+    // Two-sided (atMost and the anomaly pair search pass both
+    // envelopes) and one-sided (the streaming scorer has none for the
+    // series it scores).
+    stats::Rng rng(717);
+    std::size_t stages[2][4] = {};
+    for (int trial = 0; trial < 400; ++trial) {
+        const std::size_t i =
+            static_cast<std::size_t>(rng.uniformInt(N));
+        const std::size_t j =
+            static_cast<std::size_t>(rng.uniformInt(N));
+        const double exact = ref::dtwDistance(series[i], series[j], 0.7);
+        const double cutoff = exact * rng.uniform(0.25, 1.75) + 1e-9;
+        for (const bool two_sided : {true, false}) {
+            const SeriesEnvelope *env_x = two_sided ? &envs[i] : nullptr;
+            double d = std::numeric_limits<double>::quiet_NaN();
+            const PruneStage stage = pruneGate(
+                series[i], series[j], env_x, envs[j], 0.7, cutoff, d);
+            ++stages[two_sided][static_cast<std::size_t>(stage)];
+            if (stage == PruneStage::Exact) {
+                // A finite answer is always the exact distance,
+                // bitwise — even at or above the cutoff.
+                ASSERT_EQ(d, exact);
+            } else {
+                // Pruned or abandoned: a sound rejection.
+                ASSERT_GE(exact, cutoff);
+                ASSERT_TRUE(std::isnan(d)) << "d must be untouched";
+            }
+
+            // No bound reaches an infinite cutoff: the DP runs.
+            ASSERT_EQ(pruneGate(series[i], series[j], env_x, envs[j],
+                                0.7, Inf, d),
+                      PruneStage::Exact);
+            ASSERT_EQ(d, exact);
+        }
+    }
+    // Both forms must exercise every stage to mean anything.
+    for (const auto &per_form : stages)
+        for (const std::size_t count : per_form)
+            EXPECT_GT(count, 0u);
+}
+
 TEST(Cascade, CheapLowerBoundNeverExceedsExact)
 {
     constexpr std::size_t N = 16;

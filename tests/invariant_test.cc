@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "core/check.hh"
+#include "core/model/anomaly.hh"
+#include "core/model/kmedoids.hh"
 #include "exp/analysis.hh"
 #include "exp/scenario.hh"
 #include "os/kernel.hh"
@@ -292,6 +294,25 @@ TEST(CheckTripDeath, CompletingUnknownRequestAborts)
     os::Kernel k(m);
     m.setClient(&k);
     EXPECT_DEATH(k.completeRequest(7), "RBV_CHECK failed");
+}
+
+TEST(CheckTripDeath, MetricPairSeriesCountMismatchAborts)
+{
+    // One CPI series short: the pair search would read past its end.
+    const std::vector<core::MetricSeries> refs(3, {1.0, 2.0, 3.0});
+    const std::vector<core::MetricSeries> cpi(2, {1.0, 2.0, 3.0});
+    EXPECT_DEATH(core::detectMetricPairAnomaly(refs, cpi, 0.1, 0.1),
+                 "RBV_CHECK failed.*3 refs series but 2 CPI series");
+}
+
+TEST(CheckTripDeath, DivergencePropertyCountMismatchAborts)
+{
+    // One property short: the scan would read prop[2] past its end.
+    core::Clustering cl;
+    cl.medoids = {0};
+    cl.assignment = {0, 0, 0};
+    EXPECT_DEATH(core::divergenceFromCentroid(cl, {2.0, 4.0}),
+                 "RBV_CHECK failed.*2 properties for 3 items");
 }
 
 TEST(Invariant, ChannelFifoAcrossManyWaiters)
