@@ -24,6 +24,7 @@
 
 #include "dist/faults.hh"
 #include "dist/topology.hh"
+#include "exp/cli.hh"
 #include "fi/plan.hh"
 #include "stats/rng.hh"
 
@@ -195,31 +196,26 @@ emitJson(const std::string &path,
 int
 main(int argc, char **argv)
 {
-    std::size_t requests = 4000;
-    std::string jsonOut;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--json-out=", 0) == 0)
-            jsonOut = arg.substr(11);
-        else if (arg == "--json-out" && i + 1 < argc)
-            jsonOut = argv[++i];
-        else if (arg.rfind("--requests=", 0) == 0)
-            requests = std::stoul(arg.substr(11));
-        else if (arg == "--requests" && i + 1 < argc)
-            requests = std::stoul(argv[++i]);
-        else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--requests N] [--json-out FILE]\n";
-            return 2;
-        }
+    const exp::Cli cli(argc, argv);
+    if (!cli.unknown({"requests", "json-out"}).empty()) {
+        std::cerr << "usage: " << argv[0]
+                  << " [--requests N] [--json-out FILE]\n";
+        return 2;
+    }
+    const long requests = cli.getInt("requests", 4000);
+    const std::string jsonOut = cli.getStr("json-out", "");
+    if (requests <= 0) {
+        std::cerr << argv[0] << ": --requests must be positive\n";
+        return 2;
     }
 
     std::vector<Measurement> ms;
     for (const PlanCase &pc : kCases)
-        ms.push_back(measure(pc, requests, 4000.0));
+        ms.push_back(
+            measure(pc, static_cast<std::size_t>(requests), 4000.0));
 
     if (!jsonOut.empty())
-        return emitJson(jsonOut, ms, requests);
+        return emitJson(jsonOut, ms, static_cast<std::size_t>(requests));
 
     for (const Measurement &m : ms) {
         std::cout << std::fixed << std::setprecision(4) << m.name

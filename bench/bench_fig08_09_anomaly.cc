@@ -204,6 +204,12 @@ main(int argc, char **argv)
                       << "\n";
             return 2;
         }
+        if (plan.hasClusterFaults()) {
+            std::cerr << argv[0] << ": bad --faults plan: "
+                      << plan.summary()
+                      << ": node-* and link-* faults need rbv_cluster\n";
+            return 2;
+        }
     }
 
     // Both figures' scenarios run as one concurrent campaign.

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 
+#include "exp/cli.hh"
 #include "exp/serve.hh"
 #include "obs/obs.hh"
 
@@ -121,26 +122,20 @@ emitJson(const std::string &path, const Measurement &m)
 int
 main(int argc, char **argv)
 {
-    std::size_t requests = 200000;
-    std::string jsonOut;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--json-out=", 0) == 0)
-            jsonOut = arg.substr(11);
-        else if (arg == "--json-out" && i + 1 < argc)
-            jsonOut = argv[++i];
-        else if (arg.rfind("--requests=", 0) == 0)
-            requests = std::stoul(arg.substr(11));
-        else if (arg == "--requests" && i + 1 < argc)
-            requests = std::stoul(argv[++i]);
-        else {
-            std::cerr << "usage: " << argv[0]
-                      << " [--requests N] [--json-out FILE]\n";
-            return 2;
-        }
+    const exp::Cli cli(argc, argv);
+    if (!cli.unknown({"requests", "json-out"}).empty()) {
+        std::cerr << "usage: " << argv[0]
+                  << " [--requests N] [--json-out FILE]\n";
+        return 2;
+    }
+    const long requests = cli.getInt("requests", 200000);
+    const std::string jsonOut = cli.getStr("json-out", "");
+    if (requests <= 0) {
+        std::cerr << argv[0] << ": --requests must be positive\n";
+        return 2;
     }
 
-    const Measurement m = measure(requests);
+    const Measurement m = measure(static_cast<std::size_t>(requests));
     if (!jsonOut.empty())
         return emitJson(jsonOut, m);
 

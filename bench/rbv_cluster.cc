@@ -145,9 +145,9 @@ runCluster(const ClusterRunConfig &cfg)
     // requests is itself reported as degradation, never a hang.
     sim::Tick perHop =
         static_cast<sim::Tick>(cfg.policy.maxAttempts) *
-        (cfg.policy.deadlineTicks + 4 * cfg.policy.backoffBaseTicks *
-                                        static_cast<sim::Tick>(
-                                            cfg.policy.maxAttempts));
+        (cfg.policy.deadlineTicks +
+         4 * dist::RpcBackoffBaseTicks *
+             static_cast<sim::Tick>(cfg.policy.maxAttempts));
     const sim::Tick horizon =
         lastArrival +
         2 * static_cast<sim::Tick>(cfg.topo.tiers.size()) * perHop +
@@ -277,6 +277,13 @@ main(int argc, char **argv)
                                   error)) {
             std::cerr << argv[0] << ": bad --faults plan: " << error
                       << "\n";
+            return 2;
+        }
+        if (plan.hasScenarioFaults() || plan.hasJobFaults()) {
+            std::cerr << argv[0] << ": bad --faults plan: "
+                      << plan.summary()
+                      << ": a cluster run injects node-* and link-* "
+                         "faults only\n";
             return 2;
         }
         cfg.plan = plan;

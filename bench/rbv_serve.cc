@@ -77,6 +77,13 @@ main(int argc, char **argv)
                       << "\n";
             return 2;
         }
+        if (plan.hasJobFaults() || plan.hasClusterFaults()) {
+            std::cerr << argv[0] << ": bad --faults plan: "
+                      << plan.summary()
+                      << ": the serve loop injects neither job-* nor "
+                         "node-*/link-* faults\n";
+            return 2;
+        }
         if (!plan.empty())
             cfg.base.faults =
                 std::make_shared<const fi::FaultPlan>(plan);

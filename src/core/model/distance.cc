@@ -219,16 +219,7 @@ constexpr std::size_t BitAlphabet = 64;
 
 static_assert(static_cast<std::size_t>(os::NumSys) <= BitAlphabet,
               "the full syscall catalogue must fit the bit-parallel "
-              "alphabet; widen BitAlphabet or accept DP fallbacks");
-
-bool
-fitsBitAlphabet(std::span<const os::Sys> s)
-{
-    for (const os::Sys c : s)
-        if (static_cast<std::size_t>(c) >= BitAlphabet)
-            return false;
-    return true;
-}
+              "alphabet");
 
 /**
  * One column step of one 64-row block of Myers' bit-parallel edit
@@ -261,7 +252,8 @@ myersColumnStep(std::uint64_t &pv, std::uint64_t &mv, std::uint64_t eq,
  * Myers bit-parallel Levenshtein over 64-row blocks of the pattern
  * @p x. O(ceil(m/64) * n) word ops; exact (the DP and the
  * bit-vector recurrence compute the same integer). Requires
- * m >= 1, n >= 1 and all symbols < BitAlphabet.
+ * m >= 1, n >= 1 and all symbols < BitAlphabet (true of every
+ * os::Sys in the catalogue; RBV_DCHECKed).
  */
 std::int64_t
 levBitParallel(std::span<const os::Sys> x, std::span<const os::Sys> y,
@@ -272,9 +264,12 @@ levBitParallel(std::span<const os::Sys> x, std::span<const os::Sys> y,
 
     // Peq[sym * blocks + b]: bit i of block b set iff x row matches.
     scratch.peq.assign(BitAlphabet * blocks, 0);
-    for (std::size_t i = 0; i < m; ++i)
-        scratch.peq[static_cast<std::size_t>(x[i]) * blocks + i / 64] |=
-            1ULL << (i % 64);
+    for (std::size_t i = 0; i < m; ++i) {
+        const auto sym = static_cast<std::size_t>(x[i]);
+        RBV_DCHECK(sym < BitAlphabet,
+                   "syscall symbol " << sym << " outside the catalogue");
+        scratch.peq[sym * blocks + i / 64] |= 1ULL << (i % 64);
+    }
     scratch.myersPv.assign(blocks, ~0ULL);
     scratch.myersMv.assign(blocks, 0);
 
@@ -286,9 +281,10 @@ levBitParallel(std::span<const os::Sys> x, std::span<const os::Sys> y,
     // as hin = +1 each column, D(i, 0) = i is the all-ones pv init.
     std::int64_t score = static_cast<std::int64_t>(m);
     for (std::size_t j = 0; j < n; ++j) {
-        const std::uint64_t *eq =
-            scratch.peq.data() +
-            static_cast<std::size_t>(y[j]) * blocks;
+        const auto sym = static_cast<std::size_t>(y[j]);
+        RBV_DCHECK(sym < BitAlphabet,
+                   "syscall symbol " << sym << " outside the catalogue");
+        const std::uint64_t *eq = scratch.peq.data() + sym * blocks;
         int h = 1;
         for (std::size_t b = 0; b + 1 < blocks; ++b)
             h = myersColumnStep(pv[b], mv[b], eq[b], h, 63);
@@ -296,28 +292,6 @@ levBitParallel(std::span<const os::Sys> x, std::span<const os::Sys> y,
                                  eq[blocks - 1], h, last_bit);
     }
     return score;
-}
-
-/** Scalar DP fallback over scratch rows (wide-alphabet path). */
-std::uint32_t
-levScalarDp(std::span<const os::Sys> x, std::span<const os::Sys> y,
-            DistanceScratch &scratch)
-{
-    const std::size_t m = x.size(), n = y.size();
-    auto [prev, cur] = scratch.levRowPair(n + 1);
-    for (std::size_t j = 0; j <= n; ++j)
-        prev[j] = static_cast<std::uint32_t>(j);
-
-    for (std::size_t i = 1; i <= m; ++i) {
-        cur[0] = static_cast<std::uint32_t>(i);
-        for (std::size_t j = 1; j <= n; ++j) {
-            const std::uint32_t sub =
-                prev[j - 1] + (x[i - 1] == y[j - 1] ? 0 : 1);
-            cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, sub});
-        }
-        std::swap(prev, cur);
-    }
-    return prev[n];
 }
 
 } // namespace
@@ -338,18 +312,13 @@ levenshteinDistance(const std::vector<os::Sys> &a,
     if (n == 0)
         return static_cast<double>(m);
 
-    if (fitsBitAlphabet(x) && fitsBitAlphabet(y)) {
-        RBV_COUNT(ModelLevBitParallel, 1);
-        // The shorter sequence is the pattern: fewest 64-row blocks.
-        // Edit distance is symmetric and integer-exact, so the
-        // orientation cannot change the result.
-        const std::int64_t d =
-            m <= n ? levBitParallel(x, y, scratch)
-                   : levBitParallel(y, x, scratch);
-        return static_cast<double>(d);
-    }
-    RBV_COUNT(ModelLevDpFallbacks, 1);
-    return static_cast<double>(levScalarDp(x, y, scratch));
+    RBV_COUNT(ModelLevBitParallel, 1);
+    // The shorter sequence is the pattern: fewest 64-row blocks. Edit
+    // distance is symmetric and integer-exact, so the orientation
+    // cannot change the result.
+    const std::int64_t d = m <= n ? levBitParallel(x, y, scratch)
+                                  : levBitParallel(y, x, scratch);
+    return static_cast<double>(d);
 }
 
 double
@@ -387,24 +356,6 @@ lengthPenalty(const std::vector<MetricSeries> &series, stats::Rng &rng,
         diffs.push_back(std::abs(v1 - v2));
     }
     return stats::quantile(std::move(diffs), q);
-}
-
-const char *
-measureName(Measure m)
-{
-    switch (m) {
-      case Measure::LevenshteinSyscalls:
-        return "Levenshtein(syscalls)";
-      case Measure::AvgMetric:
-        return "Avg metric diff";
-      case Measure::L1:
-        return "L1 distance";
-      case Measure::Dtw:
-        return "DTW";
-      case Measure::DtwAsyncPenalty:
-        return "DTW+async penalty";
-    }
-    return "?";
 }
 
 } // namespace rbv::core

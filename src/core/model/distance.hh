@@ -110,9 +110,6 @@ enum class Measure
     DtwAsyncPenalty,
 };
 
-/** Display name of a measure. */
-const char *measureName(Measure m);
-
 } // namespace rbv::core
 
 #endif // RBV_CORE_MODEL_DISTANCE_HH

@@ -42,9 +42,6 @@ struct DistanceScratch
     /** Two flat DTW DP rows, stored back to back (2 * rowLen). */
     std::vector<double> dtwRows;
 
-    /** Two flat Levenshtein DP rows for the wide-alphabet fallback. */
-    std::vector<std::uint32_t> levRows;
-
     /** Myers Peq table: one 64-bit mask per (symbol, block). */
     std::vector<std::uint64_t> peq;
 
@@ -97,15 +94,6 @@ struct DistanceScratch
         if (yRevStage.size() < n)
             yRevStage.resize(n);
         return yRevStage.data();
-    }
-
-    /** The two Levenshtein DP rows, same layout as dtwRowPair(). */
-    std::pair<std::uint32_t *, std::uint32_t *>
-    levRowPair(std::size_t row_len)
-    {
-        if (levRows.size() < 2 * row_len)
-            levRows.resize(2 * row_len);
-        return {levRows.data(), levRows.data() + row_len};
     }
 };
 

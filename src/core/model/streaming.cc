@@ -39,7 +39,6 @@ StreamingClusterModel::observe(MetricSeries series)
         ring[head] = std::move(series);
         head = (head + 1) % w;
     }
-    ++seen;
     ++sinceRecluster;
     if (cfg.reclusterEvery != 0 && sinceRecluster >= cfg.reclusterEvery)
         recluster();
@@ -150,21 +149,12 @@ StreamingClusterModel::scoreOf(const MetricSeries &series) const
     return best;
 }
 
-std::size_t
-StreamingClusterModel::nearestMedoid(const MetricSeries &series) const
-{
-    double best_d;
-    return nearestByCascade(series, meds, medEnvs, cfg.asyncPenalty,
-                            best_d);
-}
-
 bool
 RollingAnomalyScorer::observe(double score)
 {
     const double thr = threshold();
     const bool flag = thr > 0.0 && score > cfg.margin * thr;
     scores.add(score);
-    decaying.add(score);
     if (flag)
         ++flagged;
     return flag;

@@ -13,7 +13,7 @@
  *    over a sliding window of recent request series, run by
  *    kMedoidsCascade over the sample's DistanceCascade;
  *  - RollingAnomalyScorer: per-request nearest-medoid scores with a
- *    decaying mean and sliding-quantile threshold.
+ *    sliding-quantile threshold.
  *
  * Every component's state is bounded by its configuration, never by
  * the stream length, and every decision is driven by an explicit Rng,
@@ -127,14 +127,7 @@ class StreamingClusterModel
     /** DTW distance to the nearest medoid (infinity before any). */
     double scoreOf(const MetricSeries &series) const;
 
-    /** Index of the nearest medoid (npos before any recluster). */
-    std::size_t nearestMedoid(const MetricSeries &series) const;
-
-    std::size_t observedCount() const { return seen; }
-    std::size_t windowSize() const { return ring.size(); }
     std::size_t reclusterCount() const { return reclusters; }
-
-    static constexpr std::size_t npos = ~std::size_t{0};
 
   private:
     /** Window contents in arrival order (oldest first). */
@@ -145,7 +138,6 @@ class StreamingClusterModel
 
     std::vector<MetricSeries> ring; ///< Ring buffer of the window.
     std::size_t head = 0;           ///< Next overwrite position.
-    std::size_t seen = 0;
     std::size_t sinceRecluster = 0;
     std::size_t reclusters = 0;
 
@@ -157,8 +149,8 @@ class StreamingClusterModel
 
 /**
  * Rolling per-request anomaly scores: each completed request's
- * distance to the nearest cluster medoid, tracked with a decaying
- * mean/CoV and an exact sliding quantile. A request is flagged when
+ * distance to the nearest cluster medoid, tracked with an exact
+ * sliding quantile. A request is flagged when
  * its score exceeds the current quantile threshold by a margin —
  * both the threshold and the flag depend only on the last `window`
  * scores, so the scorer never grows with the stream.
@@ -171,11 +163,10 @@ class RollingAnomalyScorer
         std::size_t window = 1024; ///< Scores in the quantile window.
         double quantile = 0.99;    ///< Threshold quantile.
         double margin = 1.0;       ///< Flag when score > margin * q.
-        double alpha = 0.02;       ///< Decay of the rolling mean/CoV.
     };
 
     explicit RollingAnomalyScorer(Config cfg_)
-        : cfg(cfg_), scores(cfg.window), decaying(cfg.alpha)
+        : cfg(cfg_), scores(cfg.window)
     {
     }
 
@@ -189,15 +180,11 @@ class RollingAnomalyScorer
     /** Current flag threshold (0 until the window warms up). */
     double threshold() const;
 
-    double rollingMean() const { return decaying.mean(); }
-    double rollingCov() const { return decaying.cov(); }
-    std::size_t observedCount() const { return scores.count(); }
     std::size_t flaggedCount() const { return flagged; }
 
   private:
     Config cfg;
     stats::SlidingQuantile scores;
-    stats::EwmaMeanVar decaying;
     std::size_t flagged = 0;
 };
 

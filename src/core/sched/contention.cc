@@ -27,7 +27,6 @@ ContentionEasingPolicy::attachSampler(os::Kernel &kernel,
         if (tid == os::InvalidThreadId || p.instructions <= 0.0)
             return;
         observePeriod(tid, p.cycles, p.l2MissesPerIns());
-        noteObserved(tid, kernel.now());
     });
 }
 
@@ -46,33 +45,6 @@ ContentionEasingPolicy::observePeriod(os::ThreadId thread,
             cfg.alpha, cfg.unitTicks);
     }
     predictors[idx]->observe(cycles, misses_per_ins);
-}
-
-void
-ContentionEasingPolicy::noteObserved(os::ThreadId thread,
-                                     sim::Tick now)
-{
-    if (thread == os::InvalidThreadId)
-        return;
-    const auto idx = static_cast<std::size_t>(thread);
-    if (lastObservedTick.size() <= idx)
-        lastObservedTick.resize(idx + 1, 0);
-    lastObservedTick[idx] = now;
-}
-
-bool
-ContentionEasingPolicy::isFresh(os::ThreadId thread,
-                                sim::Tick now) const
-{
-    if (cfg.stalenessTicks <= 0.0)
-        return true;
-    const auto idx = static_cast<std::size_t>(thread);
-    if (thread == os::InvalidThreadId ||
-        idx >= lastObservedTick.size())
-        return true; // never observed: nothing to be stale
-    const double age =
-        static_cast<double>(now - lastObservedTick[idx]);
-    return age <= cfg.stalenessTicks;
 }
 
 double
@@ -94,26 +66,13 @@ ContentionEasingPolicy::pickNext(
         return 0;
 
     // Is any *other* core currently executing a high-usage period?
-    // A high prediction that has gone stale (fault-injected sampling
-    // gaps) is not acted on: default co-scheduling beats deferring
-    // work on guesswork.
-    const sim::Tick tnow = kernel.now();
     bool others_high = false;
-    auto &machine = kernel.machine();
-    const int n = machine.numCores();
+    const int n = kernel.machine().numCores();
     for (sim::CoreId c = 0; c < n; ++c) {
         if (c == core)
             continue;
-        if (cfg.sameDomainOnly &&
-            machine.domainOf(c) != machine.domainOf(core))
-            continue;
         const os::ThreadId r = kernel.runningThread(c);
         if (r != os::InvalidThreadId && isHigh(r)) {
-            if (!isFresh(r, tnow)) {
-                ++staleCount;
-                RBV_COUNT(SchedStaleFallbacks, 1);
-                continue;
-            }
             others_high = true;
             break;
         }
@@ -122,12 +81,10 @@ ContentionEasingPolicy::pickNext(
         return 0; // schedule in the normal fashion
 
     // Pick the candidate closest to the head that is NOT in a high
-    // resource-usage period (a stale high prediction counts as
-    // unknown, i.e. schedulable); give up (index 0) if none exists.
+    // resource-usage period; give up (index 0) if none exists.
     std::size_t choice = 0;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (!isHigh(candidates[i]) ||
-            !isFresh(candidates[i], tnow)) {
+        if (!isHigh(candidates[i])) {
             choice = i;
             break;
         }

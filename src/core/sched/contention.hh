@@ -49,15 +49,6 @@ struct ContentionConfig
     double unitTicks = static_cast<double>(sim::msToCycles(1.0));
 
     /**
-     * Extension beyond the paper's policy: only consider *same-L2-
-     * domain* cores when checking whether another core executes a
-     * high-usage period. Cache contention couples cores within a
-     * socket far more strongly than across sockets, so restricting
-     * the check spends the deferral budget where it pays.
-     */
-    bool sameDomainOnly = false;
-
-    /**
      * Starvation guard: a runqueue head may be passed over at most
      * this many consecutive times before it runs regardless of
      * contention. Unbounded deferral would batch the high-usage
@@ -66,17 +57,6 @@ struct ContentionConfig
      * avoid.
      */
     int maxHeadDeferrals = 4;
-
-    /**
-     * Prediction-staleness horizon in cycles; non-positive disables
-     * the check (default). With fault-injected sampling (dropped
-     * counter interrupts, lost switch contexts) a thread's predictor
-     * can silently stop receiving periods; a prediction older than
-     * this horizon is not trusted, and the policy falls back to
-     * default co-scheduling for that thread instead of acting on
-     * stale inputs.
-     */
-    double stalenessTicks = -1.0;
 };
 
 /**
@@ -123,25 +103,10 @@ class ContentionEasingPolicy : public os::SchedulerPolicy
 
     const ContentionConfig &config() const { return cfg; }
 
-    /** Record that a thread's prediction was refreshed at `now`. */
-    void noteObserved(os::ThreadId thread, sim::Tick now);
-
-    /**
-     * Whether a thread's prediction is recent enough to act on.
-     * Always true when the staleness check is disabled or the thread
-     * has never been observed (nothing to be stale yet).
-     */
-    bool isFresh(os::ThreadId thread, sim::Tick now) const;
-
-    /** Scheduling decisions that ignored a stale high prediction. */
-    std::uint64_t staleSuppressions() const { return staleCount; }
-
   private:
     ContentionConfig cfg;
     std::vector<std::unique_ptr<VaEwmaPredictor>> predictors;
     std::vector<int> headDeferrals; ///< Indexed by thread id.
-    std::vector<sim::Tick> lastObservedTick; ///< Indexed by thread id.
-    std::uint64_t staleCount = 0;
 };
 
 /** Time-weighted census of simultaneous high-usage execution. */

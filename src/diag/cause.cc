@@ -28,34 +28,4 @@ causeName(Cause c)
     return "unknown";
 }
 
-Cause
-causeOfFault(fi::FaultKind kind)
-{
-    switch (kind) {
-    case fi::FaultKind::ReqStuck:
-    case fi::FaultKind::SysStall:
-        return Cause::InjectedStall;
-    case fi::FaultKind::IrqDrop:
-    case fi::FaultKind::IrqCoalesce:
-    case fi::FaultKind::CtrSaturate:
-    case fi::FaultKind::CtrCorrupt:
-    case fi::FaultKind::CtxLoss:
-        return Cause::CounterArtifact;
-    case fi::FaultKind::CoreSlow:
-        return Cause::SchedInterference;
-    case fi::FaultKind::JobCrash:
-    case fi::FaultKind::JobTimeout:
-        break;
-    // Cluster node/link faults are diagnosed by the cluster driver's
-    // injection-log join, not the per-machine evidence pipeline.
-    case fi::FaultKind::NodeCrash:
-    case fi::FaultKind::NodeDegrade:
-    case fi::FaultKind::LinkDrop:
-    case fi::FaultKind::LinkDelay:
-    case fi::FaultKind::LinkPartition:
-        break;
-    }
-    return Cause::Unknown;
-}
-
 } // namespace rbv::diag

@@ -1,10 +1,9 @@
 /**
  * @file
  * The diagnosis cause taxonomy: every class the rbv::diag layer can
- * attribute a detected anomaly to, plus the mapping from injected
- * fault kinds (rbv::fi) to the cause class an ideal diagnoser should
- * report for them. The mapping is what turns the fi injection log
- * into ground-truth labels for the diagnosis evaluation (eval.hh).
+ * attribute a detected anomaly to. The ground-truth labels of the
+ * diagnosis evaluation come from the fi injection log (labelOf in
+ * eval.hh).
  */
 
 #ifndef RBV_DIAG_CAUSE_HH
@@ -12,8 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-
-#include "fi/plan.hh"
 
 namespace rbv::diag {
 
@@ -38,14 +35,6 @@ constexpr std::size_t NumCauses =
 
 /** Canonical report name ("cache-contention", "unknown", ...). */
 const char *causeName(Cause c);
-
-/**
- * The cause class an ideal diagnoser reports for an injected fault
- * kind. Job-layer faults (job-crash / job-timeout) never reach a
- * per-request detection, so they map to Unknown; the label join in
- * eval.cc skips them.
- */
-Cause causeOfFault(fi::FaultKind kind);
 
 } // namespace rbv::diag
 

@@ -96,10 +96,13 @@ scoreSchedInterference(const Evidence &ev)
     return std::max(window, overload);
 }
 
+/** Minimum winning score below which a diagnosis reports Unknown. */
+constexpr double CauseFloor = 0.25;
+
 } // namespace
 
 Diagnosis
-classify(const Evidence &ev, double causeFloor)
+classify(const Evidence &ev)
 {
     Diagnosis d;
     d.ranked = {
@@ -114,7 +117,7 @@ classify(const Evidence &ev, double causeFloor)
                      [](const CauseScore &a, const CauseScore &b) {
                          return a.score > b.score;
                      });
-    d.cause = d.ranked.front().score >= causeFloor
+    d.cause = d.ranked.front().score >= CauseFloor
                   ? d.ranked.front().cause
                   : Cause::Unknown;
     return d;

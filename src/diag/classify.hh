@@ -86,7 +86,10 @@ struct CauseScore
 /** Ranked causes for one anomaly. */
 struct Diagnosis
 {
-    /** Winning cause; Unknown when ranked[0] is under the floor. */
+    /**
+     * Winning cause; Unknown when ranked[0] scores under the
+     * confidence floor (CauseFloor in classify.cc).
+     */
     Cause cause = Cause::Unknown;
 
     /** All five concrete causes, best first (enum-order tie-break). */
@@ -96,12 +99,8 @@ struct Diagnosis
 /** Clamped linear ramp: 0 at @p lo, 1 at @p hi. Requires lo < hi. */
 double step(double x, double lo, double hi);
 
-/**
- * Score every concrete cause on @p ev and rank them. @p causeFloor
- * is the minimum winning score below which the diagnosis reports
- * Unknown.
- */
-Diagnosis classify(const Evidence &ev, double causeFloor = 0.25);
+/** Score every concrete cause on @p ev and rank them. */
+Diagnosis classify(const Evidence &ev);
 
 } // namespace rbv::diag
 

@@ -59,6 +59,19 @@ concentration(const core::MetricSeries &deltas)
 
 namespace {
 
+/** Signature bin width in instructions (matches Fig. 8/9). */
+constexpr double BinIns = 2.0e6;
+
+/**
+ * Detection cut: a request whose DTW distance from the group centroid
+ * exceeds this multiple of the group's mean distance is a diagnosable
+ * anomaly (same normalization as the ranked ground-truth evaluation).
+ */
+constexpr double ScoreThreshold = 1.5;
+
+/** Groups smaller than this have no meaningful centroid. */
+constexpr std::size_t MinGroup = 3;
+
 /** a/b with the no-information fallback of 1.0 (no deviation). */
 double
 ratio(double a, double b)
@@ -144,7 +157,7 @@ diagnoseRun(const std::vector<RequestView> &requests,
     stats::Rng prng(cfg.seed ^ 0xD1A6);
     for (const auto &[name, group] : groups) {
         (void)name;
-        if (group.size() < cfg.minGroup)
+        if (group.size() < MinGroup)
             continue;
         ++run.groupsAnalyzed;
         run.requestsScored += group.size();
@@ -153,7 +166,7 @@ diagnoseRun(const std::vector<RequestView> &requests,
         series.reserve(group.size());
         for (const auto *r : group)
             series.push_back(core::binByInstructions(
-                *r->timeline, cfg.binIns, core::Metric::Cpi));
+                *r->timeline, BinIns, core::Metric::Cpi));
         const double penalty = core::lengthPenalty(series, prng);
         const auto det =
             core::detectCentroidAnomaly(series, penalty, cfg.jobs);
@@ -178,12 +191,12 @@ diagnoseRun(const std::vector<RequestView> &requests,
             if (i == det.centroid)
                 continue;
             const double score = mean > 0.0 ? dist[i] / mean : 0.0;
-            if (score < cfg.scoreThreshold)
+            if (score < ScoreThreshold)
                 continue;
             AnomalyReport rep;
             rep.evidence = extractEvidence(
                 *group[i], *group[det.centroid], series[i],
-                series[det.centroid], cfg.binIns, medianIns, score);
+                series[det.centroid], BinIns, medianIns, score);
             run.anomalies.push_back(std::move(rep));
         }
     }
@@ -191,25 +204,22 @@ diagnoseRun(const std::vector<RequestView> &requests,
     // Lifetime-overlap context: a slowed core drags every request
     // crossing its window, so interference shows up as co-detected
     // anomalies with intersecting lifetimes.
-    if (cfg.countOverlaps) {
-        for (std::size_t i = 0; i < run.anomalies.size(); ++i) {
-            std::size_t overlap = 0;
-            const Evidence &a = run.anomalies[i].evidence;
-            for (std::size_t j = 0; j < run.anomalies.size(); ++j) {
-                if (i == j)
-                    continue;
-                const Evidence &b = run.anomalies[j].evidence;
-                if (a.injected < b.completed &&
-                    b.injected < a.completed)
-                    ++overlap;
-            }
-            run.anomalies[i].evidence.coAnomalyOverlap =
-                static_cast<double>(overlap);
+    for (std::size_t i = 0; i < run.anomalies.size(); ++i) {
+        std::size_t overlap = 0;
+        const Evidence &a = run.anomalies[i].evidence;
+        for (std::size_t j = 0; j < run.anomalies.size(); ++j) {
+            if (i == j)
+                continue;
+            const Evidence &b = run.anomalies[j].evidence;
+            if (a.injected < b.completed && b.injected < a.completed)
+                ++overlap;
         }
+        run.anomalies[i].evidence.coAnomalyOverlap =
+            static_cast<double>(overlap);
     }
 
     for (auto &rep : run.anomalies) {
-        rep.diagnosis = classify(rep.evidence, cfg.causeFloor);
+        rep.diagnosis = classify(rep.evidence);
         RBV_COUNT(DiagAnomalies, 1);
         if (rep.diagnosis.cause == Cause::Unknown)
             RBV_COUNT(DiagUnknownCauses, 1);

@@ -55,36 +55,12 @@ struct RequestView
 /** Knobs of the batch diagnosis pass. */
 struct DiagConfig
 {
-    /** Signature bin width in instructions (matches Fig. 8/9). */
-    double binIns = 2.0e6;
-
-    /**
-     * Detection cut: a request whose DTW distance from the group
-     * centroid exceeds this multiple of the group's mean distance is
-     * a diagnosable anomaly (same normalization as the ranked
-     * ground-truth evaluation).
-     */
-    double scoreThreshold = 1.5;
-
-    /** Groups smaller than this have no meaningful centroid. */
-    std::size_t minGroup = 3;
-
     /** Worker threads for the per-group distance matrices; results
      *  are byte-identical at any value. */
     int jobs = 1;
 
     /** Seed of the length-penalty subsample stream. */
     std::uint64_t seed = 1;
-
-    /** Classifier fallback floor (see classify.hh). */
-    double causeFloor = 0.25;
-
-    /**
-     * Two co-detected anomalies count as overlapping when their
-     * lifetimes intersect — the scheduler-interference witness
-     * (a slowed core hits every request running through the window).
-     */
-    bool countOverlaps = true;
 };
 
 /** One detected anomaly with its evidence and ranked causes. */
@@ -100,7 +76,8 @@ struct RunDiagnosis
     /** Detections, most anomalous first (ties broken by id). */
     std::vector<AnomalyReport> anomalies;
 
-    std::size_t groupsAnalyzed = 0;  ///< Groups >= minGroup.
+    /** Groups of at least MinGroup (evidence.cc) members. */
+    std::size_t groupsAnalyzed = 0;
     std::size_t requestsScored = 0;  ///< Members of those groups.
 };
 

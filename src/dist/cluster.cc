@@ -10,15 +10,6 @@
 
 namespace rbv::dist {
 
-sim::CounterSnapshot
-GlobalRequestInfo::totals() const
-{
-    sim::CounterSnapshot sum;
-    for (const auto &c : perNode)
-        sum += c;
-    return sum;
-}
-
 Cluster::Cluster(sim::EventQueue &eq) : eq(eq)
 {
 }
@@ -46,36 +37,6 @@ Cluster::globalToLocal_resize()
 {
     for (auto &per_global : globalToLocal)
         per_global.resize(nodes.size(), os::InvalidRequestId);
-}
-
-os::ChannelId
-Cluster::connect(NodeId from, RemoteEndpoint to, sim::Tick latency)
-{
-    os::Kernel &src = *nodes[from]->kernel;
-    const os::ChannelId egress = src.createChannel();
-
-    src.setChannelSink(egress, [this, from, to,
-                                latency](const os::Message &msg) {
-        // Translate the sender-local request id to the destination
-        // kernel's id space, registering it there on first arrival —
-        // this is what keeps one request identity across machines.
-        os::Message out = msg;
-        if (msg.request != os::InvalidRequestId) {
-            const GlobalRequestId gid = globalIdOf(from, msg.request);
-            if (gid != InvalidGlobalRequestId) {
-                out.request = localIdOf(to.node, gid);
-                requests[static_cast<std::size_t>(gid)].hops++;
-            } else {
-                out.request = os::InvalidRequestId;
-            }
-        }
-        eq.scheduleIn(std::max<sim::Tick>(latency, 1),
-                      [this, to, out] {
-                          nodes[to.node]->kernel->post(to.channel,
-                                                       out);
-                      });
-    });
-    return egress;
 }
 
 void
@@ -165,7 +126,6 @@ Cluster::completeRequest(GlobalRequestId id)
     foldNodeAccounting(id);
     info.done = true;
     info.completed = eq.now();
-    ++numCompleted;
 }
 
 core::Timeline

@@ -6,19 +6,19 @@
  * inter-machine variations").
  *
  * A Cluster hosts several nodes (each a full machine + kernel pair)
- * on one simulated clock, connects them with latency-modeled network
- * links, and maintains a *global* request identity across machine
- * boundaries: a request handed from node A to node B over a link
- * keeps one cluster-wide id, its counter totals aggregate per node,
- * and the per-node sampled timelines can be merged into one
- * serialized cross-machine execution timeline.
+ * on one simulated clock and maintains a *global* request identity
+ * across machine boundaries: a request posted to node A and later to
+ * node B keeps one cluster-wide id, its counter totals aggregate per
+ * node, and the per-node sampled timelines can be merged into one
+ * serialized cross-machine execution timeline. The network hop
+ * between nodes is Topology's (topology.hh): it delivers each tier
+ * hop through post() after the link latency.
  */
 
 #ifndef RBV_DIST_CLUSTER_HH
 #define RBV_DIST_CLUSTER_HH
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -47,13 +47,6 @@ struct NodeConfig
     std::shared_ptr<os::SchedulerPolicy> policy;
 };
 
-/** A (node, channel) ingress endpoint for a network link. */
-struct RemoteEndpoint
-{
-    NodeId node = -1;
-    os::ChannelId channel = os::InvalidChannelId;
-};
-
 /** Cluster-wide view of one request. */
 struct GlobalRequestInfo
 {
@@ -67,12 +60,6 @@ struct GlobalRequestInfo
 
     /** Per-node exact counter totals (indexed by NodeId). */
     std::vector<sim::CounterSnapshot> perNode;
-
-    /** Network hops this request took. */
-    std::uint32_t hops = 0;
-
-    /** Summed totals over all nodes. */
-    sim::CounterSnapshot totals() const;
 };
 
 /**
@@ -101,17 +88,6 @@ class Cluster
     {
         return nodes[node]->name;
     }
-
-    /**
-     * Create a network link: a channel on @p from whose messages are
-     * delivered into @p to after @p latency cycles, with the request
-     * context translated to the destination kernel (the cross-machine
-     * analogue of the kernel's socket-hop propagation).
-     *
-     * @return The egress channel id on the @p from node.
-     */
-    os::ChannelId connect(NodeId from, RemoteEndpoint to,
-                          sim::Tick latency);
 
     /** Start every node's kernel. */
     void start();
@@ -146,8 +122,6 @@ class Cluster
                   "unknown global request " << id);
         return requests[static_cast<std::size_t>(id)];
     }
-    std::size_t numRequests() const { return requests.size(); }
-    std::size_t completedRequests() const { return numCompleted; }
     /// @}
 
     /**
@@ -193,7 +167,6 @@ class Cluster
     /** global id -> local id per node (-1 = not registered there). */
     std::vector<std::vector<os::RequestId>> globalToLocal;
 
-    std::size_t numCompleted = 0;
     bool started = false;
 };
 

@@ -21,6 +21,9 @@
 
 namespace rbv::dist {
 
+/** Backoff before the first retry (see RpcPolicy::backoffTicks). */
+constexpr sim::Tick RpcBackoffBaseTicks = sim::usToCycles(100.0);
+
 /** Retry/timeout/hedging knobs of one tier hop. */
 struct RpcPolicy
 {
@@ -30,13 +33,6 @@ struct RpcPolicy
     /** Total attempts per hop (first try + retries), >= 1. */
     int maxAttempts = 3;
 
-    /** Backoff before retry k (1-based) ~ base * factor^(k-1). */
-    sim::Tick backoffBaseTicks = sim::usToCycles(100.0);
-    double backoffFactor = 2.0;
-
-    /** Jitter fraction: backoff is scaled by 1 +- jitterFrac/2. */
-    double jitterFrac = 0.5;
-
     /**
      * Hedge a second attempt when the first is slower than this
      * quantile of the tier's observed hop latency; 0 disables
@@ -44,16 +40,11 @@ struct RpcPolicy
      */
     double hedgeQuantile = 0.0;
 
-    /** Floor for the hedge trigger delay. */
-    sim::Tick hedgeMinTicks = sim::usToCycles(150.0);
-
-    /** Observed-latency samples required before hedging arms. */
-    std::size_t hedgeWarmup = 16;
-
     /**
      * Deterministic backoff delay before retry @p attempt (1-based)
-     * of global request @p gid: exponential in the attempt with a
-     * stateless jitter lottery keyed on (seed, gid, attempt).
+     * of global request @p gid: RpcBackoffBaseTicks * 2^(attempt-1),
+     * scaled by a jitter in [0.75, 1.25) from a stateless lottery
+     * keyed on (seed, gid, attempt).
      */
     sim::Tick backoffTicks(std::uint64_t seed, std::int64_t gid,
                            int attempt) const;

@@ -16,6 +16,25 @@ namespace rbv::dist {
 
 namespace {
 
+/** Deterministic per-attempt spread around a tier's mean service
+ *  demand (+- frac). */
+constexpr double ServiceSpreadFrac = 0.3;
+
+/** Service-phase CPI of every replica. */
+constexpr double ServiceCpi = 1.2;
+
+/** Cores per replica node. */
+constexpr int ReplicaCores = 1;
+
+/** Worker threads per replica. */
+constexpr int ReplicaWorkers = 2;
+
+/** Floor for the hedge trigger delay. */
+constexpr sim::Tick HedgeMinTicks = sim::usToCycles(150.0);
+
+/** Observed-latency samples a tier needs before hedging arms. */
+constexpr std::size_t HedgeWarmup = 16;
+
 /**
  * Replica worker: recv from the tier ingress, execute the request's
  * service demand, echo the message (tag and request context intact)
@@ -28,16 +47,12 @@ struct ReplicaLogic final : os::ThreadLogic
     os::ChannelId in;
     os::ChannelId out;
     double kiloIns;
-    double cpi;
-    double spreadFrac;
     std::uint64_t seed;
     std::uint64_t salt;
 
     ReplicaLogic(os::ChannelId in, os::ChannelId out, double kiloIns,
-                 double cpi, double spreadFrac, std::uint64_t seed,
-                 std::uint64_t salt)
-        : in(in), out(out), kiloIns(kiloIns), cpi(cpi),
-          spreadFrac(spreadFrac), seed(seed), salt(salt)
+                 std::uint64_t seed, std::uint64_t salt)
+        : in(in), out(out), kiloIns(kiloIns), seed(seed), salt(salt)
     {
     }
 
@@ -60,11 +75,11 @@ struct ReplicaLogic final : os::ThreadLogic
             const double u = fi::unitIntervalHash(
                 seed, 0x3e41ceu + salt, tagToken(msg.tag));
             sim::WorkParams p;
-            p.baseCpi = cpi;
+            p.baseCpi = ServiceCpi;
             p.refsPerIns = 0.02;
             const double ins =
                 kiloIns * 1000.0 *
-                (1.0 + spreadFrac * (2.0 * u - 1.0));
+                (1.0 + ServiceSpreadFrac * (2.0 * u - 1.0));
             return os::ActExec{p, std::max(ins, 1000.0)};
         }
         haveMsg = false;
@@ -193,12 +208,11 @@ Topology::Topology(const TopologySpec &spec, const RpcPolicy &policy,
     for (std::size_t ti = 0; ti < spec_.tiers.size(); ++ti) {
         const TierSpec &ts = spec_.tiers[ti];
         TierRt rt;
-        rt.spec = ts;
         for (int ri = 0; ri < ts.replicas; ++ri) {
             NodeConfig cfg;
             cfg.name = ts.name + "/" + std::to_string(ri);
-            cfg.machine.numCores = ts.cores;
-            cfg.machine.coresPerL2Domain = ts.cores >= 2 ? 2 : 1;
+            cfg.machine.numCores = ReplicaCores;
+            cfg.machine.coresPerL2Domain = ReplicaCores;
             Replica rep;
             rep.node = cl.addNode(cfg);
             rep.health = ReplicaHealth(breakerCfg);
@@ -206,13 +220,11 @@ Topology::Topology(const TopologySpec &spec, const RpcPolicy &policy,
             rep.ingress = k.createChannel();
             rep.reply = k.createChannel();
             const os::ProcessId proc = k.createProcess(cfg.name);
-            for (int w = 0; w < ts.workers; ++w) {
+            for (int w = 0; w < ReplicaWorkers; ++w) {
                 k.createThread(
-                    proc,
-                    std::make_unique<ReplicaLogic>(
-                        rep.ingress, rep.reply, ts.serviceKiloIns,
-                        ts.serviceCpi, ts.serviceSpreadFrac, seed,
-                        static_cast<std::uint64_t>(ti)));
+                    proc, std::make_unique<ReplicaLogic>(
+                              rep.ingress, rep.reply, ts.serviceKiloIns,
+                              seed, static_cast<std::uint64_t>(ti)));
             }
             const int tier = static_cast<int>(ti);
             k.setChannelSink(
@@ -230,28 +242,6 @@ Topology::Topology(const TopologySpec &spec, const RpcPolicy &policy,
 }
 
 Topology::~Topology() = default;
-
-NodeId
-Topology::nodeOf(int tier, int replica) const
-{
-    RBV_CHECK(tier >= 0 && tier < tierCount(), "bad tier " << tier);
-    const auto &reps = tiers[static_cast<std::size_t>(tier)].replicas;
-    RBV_CHECK(replica >= 0 &&
-                  replica < static_cast<int>(reps.size()),
-              "bad replica " << replica);
-    return reps[static_cast<std::size_t>(replica)].node;
-}
-
-const ReplicaHealth &
-Topology::health(int tier, int replica) const
-{
-    RBV_CHECK(tier >= 0 && tier < tierCount(), "bad tier " << tier);
-    const auto &reps = tiers[static_cast<std::size_t>(tier)].replicas;
-    RBV_CHECK(replica >= 0 &&
-                  replica < static_cast<int>(reps.size()),
-              "bad replica " << replica);
-    return reps[static_cast<std::size_t>(replica)].health;
-}
 
 std::vector<std::pair<NodeId, os::ChannelId>>
 Topology::linkEndpoints() const
@@ -372,12 +362,11 @@ Topology::sendAttempt(GlobalRequestId gid, int tier, int attempt,
                   [this, token] { onDeadline(token); });
 
     if (!hedge && policy.hedgeQuantile > 0.0 && !rs.hedged &&
-        n > 1 && T.hopLatencyUs.size() >= policy.hedgeWarmup) {
+        n > 1 && T.hopLatencyUs.size() >= HedgeWarmup) {
         const double qUs =
             T.hopLatencyUs.quantile(policy.hedgeQuantile);
         const sim::Tick trigger = std::max(
-            policy.hedgeMinTicks,
-            static_cast<sim::Tick>(sim::usToCycles(qUs)));
+            HedgeMinTicks, static_cast<sim::Tick>(sim::usToCycles(qUs)));
         if (trigger < policy.deadlineTicks)
             eq.scheduleIn(trigger, [this, token, attempt] {
                 maybeHedge(token, attempt);

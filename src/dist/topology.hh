@@ -54,18 +54,6 @@ struct TierSpec
 
     /** Mean service demand per request (thousands of instructions). */
     double serviceKiloIns = 60.0;
-
-    /** Deterministic per-attempt spread around the mean (+- frac). */
-    double serviceSpreadFrac = 0.3;
-
-    /** Service-phase CPI. */
-    double serviceCpi = 1.2;
-
-    /** Cores per replica node. */
-    int cores = 1;
-
-    /** Worker threads per replica. */
-    int workers = 2;
 };
 
 /**
@@ -137,8 +125,6 @@ class Topology
     const TopologySpec &spec() const { return spec_; }
 
     int tierCount() const { return static_cast<int>(tiers.size()); }
-    NodeId nodeOf(int tier, int replica) const;
-    const ReplicaHealth &health(int tier, int replica) const;
 
     /**
      * Every (node, channel) pair that carries network traffic —
@@ -203,7 +189,6 @@ class Topology
 
     struct TierRt
     {
-        TierSpec spec;
         std::vector<Replica> replicas;
         /** Observed hop latency (us) feeding the hedge trigger. */
         stats::SlidingQuantile hopLatencyUs{128};

@@ -38,12 +38,6 @@ ReplicateSummary::find(const std::string &metric) const
     return nullptr;
 }
 
-bool
-ReplicateSummary::has(const std::string &metric) const
-{
-    return find(metric) != nullptr;
-}
-
 MetricSummary
 ReplicateSummary::get(const std::string &metric) const
 {
@@ -66,16 +60,6 @@ double
 ReplicateSummary::mean(const std::string &metric) const
 {
     return get(metric).mean;
-}
-
-std::vector<std::string>
-ReplicateSummary::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(accums.size());
-    for (const auto &a : accums)
-        out.push_back(a.name);
-    return out;
 }
 
 } // namespace rbv::exp

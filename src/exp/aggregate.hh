@@ -35,8 +35,7 @@ struct MetricSummary
 
 /**
  * Accumulates per-replicate metric observations under stable names
- * and summarizes each. Metric names keep insertion order so reports
- * derived from a summary are deterministic.
+ * and summarizes each.
  */
 class ReplicateSummary
 {
@@ -44,16 +43,11 @@ class ReplicateSummary
     /** Record one replicate's value of @p metric. */
     void add(const std::string &metric, double value);
 
-    bool has(const std::string &metric) const;
-
     /** Summary of @p metric; zeroes when never recorded. */
     MetricSummary get(const std::string &metric) const;
 
     /** Shorthand for get(metric).mean. */
     double mean(const std::string &metric) const;
-
-    /** Metric names in first-insertion order. */
-    std::vector<std::string> names() const;
 
   private:
     struct Accum

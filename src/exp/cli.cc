@@ -6,12 +6,14 @@
 #include "exp/cli.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 
 namespace rbv::exp {
 
-Cli::Cli(int argc, char **argv)
+Cli::Cli(int argc, char **argv) : prog(argc > 0 ? argv[0] : "rbv")
 {
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -84,46 +86,75 @@ Cli::getStr(const std::string &name, const std::string &def) const
     return it != flags.end() && !it->second.empty() ? it->second : def;
 }
 
+const std::string *
+Cli::value(const std::string &name) const
+{
+    auto it = flags.find(name);
+    return it != flags.end() ? &it->second : nullptr;
+}
+
+void
+Cli::badValue(const std::string &name, const std::string &v) const
+{
+    std::cerr << prog << ": bad --" << name << " value '" << v << "'\n";
+    std::exit(2);
+}
+
 long
 Cli::getInt(const std::string &name, long def) const
 {
-    auto it = flags.find(name);
-    return it != flags.end() && !it->second.empty()
-               ? std::strtol(it->second.c_str(), nullptr, 10)
-               : def;
+    const std::string *v = value(name);
+    if (v == nullptr)
+        return def;
+    char *end = nullptr;
+    errno = 0;
+    const long out = std::strtol(v->c_str(), &end, 10);
+    if (v->empty() || *end != '\0' || errno == ERANGE)
+        badValue(name, *v);
+    return out;
 }
 
 double
 Cli::getDouble(const std::string &name, double def) const
 {
-    auto it = flags.find(name);
-    return it != flags.end() && !it->second.empty()
-               ? std::strtod(it->second.c_str(), nullptr)
-               : def;
+    const std::string *v = value(name);
+    if (v == nullptr)
+        return def;
+    char *end = nullptr;
+    const double out = std::strtod(v->c_str(), &end);
+    if (v->empty() || *end != '\0' || !std::isfinite(out))
+        badValue(name, *v);
+    return out;
 }
 
 std::uint64_t
 Cli::getU64(const std::string &name, std::uint64_t def) const
 {
-    auto it = flags.find(name);
-    return it != flags.end() && !it->second.empty()
-               ? std::strtoull(it->second.c_str(), nullptr, 10)
-               : def;
+    const std::string *v = value(name);
+    if (v == nullptr)
+        return def;
+    char *end = nullptr;
+    errno = 0;
+    const std::uint64_t out = std::strtoull(v->c_str(), &end, 10);
+    // strtoull accepts "-1" and wraps it to 2^64 - 1.
+    if (v->empty() || *end != '\0' || errno == ERANGE ||
+        v->find('-') != std::string::npos)
+        badValue(name, *v);
+    return out;
 }
 
 bool
 Cli::getBool(const std::string &name, bool def) const
 {
-    auto it = flags.find(name);
-    if (it == flags.end())
+    const std::string *v = value(name);
+    if (v == nullptr)
         return def;
-    const std::string &v = it->second;
-    if (v.empty() || v == "1" || v == "true" || v == "yes" ||
-        v == "on")
+    if (v->empty() || *v == "1" || *v == "true" || *v == "yes" ||
+        *v == "on")
         return true;
-    if (v == "0" || v == "false" || v == "no" || v == "off")
+    if (*v == "0" || *v == "false" || *v == "no" || *v == "off")
         return false;
-    return def;
+    badValue(name, *v);
 }
 
 // -------------------------------------------------- flag catalogue
@@ -139,7 +170,8 @@ const std::pair<const char *, const char *> FlagCatalogue[] = {
     {"bank", "signature-bank size per application (requests)"},
     {"checkpoint-every",
      "completed requests between serve checkpoint lines"},
-    {"csv", "also write the per-request records as CSV to this path"},
+    {"csv", "print the per-bin tables as CSV on stdout instead of "
+            "aligned text"},
     {"deadline-us", "cluster per-attempt RPC deadline in "
                     "microseconds"},
     {"diag-out", "write the diagnosis JSON report (anomaly -> ranked "

@@ -49,6 +49,13 @@ class Cli
 
     std::string getStr(const std::string &name,
                        const std::string &def) const;
+
+    /**
+     * Numeric accessors: absent is @p def. A value that does not
+     * parse completely (empty, trailing junk, out of range,
+     * non-finite, or negative for getU64) prints "bad --name value"
+     * and exits with status 2.
+     */
     long getInt(const std::string &name, long def) const;
     double getDouble(const std::string &name, double def) const;
     std::uint64_t getU64(const std::string &name,
@@ -56,7 +63,8 @@ class Cli
 
     /**
      * Boolean accessor: a bare "--flag" (or =1/true/yes/on) is true,
-     * =0/false/no/off is false, absent is @p def.
+     * =0/false/no/off is false, absent is @p def; any other word
+     * exits with status 2 like a bad numeric value.
      */
     bool getBool(const std::string &name, bool def) const;
 
@@ -65,6 +73,13 @@ class Cli
     unknown(const std::vector<std::string> &known) const;
 
   private:
+    /** The raw value of a given flag; null when absent. */
+    const std::string *value(const std::string &name) const;
+
+    [[noreturn]] void badValue(const std::string &name,
+                               const std::string &v) const;
+
+    std::string prog; ///< argv[0], for error messages.
     std::map<std::string, std::string> flags;
 };
 

@@ -133,22 +133,6 @@ struct RequestRecord
                    : 0.0;
     }
 
-    double
-    l2RefsPerIns() const
-    {
-        return totals.instructions > 0.0
-                   ? totals.l2Refs / totals.instructions
-                   : 0.0;
-    }
-
-    double
-    l2MissesPerIns() const
-    {
-        return totals.instructions > 0.0
-                   ? totals.l2Misses / totals.instructions
-                   : 0.0;
-    }
-
     double cpuCycles() const { return totals.cycles; }
 };
 

@@ -45,20 +45,6 @@ constexpr std::array<KindEntry, 15> kKinds = {{
      {"a", "b", "from-ms", "for-ms", nullptr}},
 }};
 
-bool clusterKind(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::NodeCrash:
-      case FaultKind::NodeDegrade:
-      case FaultKind::LinkDrop:
-      case FaultKind::LinkDelay:
-      case FaultKind::LinkPartition:
-        return true;
-      default:
-        return false;
-    }
-}
-
 const KindEntry *entryFor(FaultKind kind)
 {
     for (const auto &e : kKinds)
@@ -165,13 +151,6 @@ double FaultSpec::param(const std::string &key, double def) const
     return v;
 }
 
-std::string FaultSpec::paramStr(const std::string &key,
-                                const std::string &def) const
-{
-    auto it = params.find(key);
-    return it == params.end() ? def : it->second;
-}
-
 bool FaultPlan::parse(const std::string &spec, FaultPlan &out,
                       std::string &error)
 {
@@ -227,20 +206,29 @@ bool FaultPlan::hasScenarioFaults() const
     return std::any_of(specs_.begin(), specs_.end(), [](const auto &fs) {
         return fs.kind != FaultKind::JobCrash &&
                fs.kind != FaultKind::JobTimeout &&
-               !clusterKind(fs.kind);
+               !isClusterFault(fs.kind);
     });
 }
 
 bool FaultPlan::hasClusterFaults() const
 {
     return std::any_of(specs_.begin(), specs_.end(), [](const auto &fs) {
-        return clusterKind(fs.kind);
+        return isClusterFault(fs.kind);
     });
 }
 
 bool isClusterFault(FaultKind kind)
 {
-    return clusterKind(kind);
+    switch (kind) {
+      case FaultKind::NodeCrash:
+      case FaultKind::NodeDegrade:
+      case FaultKind::LinkDrop:
+      case FaultKind::LinkDelay:
+      case FaultKind::LinkPartition:
+        return true;
+      default:
+        return false;
+    }
 }
 
 bool FaultPlan::hasJobFaults() const

@@ -74,10 +74,6 @@ struct FaultSpec
 
     /** Numeric parameter with default; parse errors yield @p def. */
     double param(const std::string &key, double def) const;
-
-    /** String parameter with default. */
-    std::string paramStr(const std::string &key,
-                         const std::string &def) const;
 };
 
 /**

@@ -47,8 +47,6 @@ counterName(Counter c)
         return "sampling.overhead_cycles";
       case Counter::SchedContentionDeferrals:
         return "sched.contention_deferrals";
-      case Counter::SchedStaleFallbacks:
-        return "sched.stale_fallbacks";
       case Counter::ExpJobsCompleted:
         return "exp.jobs_completed";
       case Counter::FiInjections:
@@ -59,8 +57,6 @@ counterName(Counter c)
         return "model.dtw_early_abandons";
       case Counter::ModelLevBitParallel:
         return "model.lev_bit_parallel";
-      case Counter::ModelLevDpFallbacks:
-        return "model.lev_dp_fallbacks";
       case Counter::ModelLbKimPrunes:
         return "model.lb_kim_prunes";
       case Counter::ModelLbKeoghPrunes:

@@ -82,13 +82,11 @@ enum class Counter : std::uint16_t
     SamplingSamples,
     SamplingOverheadCycles,
     SchedContentionDeferrals,
-    SchedStaleFallbacks,
     ExpJobsCompleted,
     FiInjections,
     ModelDistanceCells,
     ModelDtwEarlyAbandons,
     ModelLevBitParallel,
-    ModelLevDpFallbacks,
     ModelLbKimPrunes,
     ModelLbKeoghPrunes,
     ModelCascadeDpRuns,
@@ -326,16 +324,6 @@ hostSlice(const char *cat, const std::string &dyn_name, double dur_us,
                          arg_val);
 }
 
-/** Instant event on the calling thread's host-clock track. */
-inline void
-hostInstant(const char *cat, const char *name,
-            const char *arg_key = nullptr, double arg_val = 0.0)
-{
-    if (detail::tl_state)
-        detail::emitHost('i', cat, name, std::string(), 0.0, arg_key,
-                         arg_val);
-}
-
 /** True if the calling thread is attached to a live session. */
 inline bool
 attached() noexcept
@@ -407,11 +395,6 @@ simSpanEnd(const char *, const char *, std::uint64_t, double,
 inline void
 hostSlice(const char *, const std::string &, double,
           const char * = nullptr, double = 0.0)
-{
-}
-inline void
-hostInstant(const char *, const char *, const char * = nullptr,
-            double = 0.0)
 {
 }
 inline bool

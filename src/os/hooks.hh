@@ -3,10 +3,10 @@
  * Kernel instrumentation hooks.
  *
  * The paper's OS management attaches at exactly these points: system
- * call entries (Sec. 3.2's in-kernel sampling), request context
- * switches (mandatory attribution sampling, Sec. 3.1), and request
- * completion. Samplers and the contention monitor implement this
- * interface; the kernel invokes every registered hook.
+ * call entries (Sec. 3.2's in-kernel sampling) and request context
+ * switches (mandatory attribution sampling, Sec. 3.1). Samplers and
+ * the transition trainers implement this interface; the kernel
+ * invokes every registered hook.
  */
 
 #ifndef RBV_OS_HOOKS_HH
@@ -17,8 +17,6 @@
 #include "sim/types.hh"
 
 namespace rbv::os {
-
-struct RequestInfo;
 
 /**
  * Observer interface over kernel events.
@@ -49,23 +47,6 @@ class KernelHooks
     onRequestSwitch(sim::CoreId core, RequestId out, RequestId in)
     {
         (void)core; (void)out; (void)in;
-    }
-
-    /** A request completed (its reply reached the client). */
-    virtual void
-    onRequestComplete(const RequestInfo &info)
-    {
-        (void)info;
-    }
-
-    /**
-     * A thread was scheduled onto a core (after switch costs were
-     * queued and its work was restored).
-     */
-    virtual void
-    onScheduledIn(sim::CoreId core, ThreadId thread)
-    {
-        (void)core; (void)thread;
     }
 };
 

@@ -168,8 +168,6 @@ Kernel::completeRequest(RequestId id)
     obs::simSpanEnd("os.request", "request", id,
                     sim::cyclesToUs(static_cast<double>(now())));
     RBV_CHECK(numCompleted <= numRegistered);
-    for (auto *h : hooks)
-        h->onRequestComplete(info);
 }
 
 ThreadId
@@ -182,18 +180,6 @@ RequestId
 Kernel::currentRequest(sim::CoreId core) const
 {
     return coreSched[core].request;
-}
-
-RequestId
-Kernel::requestOf(ThreadId thread) const
-{
-    return thr(thread).request;
-}
-
-ProcessId
-Kernel::processOf(ThreadId thread) const
-{
-    return thr(thread).proc;
 }
 
 const RequestInfo &
@@ -313,9 +299,6 @@ Kernel::switchIn(sim::CoreId core, ThreadId tid)
     t.core = core;
     cs.running = tid;
     resetQuantum(core);
-
-    for (auto *h : hooks)
-        h->onScheduledIn(core, tid);
 
     if (t.hasWork) {
         // Resume the preempted segment.

@@ -12,9 +12,9 @@
  *    is executing across context switches and channel (socket) hops,
  *    per Shen et al. [27], with exact per-request counter totals and
  *    system call sequences as experiment ground truth;
- *  - instrumentation hooks at syscall entry, request context switch,
- *    thread schedule-in, and request completion, which the sampling
- *    subsystem (the paper's contribution) attaches to.
+ *  - instrumentation hooks at syscall entry and request context
+ *    switch, which the sampling subsystem (the paper's contribution)
+ *    attaches to.
  */
 
 #ifndef RBV_OS_KERNEL_HH
@@ -142,17 +142,11 @@ class Kernel : public sim::CoreClient
 
     ThreadId runningThread(sim::CoreId core) const;
     RequestId currentRequest(sim::CoreId core) const;
-    RequestId requestOf(ThreadId thread) const;
-    ProcessId processOf(ThreadId thread) const;
 
     const RequestInfo &request(RequestId id) const;
     RequestInfo &requestMutable(RequestId id);
     std::size_t numRequests() const { return reqs.size(); }
     std::size_t completedRequests() const { return numCompleted; }
-    /** Requests ever registered (monotonic; ≥ numRequests()). */
-    std::size_t registeredRequests() const { return numRegistered; }
-    /** Slots currently on the free list. */
-    std::size_t freeRequestSlots() const { return freeSlots.size(); }
 
     const KernelStats &stats() const { return kstats; }
     SchedulerPolicy &policy() { return *sched; }
@@ -267,7 +261,6 @@ class Kernel : public sim::CoreClient
     void reschedFired(sim::CoreId core);
 
     Thread &thr(ThreadId id) { return *threads[id]; }
-    const Thread &thr(ThreadId id) const { return *threads[id]; }
 
     sim::Machine &mach;
     KernelConfig cfg;

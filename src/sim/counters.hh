@@ -4,33 +4,19 @@
  *
  * Models the Xeon 5160 counter architecture the paper relies on: two
  * fixed counters (non-halt CPU cycles and retired instructions) plus
- * two general-purpose counters, each programmable to one of several
- * hardware events. The experiments program the general counters to L2
- * references and L2 misses.
+ * the two general-purpose counters, which the paper programs once to
+ * L2 references and L2 misses. The model keeps those four event
+ * totals and nothing else.
  */
 
 #ifndef RBV_SIM_COUNTERS_HH
 #define RBV_SIM_COUNTERS_HH
 
-#include <array>
 #include <cstdint>
 
 #include "core/check.hh"
 
 namespace rbv::sim {
-
-/** Hardware events selectable on the general-purpose counters. */
-enum class HwEvent
-{
-    L2References,
-    L2Misses,
-    BusTransactions,      ///< Proportional to L2 miss traffic.
-    BranchInstructions,   ///< Synthetic fixed fraction of instructions.
-    FloatingPointOps,     ///< Synthetic fixed fraction of instructions.
-};
-
-/** Number of general-purpose counter registers per core. */
-constexpr int NumGeneralCounters = 2;
 
 /**
  * Architectural width of a counter register read, in bits. The
@@ -64,8 +50,8 @@ toCounterRegister(double total)
 /**
  * Snapshot of the event totals a sampler reads.
  *
- * Values are continuous (double) internally; integer register views
- * are available on PerfCounters. All experiments consume deltas of
+ * Values are continuous (double) internally; toCounterRegister() gives
+ * a total's integer register read. All experiments consume deltas of
  * these fields.
  */
 struct CounterSnapshot
@@ -97,27 +83,11 @@ struct CounterSnapshot
  * The per-core counter register file.
  *
  * The simulator accrues events through accrue(); samplers read
- * snapshot() or the integer register views. The general counters are
- * derived from the accrued event stream according to their selectors.
+ * snapshot().
  */
 class PerfCounters
 {
   public:
-    PerfCounters()
-    {
-        selectors[0] = HwEvent::L2References;
-        selectors[1] = HwEvent::L2Misses;
-    }
-
-    /** Program a general counter to count the given event. */
-    void
-    program(int counter, HwEvent ev)
-    {
-        selectors[counter] = ev;
-    }
-
-    HwEvent selector(int counter) const { return selectors[counter]; }
-
     /**
      * Accrue events. Called by the core execution model at every
      * resynchronization and by observer-effect injection.
@@ -147,51 +117,8 @@ class PerfCounters
     /** Continuous snapshot of the canonical event totals. */
     const CounterSnapshot &snapshot() const { return totals; }
 
-    /** Fixed counter 0: non-halt cycles (integer register view). */
-    std::uint64_t
-    fixedCycles() const
-    {
-        return toCounterRegister(totals.cycles);
-    }
-
-    /** Fixed counter 1: retired instructions. */
-    std::uint64_t
-    fixedInstructions() const
-    {
-        return toCounterRegister(totals.instructions);
-    }
-
-    /** General counter register view per its programmed selector. */
-    std::uint64_t
-    general(int counter) const
-    {
-        return toCounterRegister(eventValue(selectors[counter]));
-    }
-
-    /** Continuous value of an event per the accrued totals. */
-    double
-    eventValue(HwEvent ev) const
-    {
-        switch (ev) {
-          case HwEvent::L2References:
-            return totals.l2Refs;
-          case HwEvent::L2Misses:
-            return totals.l2Misses;
-          case HwEvent::BusTransactions:
-            // One bus transaction per L2 miss line fill plus a small
-            // writeback fraction.
-            return totals.l2Misses * 1.3;
-          case HwEvent::BranchInstructions:
-            return totals.instructions * 0.18;
-          case HwEvent::FloatingPointOps:
-            return totals.instructions * 0.05;
-        }
-        return 0.0;
-    }
-
   private:
     CounterSnapshot totals;
-    std::array<HwEvent, NumGeneralCounters> selectors{};
 };
 
 } // namespace rbv::sim

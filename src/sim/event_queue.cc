@@ -34,16 +34,6 @@ EventQueue::cancel(EventId id)
     return erased;
 }
 
-Tick
-EventQueue::nextTick() const
-{
-    // The heap top may be a cancelled entry, but nextTick() is only a
-    // hint; runOne() skips cancelled entries properly. Scan a copy-free
-    // approximation: cancelled entries never make the reported tick
-    // later than the true next tick.
-    return heap.empty() ? curTick : heap.top().when;
-}
-
 bool
 EventQueue::runOne()
 {

@@ -63,9 +63,6 @@ class EventQueue
     /** Number of pending events. */
     std::size_t size() const { return pending.size(); }
 
-    /** Tick of the next pending event; now() if empty. */
-    Tick nextTick() const;
-
     /**
      * Run the next event, advancing time to it.
      * @return False if the queue was empty.

@@ -424,13 +424,6 @@ Machine::counters(CoreId core)
     return cores[core].counters;
 }
 
-PerfCounters &
-Machine::programCounters(CoreId core)
-{
-    resync();
-    return cores[core].counters;
-}
-
 void
 Machine::armCycleTimer(CoreId core, double cycles,
                        std::function<void()> cb)
@@ -441,19 +434,6 @@ Machine::armCycleTimer(CoreId core, double cycles,
     c.timerRemaining = std::max(cycles, 0.0);
     c.timerCb = std::move(cb);
     scheduleBoundaries();
-}
-
-void
-Machine::disarmCycleTimer(CoreId core)
-{
-    resync();
-    auto &c = cores[core];
-    c.timerArmed = false;
-    c.timerCb = nullptr;
-    if (c.timerEv != InvalidEventId) {
-        eq.cancel(c.timerEv);
-        c.timerEv = InvalidEventId;
-    }
 }
 
 } // namespace rbv::sim

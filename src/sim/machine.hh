@@ -47,8 +47,6 @@ struct MachineConfig
     /** Cores per shared-L2 domain (Woodcrest: 2). */
     int coresPerL2Domain = 2;
 
-    double freqGhz = DefaultFreqGhz;
-
     /** Shared L2 capacity per domain in bytes (4 MB). */
     double l2CapacityBytes = 4.0 * 1024 * 1024;
 
@@ -156,9 +154,6 @@ class Machine
     /** Counter file of a core, resynchronized to now. */
     const PerfCounters &counters(CoreId core);
 
-    /** Mutable counter file (for programming selectors). */
-    PerfCounters &programCounters(CoreId core);
-
     /**
      * Arm the APIC-style cycle timer: fire @p cb once after the core
      * has accumulated @p cycles additional non-halt cycles. Re-arming
@@ -167,25 +162,13 @@ class Machine
     void armCycleTimer(CoreId core, double cycles,
                        std::function<void()> cb);
 
-    /** Disarm the cycle timer if armed. */
-    void disarmCycleTimer(CoreId core);
-
-    /** @name Model introspection (valid between events). */
-    /// @{
-    double currentCpi(CoreId core) const { return cores[core].effCpi; }
-    double
-    currentMissRatio(CoreId core) const
-    {
-        return cores[core].missRatio;
-    }
+    /** L2 misses per instruction of a core's current rate window. */
     double
     currentMissesPerIns(CoreId core) const
     {
         const auto &c = cores[core];
         return c.busy ? c.params.refsPerIns * c.missRatio : 0.0;
     }
-    double currentMemLatency() const { return memLatency; }
-    /// @}
 
     /** Advance all cores to the event queue's current time. */
     void resync();

@@ -171,69 +171,37 @@ class WeightedRmse
 };
 
 /**
- * Exponentially weighted moving average with bias-corrected warmup.
- *
- * value() divides the raw accumulator by (1 - (1-alpha)^n) so the
- * estimate is unbiased from the first observation instead of starting
- * at zero; after ~3/alpha observations the correction vanishes.
- */
-class Ewma
-{
-  public:
-    explicit Ewma(double alpha_ = 0.05) : alpha(alpha_) {}
-
-    void
-    add(double x)
-    {
-        raw = (1.0 - alpha) * raw + alpha * x;
-        weight = (1.0 - alpha) * weight + alpha;
-        ++n;
-    }
-
-    std::size_t count() const { return n; }
-
-    double
-    value() const
-    {
-        return weight > 0.0 ? raw / weight : 0.0;
-    }
-
-  private:
-    double alpha;
-    double raw = 0.0;
-    double weight = 0.0;
-    std::size_t n = 0;
-};
-
-/**
  * Exponentially decaying mean / variance, the decaying analogue of
  * OnlineMeanVar. Backs the serving mode's rolling CoV (the decaying
  * form of the paper's Eq. 1): recent behavior dominates, old requests
  * fade at rate (1 - alpha) per observation, and state is O(1).
+ *
+ * Both moments are bias-corrected: each raw accumulator is divided by
+ * the accumulated weight 1 - (1-alpha)^n, so the estimate is unbiased
+ * from the first observation instead of starting at zero; after
+ * ~3/alpha observations the correction vanishes.
  */
 class EwmaMeanVar
 {
   public:
-    explicit EwmaMeanVar(double alpha_ = 0.05)
-        : meanAcc(alpha_), sqAcc(alpha_)
-    {
-    }
+    explicit EwmaMeanVar(double alpha_ = 0.05) : alpha(alpha_) {}
 
     void
     add(double x)
     {
-        meanAcc.add(x);
-        sqAcc.add(x * x);
+        meanRaw = (1.0 - alpha) * meanRaw + alpha * x;
+        sqRaw = (1.0 - alpha) * sqRaw + alpha * (x * x);
+        weight = (1.0 - alpha) * weight + alpha;
     }
 
-    std::size_t count() const { return meanAcc.count(); }
-    double mean() const { return meanAcc.value(); }
+    double mean() const { return weight > 0.0 ? meanRaw / weight : 0.0; }
 
     double
     variance() const
     {
-        const double mu = meanAcc.value();
-        double var = sqAcc.value() - mu * mu;
+        const double mu = mean();
+        const double sq = weight > 0.0 ? sqRaw / weight : 0.0;
+        double var = sq - mu * mu;
         return var > 0.0 ? var : 0.0;
     }
 
@@ -248,8 +216,10 @@ class EwmaMeanVar
     }
 
   private:
-    Ewma meanAcc;
-    Ewma sqAcc;
+    double alpha;
+    double meanRaw = 0.0;
+    double sqRaw = 0.0;
+    double weight = 0.0;
 };
 
 /**

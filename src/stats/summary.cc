@@ -12,24 +12,6 @@
 
 namespace rbv::stats {
 
-namespace {
-
-double
-sortedQuantile(const std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    p = std::clamp(p, 0.0, 1.0);
-    const double h = p * static_cast<double>(sorted.size() - 1);
-    const auto i = static_cast<std::size_t>(h);
-    if (i + 1 >= sorted.size())
-        return sorted.back();
-    const double frac = h - static_cast<double>(i);
-    return sorted[i] + frac * (sorted[i + 1] - sorted[i]);
-}
-
-} // namespace
-
 double
 quantile(std::vector<double> values, double p)
 {
@@ -50,17 +32,6 @@ quantile(std::vector<double> values, double p)
     const double next = *std::min_element(mid + 1, values.end());
     const double frac = h - static_cast<double>(i);
     return *mid + frac * (next - *mid);
-}
-
-std::vector<double>
-quantiles(std::vector<double> values, const std::vector<double> &ps)
-{
-    std::sort(values.begin(), values.end());
-    std::vector<double> out;
-    out.reserve(ps.size());
-    for (double p : ps)
-        out.push_back(sortedQuantile(values, p));
-    return out;
 }
 
 double

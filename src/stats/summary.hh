@@ -24,13 +24,6 @@ namespace rbv::stats {
  */
 double quantile(std::vector<double> values, double p);
 
-/**
- * Compute several quantiles in one sort. Quantiles are clamped to
- * [0, 1]; results align with the input order of @p ps.
- */
-std::vector<double> quantiles(std::vector<double> values,
-                              const std::vector<double> &ps);
-
 /** Arithmetic mean; 0 for an empty sample. */
 double mean(const std::vector<double> &values);
 

@@ -10,29 +10,35 @@
 
 namespace rbv::wl {
 
-const std::vector<ArrivalMode> &
-allArrivalModes()
-{
-    static const std::vector<ArrivalMode> modes = {
-        ArrivalMode::Poisson,
-        ArrivalMode::Burst,
-        ArrivalMode::Diurnal,
-        ArrivalMode::FlashCrowd,
-    };
-    return modes;
-}
+namespace {
 
-std::string
-arrivalModeName(ArrivalMode mode)
-{
-    switch (mode) {
-      case ArrivalMode::Poisson: return "poisson";
-      case ArrivalMode::Burst: return "burst";
-      case ArrivalMode::Diurnal: return "diurnal";
-      case ArrivalMode::FlashCrowd: return "flash";
-    }
-    return "?";
-}
+/** Burst mode: fraction of each period spent in the on phase. */
+constexpr double BurstOnFraction = 0.25;
+/** Burst mode: on-phase rate as a multiple of qps. */
+constexpr double BurstMultiplier = 3.0;
+/** Burst mode: square-wave period (simulated microseconds). */
+constexpr double BurstPeriodUs = 1.0e6;
+
+/** Diurnal mode: modulation amplitude in [0, 1). */
+constexpr double DiurnalAmplitude = 0.8;
+/** Diurnal mode: one simulated "day" (microseconds). */
+constexpr double DiurnalPeriodUs = 10.0e6;
+
+/** Flash mode: spike start (simulated microseconds). */
+constexpr double FlashStartUs = 2.0e6;
+/** Flash mode: spike duration (simulated microseconds). */
+constexpr double FlashDurationUs = 1.0e6;
+/** Flash mode: spike rate as a multiple of qps. */
+constexpr double FlashMultiplier = 8.0;
+
+// The off phase absorbs what the on phase takes above qps, so its
+// rate stays non-negative only while the on phase carries at most
+// the whole mean.
+static_assert(BurstOnFraction > 0.0 && BurstOnFraction < 1.0);
+static_assert(BurstMultiplier * BurstOnFraction <= 1.0);
+static_assert(DiurnalAmplitude >= 0.0 && DiurnalAmplitude < 1.0);
+
+} // namespace
 
 ArrivalMode
 arrivalModeFromName(const std::string &name)
@@ -54,16 +60,6 @@ ArrivalProcess::ArrivalProcess(const ArrivalConfig &config,
 {
     if (cfg.qps <= 0.0)
         throw std::invalid_argument("arrival qps must be positive");
-    if (cfg.diurnalAmplitude < 0.0 || cfg.diurnalAmplitude >= 1.0)
-        throw std::invalid_argument(
-            "diurnal amplitude must be in [0, 1)");
-    if (cfg.burstOnFraction <= 0.0 || cfg.burstOnFraction >= 1.0)
-        throw std::invalid_argument(
-            "burst on-fraction must be in (0, 1)");
-    if (cfg.burstMultiplier * cfg.burstOnFraction > 1.0)
-        throw std::invalid_argument(
-            "burst multiplier times on-fraction must not exceed 1 "
-            "(the off-phase rate would be negative)");
 }
 
 double
@@ -76,24 +72,20 @@ ArrivalProcess::ratePerUs(double t_us) const
       case ArrivalMode::Burst: {
         // On/off square wave with the same long-run mean as qps: the
         // on phase runs at mult * qps, the off phase absorbs the rest.
-        const double phase =
-            std::fmod(t_us, cfg.burstPeriodUs) / cfg.burstPeriodUs;
-        if (phase < cfg.burstOnFraction)
-            return base * cfg.burstMultiplier;
-        const double off =
-            (1.0 - cfg.burstMultiplier * cfg.burstOnFraction) /
-            (1.0 - cfg.burstOnFraction);
+        const double phase = std::fmod(t_us, BurstPeriodUs) / BurstPeriodUs;
+        if (phase < BurstOnFraction)
+            return base * BurstMultiplier;
+        const double off = (1.0 - BurstMultiplier * BurstOnFraction) /
+                           (1.0 - BurstOnFraction);
         return base * off;
       }
       case ArrivalMode::Diurnal: {
-        const double phase =
-            2.0 * M_PI * t_us / cfg.diurnalPeriodUs;
-        return base * (1.0 + cfg.diurnalAmplitude * std::sin(phase));
+        const double phase = 2.0 * M_PI * t_us / DiurnalPeriodUs;
+        return base * (1.0 + DiurnalAmplitude * std::sin(phase));
       }
       case ArrivalMode::FlashCrowd: {
-        if (t_us >= cfg.flashStartUs &&
-            t_us < cfg.flashStartUs + cfg.flashDurationUs)
-            return base * cfg.flashMultiplier;
+        if (t_us >= FlashStartUs && t_us < FlashStartUs + FlashDurationUs)
+            return base * FlashMultiplier;
         return base;
       }
     }
@@ -108,11 +100,11 @@ ArrivalProcess::peakRatePerUs() const
       case ArrivalMode::Poisson:
         return base;
       case ArrivalMode::Burst:
-        return base * cfg.burstMultiplier;
+        return base * BurstMultiplier;
       case ArrivalMode::Diurnal:
-        return base * (1.0 + cfg.diurnalAmplitude);
+        return base * (1.0 + DiurnalAmplitude);
       case ArrivalMode::FlashCrowd:
-        return base * cfg.flashMultiplier;
+        return base * FlashMultiplier;
     }
     return base;
 }

@@ -19,7 +19,6 @@
 #define RBV_WL_ARRIVAL_HH
 
 #include <string>
-#include <vector>
 
 #include "stats/rng.hh"
 
@@ -34,44 +33,23 @@ enum class ArrivalMode
     FlashCrowd, ///< constant rate with one transient spike
 };
 
-/** All modes, in presentation order. */
-const std::vector<ArrivalMode> &allArrivalModes();
-
-/** Canonical short name ("poisson", "burst", "diurnal", "flash"). */
-std::string arrivalModeName(ArrivalMode mode);
-
-/** Parse a mode name; throws std::invalid_argument on junk. */
+/**
+ * Parse a mode name ("poisson", "burst", "diurnal", "flash"); throws
+ * std::invalid_argument on junk.
+ */
 ArrivalMode arrivalModeFromName(const std::string &name);
 
 /**
  * Arrival-process parameters. The rate functions are normalized so
  * the long-run mean rate equals `qps` in every mode; the mode only
- * redistributes when the arrivals land.
+ * redistributes when the arrivals land. Each mode's shape is a fixed
+ * constant in arrival.cc.
  */
 struct ArrivalConfig
 {
     ArrivalMode mode = ArrivalMode::Poisson;
     /** Long-run mean arrival rate, requests per simulated second. */
     double qps = 1000.0;
-
-    /** Burst mode: fraction of each period spent in the on phase. */
-    double burstOnFraction = 0.25;
-    /** Burst mode: on-phase rate as a multiple of qps. */
-    double burstMultiplier = 3.0;
-    /** Burst mode: square-wave period (simulated microseconds). */
-    double burstPeriodUs = 1.0e6;
-
-    /** Diurnal mode: modulation amplitude in [0, 1). */
-    double diurnalAmplitude = 0.8;
-    /** Diurnal mode: one simulated "day" (microseconds). */
-    double diurnalPeriodUs = 10.0e6;
-
-    /** Flash mode: spike start (simulated microseconds). */
-    double flashStartUs = 2.0e6;
-    /** Flash mode: spike duration (simulated microseconds). */
-    double flashDurationUs = 1.0e6;
-    /** Flash mode: spike rate as a multiple of qps. */
-    double flashMultiplier = 8.0;
 };
 
 /**
@@ -94,9 +72,6 @@ class ArrivalProcess
 
     /** Draw the gap to the next arrival, in simulated microseconds. */
     double nextGapUs();
-
-    /** Simulated time of the most recently drawn arrival. */
-    double clockUs() const { return clock; }
 
   private:
     ArrivalConfig cfg;

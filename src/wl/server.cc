@@ -219,12 +219,4 @@ OpenLoopDriver::maybeStop()
         kernel.eventQueue().requestStop();
 }
 
-const RequestSpec *
-OpenLoopDriver::specOf(os::RequestId id) const
-{
-    const auto idx = static_cast<std::size_t>(id);
-    return idx < specByRequest.size() ? specByRequest[idx].get()
-                                      : nullptr;
-}
-
 } // namespace rbv::wl

@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -177,6 +178,55 @@ TEST(Cli, ClusterFlagsParseWithTheDocumentedShapes)
     EXPECT_DOUBLE_EQ(cli.getDouble("deadline-us", 0.0), 1500.0);
     EXPECT_EQ(cli.getInt("rpc-retries", 0), 4);
     EXPECT_DOUBLE_EQ(cli.getDouble("hedge", 0.0), 0.95);
+}
+
+/** Exit status 2 and a "bad --name value" line for one flag value. */
+void
+expectBadValue(const char *flag, const char *value,
+               const std::function<void(const Cli &)> &read)
+{
+    const char *argv[] = {"prog", flag, value};
+    const std::string pattern =
+        std::string("bad ") + flag + " value '" + value + "'";
+    EXPECT_EXIT(
+        {
+            const Cli cli(3, const_cast<char **>(argv));
+            read(cli);
+        },
+        testing::ExitedWithCode(2), pattern)
+        << flag << " " << value;
+}
+
+TEST(CliDeath, NumericValuesThatDoNotParseExitTwo)
+{
+    const auto u64 = [](const Cli &c) { (void)c.getU64("seed", 1); };
+    const auto i = [](const Cli &c) { (void)c.getInt("requests", 1); };
+    const auto d = [](const Cli &c) { (void)c.getDouble("qps", 1.0); };
+    expectBadValue("--seed", "abc", u64);
+    expectBadValue("--seed", "-1", u64); // would wrap to 2^64 - 1
+    expectBadValue("--seed", "99999999999999999999", u64);
+    expectBadValue("--requests", "12x", i);
+    expectBadValue("--requests", "abc", i);
+    expectBadValue("--requests", "", i);
+    expectBadValue("--qps", "2k", d);
+    expectBadValue("--qps", "nan", d);
+    expectBadValue("--qps", "inf", d);
+}
+
+TEST(CliDeath, UnknownBooleanWordExitsTwo)
+{
+    expectBadValue("--quiet", "maybe",
+                   [](const Cli &c) { (void)c.getBool("quiet", false); });
+}
+
+TEST(Cli, WellFormedNumbersStillParse)
+{
+    const char *argv[] = {"prog", "--requests", "-3", "--qps", "2.5e3",
+                          "--seed", "18446744073709551615"};
+    const Cli cli(7, const_cast<char **>(argv));
+    EXPECT_EQ(cli.getInt("requests", 0), -3);
+    EXPECT_DOUBLE_EQ(cli.getDouble("qps", 0.0), 2500.0);
+    EXPECT_EQ(cli.getU64("seed", 0), 18446744073709551615u);
 }
 
 TEST(CliDeath, ClusterFlagTypoIsRejected)

@@ -124,21 +124,11 @@ TEST(Classify, AmbiguousEvidenceFallsBackToUnknown)
     EXPECT_EQ(d.ranked.back().cause, diag::Cause::SchedInterference);
 }
 
-TEST(Cause, NamesAndFaultMappingAreStable)
+TEST(Cause, NamesAreStable)
 {
     EXPECT_STREQ(diag::causeName(diag::Cause::CacheContention),
                  "cache-contention");
     EXPECT_STREQ(diag::causeName(diag::Cause::Unknown), "unknown");
-    EXPECT_EQ(diag::causeOfFault(fi::FaultKind::ReqStuck),
-              diag::Cause::InjectedStall);
-    EXPECT_EQ(diag::causeOfFault(fi::FaultKind::SysStall),
-              diag::Cause::InjectedStall);
-    EXPECT_EQ(diag::causeOfFault(fi::FaultKind::CtrCorrupt),
-              diag::Cause::CounterArtifact);
-    EXPECT_EQ(diag::causeOfFault(fi::FaultKind::CoreSlow),
-              diag::Cause::SchedInterference);
-    EXPECT_EQ(diag::causeOfFault(fi::FaultKind::JobCrash),
-              diag::Cause::Unknown);
 }
 
 // ------------------------------------------- evidence feature math

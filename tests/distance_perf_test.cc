@@ -154,23 +154,22 @@ TEST(DistanceGolden, LevenshteinEdges)
                       ref::levenshteinDistance(*a, *b, 512));
 }
 
-TEST(DistanceGolden, LevenshteinWideAlphabetFallsBackToDp)
+TEST(DistanceGoldenDeath, LevenshteinSymbolOutsideCatalogueAborts)
 {
-    // Symbols >= 64 cannot be packed into the bit-parallel alphabet;
-    // the kernel must detect them and take the scalar DP, which the
-    // reference also runs.
-    stats::Rng rng(23);
-    for (int it = 0; it < 50; ++it) {
-        std::vector<os::Sys> a, b;
-        for (int i = 0; i < 30 + it % 7; ++i)
-            a.push_back(static_cast<os::Sys>(
-                60 + rng.uniformInt(100)));
-        for (int i = 0; i < 25 + it % 5; ++i)
-            b.push_back(static_cast<os::Sys>(
-                60 + rng.uniformInt(100)));
-        EXPECT_EQ(levenshteinDistance(a, b),
-                  ref::levenshteinDistance(a, b, 512));
-    }
+    // Every os::Sys fits the bit-parallel alphabet (a static_assert in
+    // distance.cc); a symbol cast from outside the catalogue is a
+    // caller bug, caught before it indexes past the Peq table.
+    const std::vector<os::Sys> bad = {static_cast<os::Sys>(5),
+                                      static_cast<os::Sys>(100)};
+    // The shorter sequence becomes the pattern, so `bad` is the
+    // pattern against a longer clean sequence...
+    const std::vector<os::Sys> longGood(3, static_cast<os::Sys>(5));
+    EXPECT_DEATH((void)levenshteinDistance(bad, longGood),
+                 "RBV_DCHECK failed.*outside the catalogue");
+    // ...and the text against a shorter one, whose pattern rows pass.
+    const std::vector<os::Sys> shortGood(1, static_cast<os::Sys>(5));
+    EXPECT_DEATH((void)levenshteinDistance(shortGood, bad),
+                 "RBV_DCHECK failed.*outside the catalogue");
 }
 
 TEST(DistanceGolden, LevenshteinLongBlockedPattern)

@@ -237,10 +237,3 @@ TEST(LengthPenalty, ZeroSamplePairsRequested)
     stats::Rng rng(29);
     EXPECT_DOUBLE_EQ(lengthPenalty(series, rng, 0.9, 0), 0.0);
 }
-
-TEST(MeasureNames, Defined)
-{
-    EXPECT_STREQ(measureName(Measure::DtwAsyncPenalty),
-                 "DTW+async penalty");
-    EXPECT_STREQ(measureName(Measure::L1), "L1 distance");
-}

@@ -471,26 +471,15 @@ TEST(Kernel, HooksObserveSyscallsAndSwitches)
     EXPECT_GE(hooks.switches, 1); // request adoption
 }
 
-TEST(Kernel, CompletionHookFires)
+TEST(Kernel, DoubleCompletionIsANoOp)
 {
-    struct CompletionHooks : KernelHooks
-    {
-        std::vector<RequestId> completed;
-        void
-        onRequestComplete(const RequestInfo &info) override
-        {
-            completed.push_back(info.id);
-        }
-    };
     Rig rig(1);
-    CompletionHooks hooks;
-    rig.kernel.addHooks(&hooks);
     const RequestId req = rig.kernel.registerRequest("r", nullptr);
     rig.kernel.completeRequest(req);
-    EXPECT_EQ(hooks.completed, (std::vector<RequestId>{req}));
-    // Double completion is a no-op.
+    EXPECT_TRUE(rig.kernel.request(req).done);
+    EXPECT_EQ(rig.kernel.completedRequests(), 1u);
     rig.kernel.completeRequest(req);
-    EXPECT_EQ(hooks.completed.size(), 1u);
+    EXPECT_EQ(rig.kernel.completedRequests(), 1u);
 }
 
 TEST(Kernel, ExitedThreadFreesCore)

@@ -196,18 +196,6 @@ TEST(Machine, CycleTimerStallsWhileIdle)
     EXPECT_TRUE(fired);
 }
 
-TEST(Machine, DisarmCycleTimer)
-{
-    Rig rig;
-    bool fired = false;
-    rig.machine.setWork(0, cpuParams(), 1e9);
-    rig.machine.armCycleTimer(0, 5000.0, [&] { fired = true; });
-    rig.eq.runUntil(1000);
-    rig.machine.disarmCycleTimer(0);
-    rig.eq.runUntil(100000);
-    EXPECT_FALSE(fired);
-}
-
 TEST(Machine, RearmTimerReplacesPending)
 {
     Rig rig;
@@ -327,14 +315,3 @@ TEST(Machine, BackToBackSegments)
     EXPECT_NEAR(snap.cycles, 3000.0, 4.0);
 }
 
-TEST(Machine, CountersProgrammableSelectors)
-{
-    Rig rig;
-    rig.machine.programCounters(0).program(0, HwEvent::BranchInstructions);
-    rig.machine.setWork(0, cpuParams(1.0), 10000.0);
-    rig.eq.runUntil(1'000'000);
-    const auto &pc = rig.machine.counters(0);
-    EXPECT_NEAR(static_cast<double>(pc.general(0)), 10000.0 * 0.18,
-                5.0);
-    EXPECT_EQ(pc.fixedInstructions(), 10000u);
-}

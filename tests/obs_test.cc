@@ -484,7 +484,6 @@ TEST(TraceExport, EventsMatchTraceEventSchema)
         simSpanBegin("os.request", "request", 42, 11.0);
         simSpanEnd("os.request", "request", 42, 99.0);
         hostSlice("exp.job", "app=web/rep=0", 1234.5);
-        hostInstant("engine", "note");
         // A name needing JSON escaping must not corrupt the document.
         hostSlice("exp.job", "k=\"v\"\\w", 1.0);
     }
@@ -507,15 +506,14 @@ TEST(TraceExport, EventsMatchTraceEventSchema)
         if (ev.at("name").str == "k=\"v\"\\w")
             saw_escaped = true;
     }
-    EXPECT_EQ(data_events, 6u);
+    EXPECT_EQ(data_events, 5u);
     EXPECT_TRUE(saw_escaped);
 
     // Sim events land on sim pid 1, host events on engine pid 0.
     for (const auto &ev : events) {
         if (ev.at("ph").str == "M")
             continue;
-        const bool host = ev.at("cat").str == "exp.job" ||
-                          ev.at("cat").str == "engine";
+        const bool host = ev.at("cat").str == "exp.job";
         EXPECT_EQ(static_cast<int>(ev.at("pid").num), host ? 0 : 1);
     }
 }

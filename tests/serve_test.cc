@@ -42,12 +42,12 @@ makeSeries(std::size_t n, std::uint64_t seed)
 
 // ---------------------------------------------------------- stats
 
-TEST(Ewma, BiasCorrectedValueTracksConstantInput)
+TEST(EwmaMeanVar, BiasCorrectedMeanTracksConstantInput)
 {
-    stats::Ewma e(0.1);
+    stats::EwmaMeanVar e(0.1);
     for (int i = 0; i < 5; ++i)
         e.add(3.5);
-    EXPECT_DOUBLE_EQ(e.value(), 3.5);
+    EXPECT_DOUBLE_EQ(e.mean(), 3.5);
 }
 
 TEST(EwmaMeanVar, CovIsZeroForConstantAndPositiveForSpread)

@@ -267,15 +267,6 @@ TEST(Quantile, EmptyReturnsZero)
     EXPECT_EQ(quantile({}, 0.5), 0.0);
 }
 
-TEST(Quantile, BatchMatchesSingle)
-{
-    const std::vector<double> v = {4.0, 8.0, 15.0, 16.0, 23.0, 42.0};
-    const auto qs = quantiles(v, {0.1, 0.5, 0.9});
-    EXPECT_DOUBLE_EQ(qs[0], quantile(v, 0.1));
-    EXPECT_DOUBLE_EQ(qs[1], quantile(v, 0.5));
-    EXPECT_DOUBLE_EQ(qs[2], quantile(v, 0.9));
-}
-
 // ------------------------------------------------------------ Histogram
 
 TEST(Histogram, BinningAndProbability)
