@@ -62,8 +62,7 @@ main(int argc, char **argv)
     const Cli cli(argc, argv, {"seed", "requests", "jobs", "quiet"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const std::size_t requests =
-        static_cast<std::size_t>(cli.getInt("requests", 500));
+    const std::size_t requests = cli.getU64("requests", 500);
 
     banner("Ablation", "Sampling design choices (Sec. 3)",
            "compensation removes the observer-effect bias without "

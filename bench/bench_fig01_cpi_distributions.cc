@@ -81,9 +81,7 @@ main(int argc, char **argv)
              {"4-core",
               [](ScenarioConfig &c) { c.numCores = 4; }}})
         .finalize([&](ScenarioConfig &c) {
-            c.requests = static_cast<std::size_t>(cli.getInt(
-                "requests",
-                static_cast<long>(defaultRequests(c.app))));
+            c.requests = cli.getU64("requests", defaultRequests(c.app));
             c.warmup = c.requests / 10;
         });
     const auto results =

@@ -61,8 +61,7 @@ main(int argc, char **argv)
                                "jobs", "quiet"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const std::size_t max_rows = static_cast<std::size_t>(
-        cli.getInt("rows", 24));
+    const std::size_t max_rows = cli.getU64("rows", 24);
 
     banner("Figure 2", "Intra-request behavior variation examples",
            "significant metric variation over the course of request "
@@ -73,8 +72,7 @@ main(int argc, char **argv)
     base.seed = seed;
     ScenarioGrid grid(base);
     grid.apps(wl::allApps()).finalize([&](ScenarioConfig &c) {
-        c.requests = static_cast<std::size_t>(cli.getInt(
-            "requests", static_cast<long>(defaultRequests(c.app))));
+        c.requests = cli.getU64("requests", defaultRequests(c.app));
         c.warmup = c.requests / 10;
     });
     const auto results =

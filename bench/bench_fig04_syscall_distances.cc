@@ -67,8 +67,7 @@ main(int argc, char **argv)
     base.sampler = SamplerKind::None; // unperturbed gaps
     ScenarioGrid grid(base);
     grid.apps(wl::allApps()).finalize([&](ScenarioConfig &c) {
-        c.requests = static_cast<std::size_t>(cli.getInt(
-            "requests", static_cast<long>(defaultRequests(c.app))));
+        c.requests = cli.getU64("requests", defaultRequests(c.app));
         c.warmup = c.requests / 10;
     });
     const auto results =

@@ -61,8 +61,7 @@ main(int argc, char **argv)
     ScenarioConfig base;
     base.seed = seed;
     const auto perApp = [&](ScenarioConfig &c) {
-        c.requests = static_cast<std::size_t>(cli.getInt(
-            "requests", static_cast<long>(defaultRequests(c.app))));
+        c.requests = cli.getU64("requests", defaultRequests(c.app));
         c.warmup = c.requests / 10;
     };
 

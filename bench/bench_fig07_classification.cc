@@ -62,7 +62,7 @@ main(int argc, char **argv)
                   {"seed", "requests", "k", "jobs", "quiet"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const std::size_t k = static_cast<std::size_t>(cli.getInt("k", 10));
+    const std::size_t k = cli.getU64("k", 10);
 
     banner("Figure 7", "Request classification quality "
            "(divergence from centroid; lower is better)",
@@ -77,8 +77,7 @@ main(int argc, char **argv)
     base.seed = seed;
     ScenarioGrid grid(base);
     grid.apps(wl::allApps()).finalize([&](ScenarioConfig &c) {
-        c.requests = static_cast<std::size_t>(cli.getInt(
-            "requests", static_cast<long>(defaultRequests(c.app))));
+        c.requests = cli.getU64("requests", defaultRequests(c.app));
         c.warmup = c.requests / 10;
     });
     const auto results =

@@ -14,7 +14,6 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <map>
@@ -25,6 +24,7 @@
 
 #include "core/model/anomaly.hh"
 #include "core/model/distance.hh"
+#include "diag/evidence.hh"
 #include "diag/report.hh"
 #include "exp/analysis.hh"
 #include "exp/cli.hh"
@@ -93,24 +93,12 @@ printComparison(const RequestRecord &anom, const RequestRecord &ref,
 
     // Correlation between CPI inflation and miss inflation across
     // bins: the paper's key diagnosis.
-    double num = 0.0, da = 0.0, db = 0.0;
-    double mean_c = 0.0, mean_m = 0.0;
-    std::vector<double> dc(n), dm(n);
+    core::MetricSeries dc(n), dm(n);
     for (std::size_t i = 0; i < n; ++i) {
         dc[i] = a_cpi[i] - r_cpi[i];
         dm[i] = a_miss[i] - r_miss[i];
-        mean_c += dc[i];
-        mean_m += dm[i];
     }
-    mean_c /= static_cast<double>(n);
-    mean_m /= static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        num += (dc[i] - mean_c) * (dm[i] - mean_m);
-        da += (dc[i] - mean_c) * (dc[i] - mean_c);
-        db += (dm[i] - mean_m) * (dm[i] - mean_m);
-    }
-    const double corr =
-        da > 0.0 && db > 0.0 ? num / std::sqrt(da * db) : 0.0;
+    const double corr = diag::pearson(dc, dm);
     measured("correlation of (CPI inflation, L2 miss/ins inflation) "
              "across progress bins: " +
              stats::Table::fmt(corr, 2) +
@@ -145,18 +133,15 @@ scoreDetection(const ScenarioResult &res, std::uint64_t seed)
         const double penalty = core::lengthPenalty(series, prng);
         const auto det = core::detectCentroidAnomaly(series, penalty);
 
-        std::vector<double> dist(group.size(), 0.0);
         double mean = 0.0;
-        for (std::size_t i = 0; i < group.size(); ++i) {
-            dist[i] = core::dtwDistance(series[i],
-                                        series[det.centroid], penalty);
-            mean += dist[i];
-        }
+        for (const double d : det.distances)
+            mean += d;
         mean /= static_cast<double>(group.size());
         for (std::size_t i = 0; i < group.size(); ++i) {
             // Normalizing by the group mean makes scores comparable
             // across classes of very different lengths.
-            const double score = mean > 0.0 ? dist[i] / mean : 0.0;
+            const double score =
+                mean > 0.0 ? det.distances[i] / mean : 0.0;
             scored.emplace_back(score,
                                 static_cast<std::int64_t>(group[i]->id));
         }
@@ -192,8 +177,7 @@ main(int argc, char **argv)
                                "retries", "diagnose", "diag-out"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const std::size_t rows =
-        static_cast<std::size_t>(cli.getInt("rows", 16));
+    const std::size_t rows = cli.getU64("rows", 16);
 
     fi::FaultPlan plan;
     if (cli.has("faults")) {
@@ -220,10 +204,9 @@ main(int argc, char **argv)
     ScenarioGrid grid(base);
     grid.apps({wl::App::Tpch, wl::App::WebWork})
         .finalize([&](ScenarioConfig &c) {
-            c.requests = static_cast<std::size_t>(
-                c.app == wl::App::Tpch
-                    ? cli.getInt("requests", 170)
-                    : cli.getInt("webwork-requests", 110));
+            c.requests = c.app == wl::App::Tpch
+                             ? cli.getU64("requests", 170)
+                             : cli.getU64("webwork-requests", 110);
             c.warmup = c.requests / 10;
         });
     std::vector<Job> jobs = grid.jobs();

@@ -73,8 +73,7 @@ main(int argc, char **argv)
                   {"seed", "requests", "bank", "jobs", "quiet"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const std::size_t bank_target = static_cast<std::size_t>(
-        cli.getInt("bank", 500));
+    const std::size_t bank_target = cli.getU64("bank", 500);
     constexpr int ProgressPoints = 10;
 
     banner("Figure 10", "Online request signature identification",
@@ -86,8 +85,7 @@ main(int argc, char **argv)
     base.seed = seed;
     ScenarioGrid grid(base);
     grid.apps(wl::allApps()).finalize([&](ScenarioConfig &c) {
-        c.requests = static_cast<std::size_t>(cli.getInt(
-            "requests", static_cast<long>(defaultRequests(c.app))));
+        c.requests = cli.getU64("requests", defaultRequests(c.app));
         c.warmup = c.requests / 20;
     });
     const auto results =

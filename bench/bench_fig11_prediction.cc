@@ -54,8 +54,8 @@ main(int argc, char **argv)
     base.seed = seed;
     ScenarioGrid grid(base);
     grid.apps(apps).finalize([&](ScenarioConfig &c) {
-        c.requests = static_cast<std::size_t>(cli.getInt(
-            "requests", c.app == wl::App::Tpch ? 150 : 100));
+        c.requests =
+            cli.getU64("requests", c.app == wl::App::Tpch ? 150 : 100);
         c.warmup = c.requests / 10;
     });
     const auto results =

@@ -82,7 +82,7 @@ main(int argc, char **argv)
                   {"seed", "requests", "runs", "jobs", "quiet"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const int runs = static_cast<int>(cli.getInt("runs", 8));
+    const int runs = static_cast<int>(cli.getU64("runs", 8));
 
     banner("Figure 13", "Request CPI under contention-easing "
            "scheduling (lower is better)",
@@ -92,8 +92,7 @@ main(int argc, char **argv)
     const ParallelRunner runner(runnerOptions(cli));
     const std::vector<wl::App> apps = {wl::App::Tpch, wl::App::WebWork};
     const auto requestsFor = [&](wl::App app) {
-        return static_cast<std::size_t>(cli.getInt(
-            "requests", app == wl::App::Tpch ? 300 : 160));
+        return cli.getU64("requests", app == wl::App::Tpch ? 300 : 160);
     };
     const auto concurrencyFor = [](wl::App app) {
         return app == wl::App::Tpch ? 12 : 16;

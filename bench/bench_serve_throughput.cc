@@ -128,14 +128,14 @@ main(int argc, char **argv)
                   << " [--requests N] [--json-out FILE]\n";
         return 2;
     }
-    const long requests = cli.getInt("requests", 200000);
+    const std::size_t requests = cli.getU64("requests", 200000);
     const std::string jsonOut = cli.getStr("json-out", "");
-    if (requests <= 0) {
+    if (requests == 0) {
         std::cerr << argv[0] << ": --requests must be positive\n";
         return 2;
     }
 
-    const Measurement m = measure(static_cast<std::size_t>(requests));
+    const Measurement m = measure(requests);
     if (!jsonOut.empty())
         return emitJson(jsonOut, m);
 

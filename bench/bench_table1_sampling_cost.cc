@@ -101,7 +101,7 @@ main(int argc, char **argv)
 {
     const exp::Cli cli(argc, argv, {"ms", "jobs", "quiet"});
     const exp::ObsScope obs(cli);
-    const double run_ms = cli.getDouble("ms", 200.0);
+    const double run_ms = cli.getTime("ms", 200.0, sim::msToCycles(1.0));
     const sim::Tick duration = sim::msToCycles(run_ms);
 
     exp::banner(

@@ -68,8 +68,7 @@ main(int argc, char **argv)
     const Cli cli(argc, argv, {"seed", "requests", "jobs", "quiet"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const std::size_t requests =
-        static_cast<std::size_t>(cli.getInt("requests", 700));
+    const std::size_t requests = cli.getU64("requests", 700);
 
     banner("Table 2", "System call behavior-transition signals "
            "(Apache web server)",

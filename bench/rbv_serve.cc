@@ -24,6 +24,7 @@
 #include "exp/obsio.hh"
 #include "exp/serve.hh"
 #include "fi/injection.hh"
+#include "sim/types.hh"
 
 using namespace rbv;
 using namespace rbv::exp;
@@ -41,7 +42,8 @@ main(int argc, char **argv)
     ServeConfig cfg;
     cfg.appName = cli.getStr("app", "micromix");
     cfg.base.seed = cli.getU64("seed", 1);
-    cfg.arrival.qps = cli.getDouble("qps", 20000.0);
+    cfg.arrival.qps =
+        cli.getRate("qps", 20000.0, sim::usToCycles(1.0e6));
     try {
         cfg.arrival.mode =
             wl::arrivalModeFromName(cli.getStr("arrival", "poisson"));
@@ -50,23 +52,16 @@ main(int argc, char **argv)
         std::cerr << argv[0] << ": " << e.what() << "\n";
         return 2;
     }
-    cfg.targetRequests =
-        static_cast<std::size_t>(cli.getInt("requests", 0));
-    cfg.durationSec = cli.getDouble("duration", 1.0);
-    cfg.checkpointEvery = static_cast<std::size_t>(
-        cli.getInt("checkpoint-every", 10000));
-    cfg.window = static_cast<std::size_t>(cli.getInt("window", 512));
-    cfg.maxOutstanding = static_cast<std::size_t>(
-        cli.getInt("max-outstanding", 4096));
+    cfg.targetRequests = cli.getU64("requests", 0);
+    cfg.durationSec =
+        cli.getTime("duration", 1.0, sim::usToCycles(1.0e6));
+    cfg.checkpointEvery = cli.getU64("checkpoint-every", 10000);
+    cfg.window = cli.getU64("window", 512);
+    cfg.maxOutstanding = cli.getU64("max-outstanding", 4096);
     cfg.rssLog = cli.getStr("rss-log", "");
     cfg.quiet = cli.getBool("quiet", false);
     cfg.diagnose = cli.getBool("diagnose", false);
     cfg.diagOut = cli.getStr("diag-out", "");
-    if (cfg.arrival.qps <= 0.0 || cfg.durationSec <= 0.0) {
-        std::cerr << argv[0]
-                  << ": --qps and --duration must be positive\n";
-        return 2;
-    }
 
     if (cli.has("faults")) {
         fi::FaultPlan plan;

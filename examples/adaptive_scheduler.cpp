@@ -29,8 +29,7 @@ main(int argc, char **argv)
                        {"app", "requests", "seed", "jobs", "quiet"});
     const exp::ObsScope obs(cli);
     const auto app = wl::appFromName(cli.getStr("app", "tpch"));
-    const auto requests =
-        static_cast<std::size_t>(cli.getInt("requests", 200));
+    const auto requests = cli.getU64("requests", 200);
     const std::uint64_t seed = cli.getU64("seed", 5);
 
     const exp::ParallelRunner runner(exp::runnerOptions(cli));

@@ -29,8 +29,7 @@ main(int argc, char **argv)
 
     exp::ScenarioConfig cfg;
     cfg.app = wl::appFromName(cli.getStr("app", "rubis"));
-    cfg.requests =
-        static_cast<std::size_t>(cli.getInt("requests", 500));
+    cfg.requests = cli.getU64("requests", 500);
     cfg.warmup = cfg.requests / 20;
     cfg.seed = cli.getU64("seed", 9);
     const auto res = exp::runScenario(cfg);

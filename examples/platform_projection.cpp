@@ -47,8 +47,7 @@ main(int argc, char **argv)
                        {"app", "requests", "seed", "jobs", "quiet"});
     const exp::ObsScope obs(cli);
     const auto app = wl::appFromName(cli.getStr("app", "tpch"));
-    const auto requests =
-        static_cast<std::size_t>(cli.getInt("requests", 120));
+    const auto requests = cli.getU64("requests", 120);
 
     // The candidate platforms: the paper's Woodcrest (4 MiB shared
     // L2 per socket), a cheap part (2 MiB), and a successor (8 MiB).

@@ -32,8 +32,7 @@ main(int argc, char **argv)
     //    defaults to the paper's setup for that application.
     exp::ScenarioConfig cfg;
     cfg.app = wl::appFromName(cli.getStr("app", "tpcc"));
-    cfg.requests =
-        static_cast<std::size_t>(cli.getInt("requests", 200));
+    cfg.requests = cli.getU64("requests", 200);
     cfg.warmup = cfg.requests / 10;
     cfg.seed = cli.getU64("seed", 42);
     cfg.sampler = exp::SamplerKind::Syscall; // cheap in-kernel samples

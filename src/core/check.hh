@@ -8,9 +8,9 @@
  * violated regardless of build type — monotonic event time, cache
  * occupancy within capacity, counters that never regress.
  *
- * RBV_DCHECK(expr) compiles to nothing when RBV_DISABLE_DCHECKS is
- * defined (max-performance builds); use it on hot paths. Both forms
- * take an optional streamable message:
+ * RBV_DCHECK(expr) marks a hot-path invariant; it is on in every
+ * build, like RBV_CHECK. Both forms take an optional streamable
+ * message:
  *
  *     RBV_CHECK(when >= now, "event scheduled " << when
  *                                << " before now=" << now);
@@ -60,14 +60,7 @@ checkFailed(const char *kind, const char *file, int line,
 #define RBV_CHECK(expr, ...)                                           \
     RBV_CHECK_INTERNAL("RBV_CHECK", expr __VA_OPT__(, ) __VA_ARGS__)
 
-#ifdef RBV_DISABLE_DCHECKS
-#define RBV_DCHECK(expr, ...)                                          \
-    do {                                                               \
-        static_cast<void>(sizeof((expr) ? 1 : 0));                     \
-    } while (false)
-#else
 #define RBV_DCHECK(expr, ...)                                          \
     RBV_CHECK_INTERNAL("RBV_DCHECK", expr __VA_OPT__(, ) __VA_ARGS__)
-#endif
 
 #endif // RBV_CORE_CHECK_HH

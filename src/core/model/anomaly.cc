@@ -44,16 +44,13 @@ detectCentroidAnomaly(const std::vector<MetricSeries> &series,
     }
     out.centroid = centroid;
 
-    // Rank members by distance from the centroid, farthest first.
-    out.ranking.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        out.ranking[i] = i;
-    std::sort(out.ranking.begin(), out.ranking.end(),
-              [&](std::size_t a, std::size_t b) {
-                  return dm.at(a, centroid) > dm.at(b, centroid);
-              });
-    out.anomaly = out.ranking.front();
-    out.distance = dm.at(out.anomaly, centroid);
+    out.distances.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        out.distances[i] = dm.at(i, centroid);
+        if (out.distances[i] > out.distances[out.anomaly])
+            out.anomaly = i;
+    }
+    out.distance = out.distances[out.anomaly];
     return out;
 }
 

@@ -32,11 +32,15 @@ namespace rbv::core {
 struct CentroidAnomaly
 {
     std::size_t centroid = 0; ///< Reference request (group centroid).
-    std::size_t anomaly = 0;  ///< Farthest member from the centroid.
+    /** First member at the largest distance from the centroid. */
+    std::size_t anomaly = 0;
     double distance = 0.0;    ///< Their differencing distance.
 
-    /** Members ranked by distance from the centroid (descending). */
-    std::vector<std::size_t> ranking;
+    /**
+     * Each member's distance to the centroid (0 for the centroid
+     * itself); empty for a group of fewer than two.
+     */
+    std::vector<double> distances;
 };
 
 /**

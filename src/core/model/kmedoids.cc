@@ -12,6 +12,7 @@
 
 #include "core/check.hh"
 #include "core/model/kmedoids_impl.hh"
+#include "obs/obs.hh"
 
 namespace rbv::core {
 
@@ -45,13 +46,19 @@ parallelFor(std::size_t count, int jobs,
     // disjoint and every index runs exactly once, so the caller's
     // purity contract keeps results byte-identical at any thread
     // count, exactly as before.
+    //
+    // Each worker counts into a private obs shard that folds into the
+    // forking thread's after the join, so metric totals do not
+    // depend on the worker count either.
     const std::size_t chunk =
         std::max<std::size_t>(1, count / (workers * 8));
     std::atomic<std::size_t> cursor{0};
+    obs::PoolShards shards(workers);
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&]() {
+        pool.emplace_back([&, w]() {
+            const obs::PoolShards::Scope scope(shards, w);
             for (;;) {
                 const std::size_t start = cursor.fetch_add(
                     chunk, std::memory_order_relaxed);
@@ -66,6 +73,7 @@ parallelFor(std::size_t count, int jobs,
     }
     for (auto &t : pool)
         t.join();
+    shards.fold();
 }
 
 } // namespace detail

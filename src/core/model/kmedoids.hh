@@ -31,7 +31,9 @@ namespace detail {
  * concurrency), indices claimed dynamically from an atomic cursor —
  * the same decomposition contract as exp::ParallelRunner. Every
  * index runs exactly once and must write disjoint state, so results
- * cannot depend on the thread count or schedule.
+ * cannot depend on the thread count or schedule. Workers' obs
+ * counters, histograms and profile fold into the calling thread's
+ * shard after the join (obs::PoolShards).
  */
 void parallelFor(std::size_t count, int jobs,
                  const std::function<void(std::size_t)> &fn);

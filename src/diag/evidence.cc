@@ -171,13 +171,9 @@ diagnoseRun(const std::vector<RequestView> &requests,
         const auto det =
             core::detectCentroidAnomaly(series, penalty, cfg.jobs);
 
-        std::vector<double> dist(group.size(), 0.0);
         double mean = 0.0;
-        for (std::size_t i = 0; i < group.size(); ++i) {
-            dist[i] = core::dtwDistance(series[i],
-                                        series[det.centroid], penalty);
-            mean += dist[i];
-        }
+        for (const double d : det.distances)
+            mean += d;
         mean /= static_cast<double>(group.size());
 
         std::vector<double> ins;
@@ -190,7 +186,8 @@ diagnoseRun(const std::vector<RequestView> &requests,
         for (std::size_t i = 0; i < group.size(); ++i) {
             if (i == det.centroid)
                 continue;
-            const double score = mean > 0.0 ? dist[i] / mean : 0.0;
+            const double score =
+                mean > 0.0 ? det.distances[i] / mean : 0.0;
             if (score < ScoreThreshold)
                 continue;
             AnomalyReport rep;

@@ -17,14 +17,14 @@ Cluster::Cluster(sim::EventQueue &eq) : eq(eq)
 Cluster::~Cluster() = default;
 
 NodeId
-Cluster::addNode(const NodeConfig &cfg)
+Cluster::addNode(const std::string &name,
+                 const sim::MachineConfig &machine)
 {
     assert(!started);
     auto node = std::make_unique<Node>();
-    node->name = cfg.name;
-    node->machine = std::make_unique<sim::Machine>(cfg.machine, eq);
-    node->kernel = std::make_unique<os::Kernel>(
-        *node->machine, cfg.kernel, cfg.policy);
+    node->name = name;
+    node->machine = std::make_unique<sim::Machine>(machine, eq);
+    node->kernel = std::make_unique<os::Kernel>(*node->machine);
     node->machine->setClient(node->kernel.get());
     nodes.push_back(std::move(node));
     localToGlobal.emplace_back();

@@ -38,15 +38,6 @@ constexpr GlobalRequestId InvalidGlobalRequestId = -1;
 /** Node identifier within a cluster. */
 using NodeId = int;
 
-/** Configuration of one cluster node. */
-struct NodeConfig
-{
-    std::string name;
-    sim::MachineConfig machine;
-    os::KernelConfig kernel;
-    std::shared_ptr<os::SchedulerPolicy> policy;
-};
-
 /** Cluster-wide view of one request. */
 struct GlobalRequestInfo
 {
@@ -76,7 +67,9 @@ class Cluster
 
     /** @name Topology (before start()) */
     /// @{
-    NodeId addNode(const NodeConfig &cfg);
+    /** Add a node running the default kernel and scheduler. */
+    NodeId addNode(const std::string &name,
+                   const sim::MachineConfig &machine);
     int numNodes() const { return static_cast<int>(nodes.size()); }
 
     os::Kernel &kernel(NodeId node) { return *nodes[node]->kernel; }

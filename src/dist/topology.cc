@@ -209,17 +209,18 @@ Topology::Topology(const TopologySpec &spec, const RpcPolicy &policy,
         const TierSpec &ts = spec_.tiers[ti];
         TierRt rt;
         for (int ri = 0; ri < ts.replicas; ++ri) {
-            NodeConfig cfg;
-            cfg.name = ts.name + "/" + std::to_string(ri);
-            cfg.machine.numCores = ReplicaCores;
-            cfg.machine.coresPerL2Domain = ReplicaCores;
+            const std::string name =
+                ts.name + "/" + std::to_string(ri);
+            sim::MachineConfig machine;
+            machine.numCores = ReplicaCores;
+            machine.coresPerL2Domain = ReplicaCores;
             Replica rep;
-            rep.node = cl.addNode(cfg);
+            rep.node = cl.addNode(name, machine);
             rep.health = ReplicaHealth(breakerCfg);
             os::Kernel &k = cl.kernel(rep.node);
             rep.ingress = k.createChannel();
             rep.reply = k.createChannel();
-            const os::ProcessId proc = k.createProcess(cfg.name);
+            const os::ProcessId proc = k.createProcess(name);
             for (int w = 0; w < ReplicaWorkers; ++w) {
                 k.createThread(
                     proc, std::make_unique<ReplicaLogic>(

@@ -10,6 +10,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+
+#include "sim/types.hh"
 
 namespace rbv::exp {
 
@@ -100,20 +103,6 @@ Cli::badValue(const std::string &name, const std::string &v) const
     std::exit(2);
 }
 
-long
-Cli::getInt(const std::string &name, long def) const
-{
-    const std::string *v = value(name);
-    if (v == nullptr)
-        return def;
-    char *end = nullptr;
-    errno = 0;
-    const long out = std::strtol(v->c_str(), &end, 10);
-    if (v->empty() || *end != '\0' || errno == ERANGE)
-        badValue(name, *v);
-    return out;
-}
-
 double
 Cli::getDouble(const std::string &name, double def) const
 {
@@ -139,6 +128,46 @@ Cli::getU64(const std::string &name, std::uint64_t def) const
     // strtoull accepts "-1" and wraps it to 2^64 - 1.
     if (v->empty() || *end != '\0' || errno == ERANGE ||
         v->find('-') != std::string::npos)
+        badValue(name, *v);
+    return out;
+}
+
+namespace {
+
+/** True when @p ticks converts to a sim::Tick without overflow. */
+bool
+fitsTicks(double ticks)
+{
+    return ticks >= 0.0 &&
+           ticks < static_cast<double>(
+                       std::numeric_limits<sim::Tick>::max());
+}
+
+} // namespace
+
+double
+Cli::getTime(const std::string &name, double def, double unitTicks,
+             bool allowZero) const
+{
+    const std::string *v = value(name);
+    if (v == nullptr)
+        return def;
+    const double out = getDouble(name, def);
+    if (out < 0.0 || (out == 0.0 && !allowZero) ||
+        !fitsTicks(out * unitTicks))
+        badValue(name, *v);
+    return out;
+}
+
+double
+Cli::getRate(const std::string &name, double def,
+             double unitTicks) const
+{
+    const std::string *v = value(name);
+    if (v == nullptr)
+        return def;
+    const double out = getDouble(name, def);
+    if (out <= 0.0 || !fitsTicks(unitTicks / out))
         badValue(name, *v);
     return out;
 }

@@ -54,12 +54,29 @@ class Cli
      * Numeric accessors: absent is @p def. A value that does not
      * parse completely (empty, trailing junk, out of range,
      * non-finite, or negative for getU64) prints "bad --name value"
-     * and exits with status 2.
+     * and exits with status 2. Every integer flag is a count, so
+     * getU64 reads them all.
      */
-    long getInt(const std::string &name, long def) const;
     double getDouble(const std::string &name, double def) const;
     std::uint64_t getU64(const std::string &name,
                          std::uint64_t def) const;
+
+    /**
+     * A simulated time span of @p unitTicks ticks per unit of the
+     * value. A value that is not positive (negative, when
+     * @p allowZero) or whose tick count overflows exits 2 like a bad
+     * number.
+     */
+    double getTime(const std::string &name, double def,
+                   double unitTicks, bool allowZero = false) const;
+
+    /**
+     * A rate in events per @p unitTicks ticks. A value that is not
+     * positive, or whose mean gap overflows a tick count, exits 2
+     * like a bad number.
+     */
+    double getRate(const std::string &name, double def,
+                   double unitTicks) const;
 
     /**
      * Boolean accessor: a bare "--flag" (or =1/true/yes/on) is true,

@@ -150,16 +150,16 @@ RunnerOptions
 runnerOptions(const Cli &cli)
 {
     RunnerOptions opts;
-    opts.jobs = static_cast<int>(cli.getInt("jobs", 0));
+    opts.jobs = static_cast<int>(cli.getU64("jobs", 0));
     opts.progress = !cli.getBool("quiet", false);
-    opts.maxRetries = static_cast<int>(cli.getInt("retries", 0));
+    opts.maxRetries = static_cast<int>(cli.getU64("retries", 0));
     return opts;
 }
 
 int
 jobsFlag(const Cli &cli)
 {
-    return static_cast<int>(cli.getInt("jobs", 0));
+    return static_cast<int>(cli.getU64("jobs", 0));
 }
 
 ParallelRunner::ParallelRunner(RunnerOptions opts) : opts(opts) {}

@@ -81,7 +81,6 @@ makeSampler(const ScenarioConfig &cfg, os::Kernel &kernel,
     core::SamplerConfig sc;
     sc.compensate = cfg.compensate;
     sc.injectObserverCost = cfg.injectObserverCost;
-    sc.recordTimelines = cfg.recordTimelines;
     sc.periodUs = period_us;
     sc.minGapUs = cfg.minGapUs > 0.0 ? cfg.minGapUs : period_us;
     sc.backupUs = cfg.backupUs > 0.0 ? cfg.backupUs

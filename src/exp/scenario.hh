@@ -84,7 +84,6 @@ struct ScenarioConfig
 
     bool compensate = true;
     bool injectObserverCost = true;
-    bool recordTimelines = true;
 
     /** Record next-syscall gaps (Fig. 4). */
     bool recordSyscallGaps = false;

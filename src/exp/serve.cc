@@ -22,6 +22,13 @@ namespace rbv::exp {
 
 namespace {
 
+/** Anomaly reports retained by online diagnosis (the latest ones). */
+constexpr std::size_t DiagKeep = 256;
+
+/** Two flags within this window of simulated time count as
+ *  overlapping (the scheduler-interference witness). */
+constexpr double DiagOverlapMs = 50.0;
+
 /** Host VmRSS/VmHWM in KiB from /proc/self/status (0 if absent). */
 struct HostRss
 {
@@ -162,8 +169,7 @@ runServe(const ServeConfig &cfg, std::ostream &out)
     std::vector<sim::Tick> recentFlagTicks; // Bounded ring below.
     std::size_t recentFlagHead = 0;
     constexpr std::size_t RecentFlagCap = 64;
-    const sim::Tick overlapTicks = static_cast<sim::Tick>(
-        sim::msToCycles(cfg.diagOverlapMs));
+    const sim::Tick overlapTicks = sim::msToCycles(DiagOverlapMs);
 
     ServeResult result;
     std::ofstream rssOut;
@@ -292,18 +298,17 @@ runServe(const ServeConfig &cfg, std::ostream &out)
         RBV_COUNT(DiagAnomalies, 1);
         if (rep.diagnosis.cause == diag::Cause::Unknown)
             RBV_COUNT(DiagUnknownCauses, 1);
-        if (result.diagReports.size() >= cfg.diagKeep && cfg.diagKeep > 0) {
+        if (result.diagReports.size() >= DiagKeep) {
             result.diagReports.erase(result.diagReports.begin());
             ++result.diagDropped;
         }
-        if (cfg.diagKeep > 0)
-            result.diagReports.push_back(std::move(rep));
+        result.diagReports.push_back(std::move(rep));
     };
 
     driver.setCompletionCallback([&](os::RequestId id,
                                      const wl::RequestSpec &spec) {
-        // Always reclaim the timeline slot, even off the model path:
-        // recycled ids must never inherit stale periods.
+        // Always reclaim the timeline slot: recycled ids must never
+        // inherit stale periods.
         core::Timeline tl = sampler ? sampler->takeTimeline(id)
                                     : core::Timeline{};
         const os::RequestInfo &info = kernel.request(id);
@@ -314,7 +319,7 @@ runServe(const ServeConfig &cfg, std::ostream &out)
         if (cfg.diagnose && info.totals.instructions > 0.0) {
             // Feed the diagnosis baselines from every completion so
             // inflations compare against the whole fleet, not only
-            // the model-path subsample.
+            // the requests the models score.
             missRate.add(info.totals.l2Misses /
                          info.totals.instructions);
             refsRate.add(info.totals.l2Refs /
@@ -331,14 +336,6 @@ runServe(const ServeConfig &cfg, std::ostream &out)
             info.totals.instructions > cfg.stuckFactor * specified) {
             ++result.stalled;
             RBV_COUNT(ServeStalledRequests, 1);
-        }
-
-        const std::size_t n = driver.completed();
-        if (cfg.modelEvery > 1 && n % cfg.modelEvery != 0) {
-            if (cfg.checkpointEvery > 0 &&
-                n % cfg.checkpointEvery == 0)
-                checkpoint(n);
-            return;
         }
 
         core::MetricSeries series = core::binByInstructions(
@@ -374,6 +371,7 @@ runServe(const ServeConfig &cfg, std::ostream &out)
             }
         }
 
+        const std::size_t n = driver.completed();
         if (cfg.checkpointEvery > 0 && n % cfg.checkpointEvery == 0)
             checkpoint(n);
     });

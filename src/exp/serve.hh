@@ -82,8 +82,6 @@ struct ServeConfig
     std::size_t bankCapacity = 256;   ///< Signature reservoir size.
     std::size_t scoreWindow = 1024;   ///< Anomaly score quantile window.
     double scoreQuantile = 0.99;      ///< Anomaly flag quantile.
-    /** Feed every Nth completion through the model path (1 = all). */
-    std::size_t modelEvery = 1;
     /** Signature bin width in instructions. */
     double binIns = 2000.0;
     /** Identification confidence floor (Sec. 4.4 degradation). */
@@ -108,14 +106,6 @@ struct ServeConfig
 
     /** Diagnosis JSON report path ("" = none). */
     std::string diagOut;
-
-    /** Retained anomaly reports — a latest-N bound so diagnosis
-     *  memory stays flat over arbitrarily long streams. */
-    std::size_t diagKeep = 256;
-
-    /** Two flags within this window of simulated time count as
-     *  overlapping (the scheduler-interference witness). */
-    double diagOverlapMs = 50.0;
     /// @}
 
     /** @name Live observability (all optional). */
@@ -191,8 +181,10 @@ struct ServeResult
     /** @name Online diagnosis outputs (empty unless cfg.diagnose). */
     /// @{
     std::size_t diagAnomalies = 0; ///< Flags seen by the diagnoser.
-    std::size_t diagDropped = 0;   ///< Flags beyond diagKeep evicted.
-    std::vector<diag::AnomalyReport> diagReports; ///< Latest diagKeep.
+    std::size_t diagDropped = 0;   ///< Oldest reports evicted.
+    /** The latest reports: a bound so diagnosis memory stays flat
+     *  over arbitrarily long streams. */
+    std::vector<diag::AnomalyReport> diagReports;
     std::array<std::size_t, diag::NumCauses> diagCauseCounts{};
     /// @}
 

@@ -239,8 +239,6 @@ fmtNum(double v)
 
 // ----------------------------------------------------- detail emits
 
-#if RBV_OBS
-
 namespace detail {
 
 thread_local ThreadState *tl_state = nullptr;
@@ -304,8 +302,6 @@ recordHist(Hist h, double v)
 
 } // namespace detail
 
-#endif // RBV_OBS
-
 // ---------------------------------------------------------- session
 
 Session::Session(SessionConfig cfg)
@@ -321,10 +317,8 @@ Session::~Session()
 {
     if (!isActive)
         return;
-#if RBV_OBS
     if (detail::tl_state && detail::tl_state->session == this)
         detail::tl_state = nullptr;
-#endif
     Session *expected = this;
     g_current.compare_exchange_strong(expected, nullptr);
 }
@@ -332,7 +326,6 @@ Session::~Session()
 ThreadState *
 Session::attachThread(std::uint32_t logical_id)
 {
-#if RBV_OBS
     if (!isActive)
         return nullptr;
     std::lock_guard<std::mutex> lock(mu);
@@ -346,18 +339,12 @@ Session::attachThread(std::uint32_t logical_id)
     }
     detail::tl_state = slot.get();
     return slot.get();
-#else
-    (void)logical_id;
-    return nullptr;
-#endif
 }
 
 void
 Session::detachThread()
 {
-#if RBV_OBS
     detail::tl_state = nullptr;
-#endif
 }
 
 Session *
@@ -597,15 +584,11 @@ Session::writeProfile(std::ostream &os, std::size_t top_n) const
 
 WorkerGuard::WorkerGuard(std::uint32_t logical_id)
 {
-#if RBV_OBS
     Session *s = Session::current();
     if (s && !attached()) {
         s->attachThread(logical_id);
         didAttach = true;
     }
-#else
-    (void)logical_id;
-#endif
 }
 
 WorkerGuard::~WorkerGuard()
@@ -614,10 +597,52 @@ WorkerGuard::~WorkerGuard()
         Session::detachThread();
 }
 
+PoolShards::PoolShards(std::size_t workers)
+    : parent(detail::tl_state)
+{
+    if (!parent)
+        return;
+    shards.resize(workers);
+    for (ThreadState &ts : shards) {
+        ts.hist.assign(histTotalSlots(), 0);
+        ts.logicalId = parent->logicalId;
+        ts.simPid = parent->simPid;
+        ts.session = parent->session;
+    }
+}
+
+PoolShards::Scope::Scope(PoolShards &shards, std::size_t worker)
+{
+    if (shards.parent) {
+        detail::tl_state = &shards.shards[worker];
+        bound = true;
+    }
+}
+
+PoolShards::Scope::~Scope()
+{
+    if (bound)
+        detail::tl_state = nullptr;
+}
+
+void
+PoolShards::fold()
+{
+    for (const ThreadState &ts : shards) {
+        for (std::size_t c = 0; c < NumCounters; ++c)
+            parent->counters[c] += ts.counters[c];
+        for (std::size_t b = 0; b < ts.hist.size(); ++b)
+            parent->hist[b] += ts.hist[b];
+        for (std::size_t p = 0; p < NumProfs; ++p) {
+            parent->prof[p].count += ts.prof[p].count;
+            parent->prof[p].ns += ts.prof[p].ns;
+        }
+    }
+}
+
 ScopedSimProcess::ScopedSimProcess(std::uint32_t pid,
                                    const std::string &name)
 {
-#if RBV_OBS
     ThreadState *ts = detail::tl_state;
     if (ts) {
         prevPid = ts->simPid;
@@ -625,18 +650,12 @@ ScopedSimProcess::ScopedSimProcess(std::uint32_t pid,
         ts->session->nameSimProcess(pid, name);
         didSet = true;
     }
-#else
-    (void)pid;
-    (void)name;
-#endif
 }
 
 ScopedSimProcess::~ScopedSimProcess()
 {
-#if RBV_OBS
     if (didSet && detail::tl_state)
         detail::tl_state->simPid = prevPid;
-#endif
 }
 
 } // namespace rbv::obs

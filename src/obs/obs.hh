@@ -23,13 +23,12 @@
  *    lands in the calling thread's private shard; the only locks are
  *    on thread attach/detach and at merge/report time.
  *
- *  - **Compile-time kill switch.** Building with `-DRBV_OBS=0`
- *    (CMake: `-DRBV_OBS=OFF`) turns every macro and inline hot-path
- *    call into nothing; `Session` survives as an inert shell so
- *    callers need no `#ifdef`s. `bench_micro_hotpath_cost` measures
- *    both configurations.
+ *  - **Totals independent of the thread count.** Pool threads that a
+ *    traced thread forks count into private shards that fold into
+ *    the forking thread's shard after the join (PoolShards), so a
+ *    counter reads the same at any `--jobs`.
  *
- * Hot-path API (macros so the kill switch can erase them):
+ * Hot-path API:
  *
  *     RBV_COUNT(KernelSyscalls, 1);            // monotonic counter
  *     RBV_HIST(RequestLatencyUs, us);          // fixed-bucket histogram
@@ -37,15 +36,11 @@
  *
  * Trace emission goes through inline functions (`simInstant`,
  * `simSpanBegin`/`simSpanEnd`, `hostSlice`, ...) that no-op when
- * dormant or compiled out.
+ * dormant.
  */
 
 #ifndef RBV_OBS_OBS_HH
 #define RBV_OBS_OBS_HH
-
-#ifndef RBV_OBS
-#define RBV_OBS 1
-#endif
 
 #include <array>
 #include <chrono>
@@ -242,7 +237,6 @@ struct ThreadState
 
 namespace detail {
 
-#if RBV_OBS
 /** The calling thread's shard; null when dormant. */
 extern thread_local ThreadState *tl_state;
 
@@ -254,13 +248,10 @@ void emitHost(char phase, const char *cat, const char *name,
               const std::string &dyn_name, double dur_us,
               const char *arg_key, double arg_val);
 void recordHist(Hist h, double v);
-#endif
 
 } // namespace detail
 
 // ------------------------------------------------ hot-path inlines
-
-#if RBV_OBS
 
 /** Add to a counter; dormant cost: one TL load and branch. */
 inline void
@@ -367,54 +358,9 @@ class ProfScope
     std::chrono::steady_clock::time_point t0;
 };
 
-#else // !RBV_OBS — the kill switch: everything is a no-op.
-
-inline void
-counterAdd(Counter, std::uint64_t) noexcept
-{
-}
-inline void
-histRecord(Hist, double)
-{
-}
-inline void
-simInstant(const char *, const char *, std::uint32_t, double,
-           const char * = nullptr, double = 0.0)
-{
-}
-inline void
-simSpanBegin(const char *, const char *, std::uint64_t, double,
-             const char * = nullptr, double = 0.0)
-{
-}
-inline void
-simSpanEnd(const char *, const char *, std::uint64_t, double,
-           const char * = nullptr, double = 0.0)
-{
-}
-inline void
-hostSlice(const char *, const std::string &, double,
-          const char * = nullptr, double = 0.0)
-{
-}
-inline bool
-attached() noexcept
-{
-    return false;
-}
-
-class ProfScope
-{
-  public:
-    explicit ProfScope(Prof) noexcept {}
-};
-
-#endif // RBV_OBS
-
 #define RBV_OBS_CONCAT_(a, b) a##b
 #define RBV_OBS_CONCAT(a, b) RBV_OBS_CONCAT_(a, b)
 
-#if RBV_OBS
 #define RBV_PROF_SCOPE(key)                                           \
     ::rbv::obs::ProfScope RBV_OBS_CONCAT(rbv_prof_scope_, __LINE__)   \
     {                                                                 \
@@ -424,11 +370,6 @@ class ProfScope
     ::rbv::obs::counterAdd(::rbv::obs::Counter::key, (n))
 #define RBV_HIST(key, v)                                              \
     ::rbv::obs::histRecord(::rbv::obs::Hist::key, (v))
-#else
-#define RBV_PROF_SCOPE(key) ((void)0)
-#define RBV_COUNT(key, n) ((void)0)
-#define RBV_HIST(key, v) ((void)0)
-#endif
 
 // ---------------------------------------------------------- session
 
@@ -464,8 +405,7 @@ struct ProfRow
  * new session current only if none is); the constructing thread is
  * attached as logical thread 0. Worker threads attach with their
  * worker index and must detach (and be joined) before the session is
- * merged or destroyed. With RBV_OBS=0 the session is inert: attach
- * returns null and the writers emit valid empty documents.
+ * merged or destroyed.
  */
 class Session
 {
@@ -482,7 +422,7 @@ class Session
     /**
      * Attach the calling thread under a logical id (its host trace
      * track; 0 = main, n = worker n). Re-attaching an id reuses its
-     * shard. Returns null when inert or compiled out.
+     * shard. Returns null when this session is not the current one.
      */
     ThreadState *attachThread(std::uint32_t logical_id);
 
@@ -548,6 +488,43 @@ class WorkerGuard
 
   private:
     bool didAttach = false;
+};
+
+/**
+ * Private counter, histogram and profile shards for the workers of
+ * one fork/join pool, folded into the forking thread's shard after
+ * the join. Inert (no shard, no binding) when the forking thread has
+ * no live session; workers keep no trace events.
+ */
+class PoolShards
+{
+  public:
+    /** Shards for @p workers threads forked by the calling thread. */
+    explicit PoolShards(std::size_t workers);
+
+    PoolShards(const PoolShards &) = delete;
+    PoolShards &operator=(const PoolShards &) = delete;
+
+    /** RAII: route the calling worker thread's writes to one shard. */
+    class Scope
+    {
+      public:
+        Scope(PoolShards &shards, std::size_t worker);
+        ~Scope();
+
+        Scope(const Scope &) = delete;
+        Scope &operator=(const Scope &) = delete;
+
+      private:
+        bool bound = false;
+    };
+
+    /** Add every shard into the forking thread's; call after join. */
+    void fold();
+
+  private:
+    ThreadState *parent;
+    std::vector<ThreadState> shards;
 };
 
 /**

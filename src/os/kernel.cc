@@ -278,7 +278,7 @@ Kernel::switchIn(sim::CoreId core, ThreadId tid)
 
     // Direct kernel switch cost; the cache model charges the indirect
     // pollution cost through the footprint save/restore below.
-    mach.pushFixedWork(core, cfg.contextSwitchCost);
+    mach.pushFixedWork(core, ContextSwitchCost);
     ++kstats.contextSwitches;
     RBV_COUNT(OsContextSwitches, 1);
     obs::simInstant("os.sched", "switch_in", core,

@@ -37,15 +37,15 @@
 
 namespace rbv::os {
 
+/**
+ * Direct cost of a context switch (kernel path), excluding cache
+ * pollution, which the cache model produces organically.
+ */
+constexpr sim::FixedWork ContextSwitchCost{6000.0, 2600.0, 45.0, 12.0};
+
 /** Kernel tunables. */
 struct KernelConfig
 {
-    /**
-     * Direct cost of a context switch (kernel path), excluding cache
-     * pollution, which the cache model produces organically.
-     */
-    sim::FixedWork contextSwitchCost{6000.0, 2600.0, 45.0, 12.0};
-
     /** Cap on the recorded per-request syscall sequence length. */
     std::size_t maxSyscallSeq = 4096;
 };

@@ -22,12 +22,15 @@ constexpr double CycleEpsilon = 1e-6;
 /** Fixed-point iterations for the CPI / memory-latency solve. */
 constexpr int CpiSolveIterations = 6;
 
+/** L2 hit latency in cycles (14 on the paper's platform). */
+constexpr double L2HitLatencyCycles = 14.0;
+
 } // namespace
 
 Machine::Machine(const MachineConfig &cfg, EventQueue &eq,
                  CoreClient *client)
     : cfg(cfg), eq(eq), client(client), cores(cfg.numCores),
-      memory(cfg.memory), memLatency(cfg.memory.baseLatencyCycles),
+      memLatency(MemoryModel::BaseLatencyCycles),
       lastSync(eq.now())
 {
     RBV_CHECK(cfg.numCores > 0);
@@ -201,7 +204,7 @@ Machine::recomputeRates()
             c.effCpi = c.params.baseCpi +
                        c.params.refsPerIns *
                            ((1.0 - c.missRatio) *
-                                cfg.l2HitLatencyCycles +
+                                L2HitLatencyCycles +
                             c.missRatio * lat);
         }
     }

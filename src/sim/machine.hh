@@ -50,11 +50,6 @@ struct MachineConfig
     /** Shared L2 capacity per domain in bytes (4 MB). */
     double l2CapacityBytes = 4.0 * 1024 * 1024;
 
-    /** L2 hit latency in cycles (14 on the paper's platform). */
-    double l2HitLatencyCycles = 14.0;
-
-    MemoryParams memory;
-
     /**
      * Interval of the model refresh tick that bounds the error of the
      * piecewise-constant-rate approximation; 0 disables it.

@@ -17,30 +17,24 @@
 
 namespace rbv::sim {
 
-/** Memory model parameters. */
-struct MemoryParams
+/**
+ * Stateless memory latency model of the paper's platform.
+ */
+class MemoryModel
 {
+  public:
     /** Unloaded L2 miss service latency in cycles (DRAM round trip). */
-    double baseLatencyCycles = 220.0;
+    static constexpr double BaseLatencyCycles = 220.0;
 
     /**
      * Peak sustainable miss bandwidth in bytes per cycle. The paper's
      * platform has a 1333 MT/s FSB (~10.6 GB/s) against 3 GHz cores,
      * i.e. about 3.55 bytes per core cycle.
      */
-    double peakBytesPerCycle = 3.55;
+    static constexpr double PeakBytesPerCycle = 3.55;
 
     /** Utilization cap to keep the queueing factor finite. */
-    double maxUtilization = 0.95;
-};
-
-/**
- * Stateless memory latency model.
- */
-class MemoryModel
-{
-  public:
-    explicit MemoryModel(MemoryParams p = MemoryParams{}) : params(p) {}
+    static constexpr double MaxUtilization = 0.95;
 
     /**
      * Effective miss latency (cycles) at the given aggregate miss
@@ -49,17 +43,11 @@ class MemoryModel
     double
     latencyAt(double miss_bytes_per_cycle) const
     {
-        const double u = std::clamp(
-            miss_bytes_per_cycle / params.peakBytesPerCycle, 0.0,
-            params.maxUtilization);
-        return params.baseLatencyCycles / (1.0 - u);
+        const double u =
+            std::clamp(miss_bytes_per_cycle / PeakBytesPerCycle, 0.0,
+                       MaxUtilization);
+        return BaseLatencyCycles / (1.0 - u);
     }
-
-    double baseLatency() const { return params.baseLatencyCycles; }
-    const MemoryParams &parameters() const { return params; }
-
-  private:
-    MemoryParams params;
 };
 
 } // namespace rbv::sim

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/model/anomaly.hh"
+#include "core/model/distance.hh"
 
 using namespace rbv;
 using namespace rbv::core;
@@ -43,22 +47,39 @@ TEST(CentroidAnomaly, FindsPlantedOutlier)
     EXPECT_GT(res.distance, 0.0);
 }
 
-TEST(CentroidAnomaly, RankingIsDescending)
+TEST(CentroidAnomaly, DistancesAreTheCentroidDtwBitForBit)
 {
     const auto group = plantedGroup(10, 3, 1.5);
-    const auto res = detectCentroidAnomaly(group, 0.5);
-    ASSERT_EQ(res.ranking.size(), 10u);
-    EXPECT_EQ(res.ranking.front(), 3u);
-    // The centroid itself is closest (last).
-    EXPECT_EQ(res.ranking.back(), res.centroid);
+    const double p = 0.5;
+    for (const int jobs : {1, 4}) {
+        const auto res = detectCentroidAnomaly(group, p, jobs);
+        ASSERT_EQ(res.distances.size(), group.size());
+        for (std::size_t i = 0; i < group.size(); ++i)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(res.distances[i]),
+                      std::bit_cast<std::uint64_t>(dtwDistance(
+                          group[i], group[res.centroid], p)))
+                << "member " << i << " at jobs " << jobs;
+        EXPECT_EQ(res.distances[res.centroid], 0.0);
+        EXPECT_EQ(res.anomaly, 3u);
+        EXPECT_EQ(res.distance, res.distances[3]);
+    }
+}
+
+TEST(CentroidAnomaly, FirstMemberAtTheLargestDistanceIsTheAnomaly)
+{
+    const MetricSeries a{1.0, 2.0, 3.0, 2.0, 1.0};
+    const MetricSeries b{3.0, 4.0, 5.0, 4.0, 3.0};
+    const auto res = detectCentroidAnomaly({a, a, b, a, b}, 0.5);
+    EXPECT_EQ(res.centroid, 0u);
+    EXPECT_EQ(res.distances[2], res.distances[4]);
+    EXPECT_EQ(res.anomaly, 2u);
 }
 
 TEST(CentroidAnomaly, DegenerateInputs)
 {
-    EXPECT_EQ(detectCentroidAnomaly({}, 0.5).ranking.size(), 0u);
-    EXPECT_EQ(detectCentroidAnomaly({MetricSeries{1.0}}, 0.5)
-                  .ranking.size(),
-              0u);
+    EXPECT_TRUE(detectCentroidAnomaly({}, 0.5).distances.empty());
+    EXPECT_TRUE(
+        detectCentroidAnomaly({MetricSeries{1.0}}, 0.5).distances.empty());
 }
 
 TEST(CentroidAnomaly, CleanGroupHasSmallDistance)

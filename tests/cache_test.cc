@@ -227,7 +227,7 @@ TEST(AdvanceOccupancy, ZeroDtIsIdentity)
 TEST(MemoryModel, BaseLatencyAtZeroLoad)
 {
     MemoryModel mm;
-    EXPECT_DOUBLE_EQ(mm.latencyAt(0.0), mm.baseLatency());
+    EXPECT_DOUBLE_EQ(mm.latencyAt(0.0), MemoryModel::BaseLatencyCycles);
 }
 
 TEST(MemoryModel, LatencyMonotoneInBandwidth)
@@ -245,5 +245,6 @@ TEST(MemoryModel, UtilizationCapKeepsLatencyFinite)
 {
     MemoryModel mm;
     const double capped = mm.latencyAt(1e9);
-    EXPECT_DOUBLE_EQ(capped, mm.baseLatency() / (1.0 - 0.95));
+    EXPECT_DOUBLE_EQ(capped,
+                     MemoryModel::BaseLatencyCycles / (1.0 - 0.95));
 }

@@ -14,10 +14,15 @@
 #include <gtest/gtest.h>
 
 #include "exp/cli.hh"
+#include "sim/types.hh"
 
 using namespace rbv::exp;
 
 namespace {
+
+/** Ticks per microsecond and per second of simulated time. */
+constexpr double UsTicks = rbv::sim::cyclesPerUs();
+constexpr double SecondTicks = 1.0e6 * rbv::sim::cyclesPerUs();
 
 /**
  * Union of the accepted-flag lists of every bench and example binary
@@ -144,11 +149,11 @@ TEST(Cli, ServeFlagsParseWithTheDocumentedShapes)
     const Cli cli(10, const_cast<char **>(argv),
                   {"qps", "arrival", "duration", "checkpoint-every",
                    "window"});
-    EXPECT_DOUBLE_EQ(cli.getDouble("qps", 0.0), 25000.0);
+    EXPECT_DOUBLE_EQ(cli.getRate("qps", 0.0, SecondTicks), 25000.0);
     EXPECT_EQ(cli.getStr("arrival", ""), "burst");
-    EXPECT_DOUBLE_EQ(cli.getDouble("duration", 0.0), 2.5);
-    EXPECT_EQ(cli.getInt("checkpoint-every", 0), 5000);
-    EXPECT_EQ(cli.getInt("window", 0), 256);
+    EXPECT_DOUBLE_EQ(cli.getTime("duration", 0.0, SecondTicks), 2.5);
+    EXPECT_EQ(cli.getU64("checkpoint-every", 0), 5000u);
+    EXPECT_EQ(cli.getU64("window", 0), 256u);
 }
 
 TEST(CliDeath, ServeFlagTypoIsRejected)
@@ -174,9 +179,9 @@ TEST(Cli, ClusterFlagsParseWithTheDocumentedShapes)
                   {"topology", "link-us", "deadline-us",
                    "rpc-retries", "hedge"});
     EXPECT_EQ(cli.getStr("topology", ""), "lb:1:20,app:3:80");
-    EXPECT_DOUBLE_EQ(cli.getDouble("link-us", 0.0), 120.0);
-    EXPECT_DOUBLE_EQ(cli.getDouble("deadline-us", 0.0), 1500.0);
-    EXPECT_EQ(cli.getInt("rpc-retries", 0), 4);
+    EXPECT_DOUBLE_EQ(cli.getTime("link-us", 0.0, UsTicks, true), 120.0);
+    EXPECT_DOUBLE_EQ(cli.getTime("deadline-us", 0.0, UsTicks), 1500.0);
+    EXPECT_EQ(cli.getU64("rpc-retries", 0), 4u);
     EXPECT_DOUBLE_EQ(cli.getDouble("hedge", 0.0), 0.95);
 }
 
@@ -200,17 +205,39 @@ expectBadValue(const char *flag, const char *value,
 TEST(CliDeath, NumericValuesThatDoNotParseExitTwo)
 {
     const auto u64 = [](const Cli &c) { (void)c.getU64("seed", 1); };
-    const auto i = [](const Cli &c) { (void)c.getInt("requests", 1); };
+    const auto n = [](const Cli &c) { (void)c.getU64("requests", 1); };
     const auto d = [](const Cli &c) { (void)c.getDouble("qps", 1.0); };
     expectBadValue("--seed", "abc", u64);
     expectBadValue("--seed", "-1", u64); // would wrap to 2^64 - 1
     expectBadValue("--seed", "99999999999999999999", u64);
-    expectBadValue("--requests", "12x", i);
-    expectBadValue("--requests", "abc", i);
-    expectBadValue("--requests", "", i);
+    expectBadValue("--requests", "12x", n);
+    expectBadValue("--requests", "abc", n);
+    expectBadValue("--requests", "", n);
+    expectBadValue("--requests", "-3", n); // every integer is a count
     expectBadValue("--qps", "2k", d);
     expectBadValue("--qps", "nan", d);
     expectBadValue("--qps", "inf", d);
+}
+
+TEST(CliDeath, TimeAndRateValuesWithoutATickCountExitTwo)
+{
+    const auto deadline = [](const Cli &c) {
+        (void)c.getTime("deadline-us", 1.0, UsTicks);
+    };
+    const auto link = [](const Cli &c) {
+        (void)c.getTime("link-us", 1.0, UsTicks, true);
+    };
+    const auto qps = [](const Cli &c) {
+        (void)c.getRate("qps", 1.0, SecondTicks);
+    };
+    expectBadValue("--deadline-us", "-5", deadline);
+    expectBadValue("--deadline-us", "0", deadline);
+    expectBadValue("--deadline-us", "abc", deadline);
+    expectBadValue("--link-us", "-80", link);
+    expectBadValue("--link-us", "1e300", link); // overflows a tick
+    expectBadValue("--qps", "0", qps);
+    expectBadValue("--qps", "-1", qps);
+    expectBadValue("--qps", "1e-300", qps); // the mean gap overflows
 }
 
 TEST(CliDeath, UnknownBooleanWordExitsTwo)
@@ -221,11 +248,11 @@ TEST(CliDeath, UnknownBooleanWordExitsTwo)
 
 TEST(Cli, WellFormedNumbersStillParse)
 {
-    const char *argv[] = {"prog", "--requests", "-3", "--qps", "2.5e3",
+    const char *argv[] = {"prog", "--link-us", "0", "--qps", "2.5e3",
                           "--seed", "18446744073709551615"};
     const Cli cli(7, const_cast<char **>(argv));
-    EXPECT_EQ(cli.getInt("requests", 0), -3);
-    EXPECT_DOUBLE_EQ(cli.getDouble("qps", 0.0), 2500.0);
+    EXPECT_EQ(cli.getTime("link-us", 1.0, UsTicks, true), 0.0);
+    EXPECT_DOUBLE_EQ(cli.getRate("qps", 0.0, SecondTicks), 2500.0);
     EXPECT_EQ(cli.getU64("seed", 0), 18446744073709551615u);
 }
 

@@ -47,11 +47,11 @@ TEST(Cli, ParsesSpaceAndEqualsForms)
     const char *argv[] = {"prog", "--requests", "42", "--seed=7",
                           "--csv"};
     Cli cli(5, const_cast<char **>(argv));
-    EXPECT_EQ(cli.getInt("requests", 0), 42);
+    EXPECT_EQ(cli.getU64("requests", 0), 42u);
     EXPECT_EQ(cli.getU64("seed", 0), 7u);
     EXPECT_TRUE(cli.has("csv"));
     EXPECT_FALSE(cli.has("missing"));
-    EXPECT_EQ(cli.getInt("missing", 9), 9);
+    EXPECT_EQ(cli.getU64("missing", 9), 9u);
 }
 
 TEST(Cli, DoubleAndStringValues)
@@ -68,7 +68,7 @@ TEST(Cli, BooleanFollowedByFlag)
     const char *argv[] = {"prog", "--csv", "--n", "3"};
     Cli cli(4, const_cast<char **>(argv));
     EXPECT_TRUE(cli.has("csv"));
-    EXPECT_EQ(cli.getInt("n", 0), 3);
+    EXPECT_EQ(cli.getU64("n", 0), 3u);
 }
 
 TEST(Cli, GetBoolForms)

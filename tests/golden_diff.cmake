@@ -1,8 +1,9 @@
-# Run one command and fail unless its stdout equals a committed golden
-# file byte for byte:
+# Run one command and fail unless it exits with the expected status
+# (EXIT, default 0) and its stdout equals a committed golden file byte
+# for byte:
 #
 #   cmake -DNAME=test -DBIN=path -DARGS="--quiet --requests 40" \
-#         -DGOLDEN=file -P golden_diff.cmake
+#         -DGOLDEN=file [-DEXIT=3] -P golden_diff.cmake
 #
 # On a mismatch the actual stdout is kept as NAME.actual in the working
 # directory and diffed against the golden.
@@ -12,8 +13,11 @@ separate_arguments(argv UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND "${BIN}" ${argv}
                 OUTPUT_VARIABLE actual
                 RESULT_VARIABLE status)
-if(NOT status EQUAL 0)
-    message(FATAL_ERROR "${BIN} ${ARGS} exited with ${status}")
+if(NOT DEFINED EXIT)
+    set(EXIT 0)
+endif()
+if(NOT status EQUAL EXIT)
+    message(FATAL_ERROR "${BIN} ${ARGS} exited with ${status}, not ${EXIT}")
 endif()
 
 file(READ "${GOLDEN}" expected)

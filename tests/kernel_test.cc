@@ -142,8 +142,7 @@ TEST(Kernel, ThreadExecutesScript)
     rig.eq.runUntil(10'000'000);
     EXPECT_EQ(raw->exhausted_calls, 1);
     const auto &snap = rig.machine.counters(0).snapshot();
-    EXPECT_NEAR(snap.instructions, 3000.0 +
-                    rig.kernel.config().contextSwitchCost.instructions,
+    EXPECT_NEAR(snap.instructions, 3000.0 + ContextSwitchCost.instructions,
                 5.0);
 }
 
@@ -161,8 +160,7 @@ TEST(Kernel, PlainSyscallCostCharged)
     rig.eq.runUntil(10'000'000);
     const auto &snap = rig.machine.counters(0).snapshot();
     // Context switch + syscall kernel instructions.
-    const double expect =
-        5000.0 + rig.kernel.config().contextSwitchCost.instructions;
+    const double expect = 5000.0 + ContextSwitchCost.instructions;
     EXPECT_NEAR(snap.instructions, expect, 5.0);
     EXPECT_EQ(rig.kernel.stats().syscalls, 1u);
 }

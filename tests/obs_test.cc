@@ -4,11 +4,6 @@
  * and histogram shard merge under the runner's --jobs parallelism
  * (merged totals must equal a serial run's), and a minimal JSON
  * schema check over the Chrome trace_event export.
- *
- * The whole file also compiles and passes under -DRBV_OBS=0, where a
- * Session is inert: recording assertions are gated on
- * obs::attached(), and the writers must still emit valid (empty)
- * documents.
  */
 
 #include <cctype>
@@ -22,8 +17,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/model/distance.hh"
+#include "core/model/kmedoids.hh"
 #include "exp/runner.hh"
 #include "obs/obs.hh"
+#include "os/syscall.hh"
 
 using namespace rbv;
 using namespace rbv::obs;
@@ -382,8 +380,7 @@ TEST(Catalogue, EveryKeyHasAName)
 TEST(ObsSession, CountersAndHistogramsRecord)
 {
     Session session;
-    if (!attached())
-        GTEST_SKIP() << "obs compiled out (RBV_OBS=0)";
+    ASSERT_TRUE(attached());
 
     RBV_COUNT(SimEventsFired, 3);
     RBV_COUNT(SimEventsFired, 2);
@@ -415,8 +412,7 @@ TEST(ObsSession, SecondSessionIsInert)
 {
     Session first;
     Session second;
-    if (!attached())
-        GTEST_SKIP() << "obs compiled out (RBV_OBS=0)";
+    ASSERT_TRUE(attached());
     EXPECT_TRUE(first.active());
     EXPECT_FALSE(second.active());
     EXPECT_EQ(second.attachThread(0), nullptr);
@@ -425,8 +421,7 @@ TEST(ObsSession, SecondSessionIsInert)
 TEST(ObsSession, ProfScopesAccumulate)
 {
     Session session;
-    if (!attached())
-        GTEST_SKIP() << "obs compiled out (RBV_OBS=0)";
+    ASSERT_TRUE(attached());
     for (int i = 0; i < 10; ++i) {
         RBV_PROF_SCOPE(KMedoids);
     }
@@ -441,8 +436,7 @@ TEST(ObsSession, RingDropsOldestBeyondCapacity)
     SessionConfig cfg;
     cfg.traceCapacityPerThread = 8;
     Session session(cfg);
-    if (!attached())
-        GTEST_SKIP() << "obs compiled out (RBV_OBS=0)";
+    ASSERT_TRUE(attached());
     for (int i = 0; i < 20; ++i)
         simInstant("t", "e", 0, static_cast<double>(i));
     EXPECT_EQ(session.droppedEvents(), 12u);
@@ -479,23 +473,17 @@ TEST(TraceExport, EmptySessionIsValidJson)
 TEST(TraceExport, EventsMatchTraceEventSchema)
 {
     Session session;
-    if (attached()) {
-        simInstant("os.syscall", "read", 2, 10.5, "req", 7.0);
-        simSpanBegin("os.request", "request", 42, 11.0);
-        simSpanEnd("os.request", "request", 42, 99.0);
-        hostSlice("exp.job", "app=web/rep=0", 1234.5);
-        // A name needing JSON escaping must not corrupt the document.
-        hostSlice("exp.job", "k=\"v\"\\w", 1.0);
-    }
+    simInstant("os.syscall", "read", 2, 10.5, "req", 7.0);
+    simSpanBegin("os.request", "request", 42, 11.0);
+    simSpanEnd("os.request", "request", 42, 99.0);
+    hostSlice("exp.job", "app=web/rep=0", 1234.5);
+    // A name needing JSON escaping must not corrupt the document.
+    hostSlice("exp.job", "k=\"v\"\\w", 1.0);
 
     std::ostringstream os;
     session.writeChromeTrace(os);
     const JsonValue doc = JsonParser(os.str()).parse();
     const auto &events = doc.at("traceEvents").array;
-    if (!attached()) {
-        EXPECT_TRUE(events.empty());
-        return;
-    }
 
     std::size_t data_events = 0;
     bool saw_escaped = false;
@@ -530,10 +518,6 @@ TEST(TraceExport, CampaignTraceValidatesAndNamesJobProcesses)
     session.writeChromeTrace(os);
     const JsonValue doc = JsonParser(os.str()).parse();
     const auto &events = doc.at("traceEvents").array;
-    if (!attached()) {
-        EXPECT_TRUE(events.empty());
-        return;
-    }
 
     std::size_t named_jobs = 0;
     for (const auto &ev : events) {
@@ -582,16 +566,84 @@ TEST(ShardMerge, ParallelCampaignEqualsSerialTotals)
         parallel_jobs += n;
     EXPECT_EQ(serial_jobs, parallel_jobs);
 
-#if RBV_OBS
-    // With obs compiled in, the campaign must actually have recorded
-    // simulator work (compiled out, all-zero == all-zero above).
+    // The campaign must actually have recorded simulator work.
     EXPECT_GT(serial.counters[static_cast<std::size_t>(
                   Counter::SimEventsFired)],
               0u);
     EXPECT_EQ(serial.counters[static_cast<std::size_t>(
                   Counter::ExpJobsCompleted)],
               4u);
-#endif
+}
+
+// ------------------------------------------- pool threads fold back
+
+/** Metrics and profile of one traced 24-sequence matrix build. */
+struct PoolRun
+{
+    MergedMetrics metrics;
+    std::vector<ProfRow> profile;
+};
+
+PoolRun
+matrixBuildMetrics(int jobs)
+{
+    std::vector<std::vector<os::Sys>> seqs(24);
+    for (std::size_t i = 0; i < seqs.size(); ++i)
+        for (std::size_t k = 0; k < 10 + i; ++k)
+            seqs[i].push_back(static_cast<os::Sys>((i * k) % 7));
+    Session session;
+    const core::DistanceMatrix dm = core::DistanceMatrix::build(
+        seqs.size(),
+        [&](std::size_t i, std::size_t j) {
+            RBV_HIST(SamplingPeriodCycles,
+                     static_cast<double>(1000 * (i + j)));
+            return core::levenshteinDistance(seqs[i], seqs[j]);
+        },
+        jobs);
+    EXPECT_EQ(dm.size(), seqs.size());
+    return {session.mergedMetrics(), session.mergedProfile()};
+}
+
+/** Call count of one profile key (0 when it never ran). */
+std::uint64_t
+profCount(const std::vector<ProfRow> &rows, Prof key)
+{
+    for (const ProfRow &r : rows)
+        if (r.key == key)
+            return r.count;
+    return 0;
+}
+
+TEST(ShardMerge, PoolThreadCountsFoldIntoTheForkingThread)
+{
+    const PoolRun serial = matrixBuildMetrics(1);
+    const PoolRun pooled = matrixBuildMetrics(4);
+
+    const std::uint64_t cells = 24 * 23 / 2;
+    EXPECT_EQ(serial.metrics.counters[static_cast<std::size_t>(
+                  Counter::ModelLevBitParallel)],
+              cells);
+    for (std::size_t c = 0; c < NumCounters; ++c)
+        EXPECT_EQ(serial.metrics.counters[c], pooled.metrics.counters[c])
+            << counterName(static_cast<Counter>(c));
+    const auto h = static_cast<std::size_t>(Hist::SamplingPeriodCycles);
+    EXPECT_EQ(serial.metrics.hist[h], pooled.metrics.hist[h]);
+    EXPECT_EQ(profCount(pooled.profile, Prof::LevenshteinDistance),
+              cells);
+    EXPECT_EQ(profCount(pooled.profile, Prof::DistanceMatrixBuild), 1u);
+}
+
+TEST(ShardMerge, PoolThreadsWithoutASessionStayDormant)
+{
+    std::vector<std::vector<os::Sys>> seqs(8, {os::Sys::read});
+    core::DistanceMatrix::build(
+        seqs.size(),
+        [&](std::size_t i, std::size_t j) {
+            EXPECT_FALSE(attached());
+            return core::levenshteinDistance(seqs[i], seqs[j]);
+        },
+        4);
+    EXPECT_FALSE(attached());
 }
 
 // -------------------------------------------------- metrics writer
@@ -599,10 +651,8 @@ TEST(ShardMerge, ParallelCampaignEqualsSerialTotals)
 TEST(MetricsExport, FlatTextListsEveryCounterAndHistogram)
 {
     Session session;
-    if (attached()) {
-        RBV_COUNT(OsSyscalls, 7);
-        RBV_HIST(OsRequestLatencyUs, 25.0);
-    }
+    RBV_COUNT(OsSyscalls, 7);
+    RBV_HIST(OsRequestLatencyUs, 25.0);
     std::ostringstream os;
     session.writeMetrics(os);
     const std::string text = os.str();
@@ -618,11 +668,7 @@ TEST(MetricsExport, FlatTextListsEveryCounterAndHistogram)
                             histSpec(static_cast<Hist>(h)).name),
                   std::string::npos);
     }
-#if RBV_OBS
     EXPECT_NE(text.find("counter os.syscalls 7"), std::string::npos);
-#else
-    EXPECT_NE(text.find("counter os.syscalls 0"), std::string::npos);
-#endif
 }
 
 } // namespace
