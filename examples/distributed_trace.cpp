@@ -87,7 +87,7 @@ main(int argc, char **argv)
     sim::Tick t = 0;
     for (int r = 0; r < requests; ++r) {
         t += 1 + sim::usToCycles(arrivals.exponential(400.0));
-        eq.scheduleIn(t, [&topo] { topo.inject("dist.lookup"); });
+        eq.scheduleIn(t, [&topo] { topo.inject(); });
     }
     eq.runUntil(sim::msToCycles(10000.0));
 

@@ -21,6 +21,7 @@ Cluster::addNode(const std::string &name,
                  const sim::MachineConfig &machine)
 {
     assert(!started);
+    RBV_CHECK(requests.empty(), "addNode after a request was registered");
     auto node = std::make_unique<Node>();
     node->name = name;
     node->machine = std::make_unique<sim::Machine>(machine, eq);
@@ -28,15 +29,7 @@ Cluster::addNode(const std::string &name,
     node->machine->setClient(node->kernel.get());
     nodes.push_back(std::move(node));
     localToGlobal.emplace_back();
-    globalToLocal_resize();
     return static_cast<NodeId>(nodes.size() - 1);
-}
-
-void
-Cluster::globalToLocal_resize()
-{
-    for (auto &per_global : globalToLocal)
-        per_global.resize(nodes.size(), os::InvalidRequestId);
 }
 
 void
@@ -49,17 +42,14 @@ Cluster::start()
 }
 
 GlobalRequestId
-Cluster::registerRequest(std::string class_name, const void *spec)
+Cluster::registerRequest()
 {
     GlobalRequestInfo info;
     info.id = static_cast<GlobalRequestId>(requests.size());
-    info.className = std::move(class_name);
-    info.spec = spec;
     info.injected = eq.now();
+    info.local.resize(nodes.size(), os::InvalidRequestId);
     info.perNode.resize(nodes.size());
     requests.push_back(std::move(info));
-    globalToLocal.push_back(std::vector<os::RequestId>(
-        nodes.size(), os::InvalidRequestId));
     return requests.back().id;
 }
 
@@ -74,9 +64,9 @@ Cluster::post(NodeId node, os::ChannelId channel, os::Message msg,
 GlobalRequestId
 Cluster::globalIdOf(NodeId node, os::RequestId local) const
 {
-    const auto &map = localToGlobal[node];
-    auto it = map.find(local);
-    return it != map.end() ? it->second : InvalidGlobalRequestId;
+    const auto &ids = localToGlobal[node];
+    const auto idx = static_cast<std::size_t>(local);
+    return idx < ids.size() ? ids[idx] : InvalidGlobalRequestId;
 }
 
 os::RequestId
@@ -87,17 +77,17 @@ Cluster::localIdOf(NodeId node, GlobalRequestId id)
               "localIdOf of unknown global request " << id);
     RBV_CHECK(node >= 0 && node < numNodes(),
               "localIdOf on unknown node " << node);
-    auto &per_node = globalToLocal[static_cast<std::size_t>(id)];
-    if (per_node[node] != os::InvalidRequestId)
-        return per_node[node];
+    os::RequestId &local =
+        requests[static_cast<std::size_t>(id)].local[node];
+    if (local != os::InvalidRequestId)
+        return local;
 
-    const GlobalRequestInfo &info =
-        requests[static_cast<std::size_t>(id)];
-    const os::RequestId local =
-        nodes[node]->kernel->registerRequest(info.className,
-                                             info.spec);
-    per_node[node] = local;
-    localToGlobal[node][local] = id;
+    local = nodes[node]->kernel->registerRequest();
+    auto &ids = localToGlobal[node];
+    const auto idx = static_cast<std::size_t>(local);
+    if (ids.size() <= idx)
+        ids.resize(idx + 1, InvalidGlobalRequestId);
+    ids[idx] = id;
     return local;
 }
 
@@ -105,15 +95,15 @@ void
 Cluster::foldNodeAccounting(GlobalRequestId id)
 {
     GlobalRequestInfo &info = requests[static_cast<std::size_t>(id)];
-    const auto &per_node = globalToLocal[static_cast<std::size_t>(id)];
     for (NodeId n = 0; n < numNodes(); ++n) {
-        if (per_node[n] == os::InvalidRequestId)
+        const os::RequestId local = info.local[n];
+        if (local == os::InvalidRequestId)
             continue;
         // Completing the local request freezes and finalizes its
         // kernel-side accounting on that node.
-        nodes[n]->kernel->completeRequest(per_node[n]);
+        nodes[n]->kernel->completeRequest(local);
         info.perNode[static_cast<std::size_t>(n)] =
-            nodes[n]->kernel->request(per_node[n]).totals;
+            nodes[n]->kernel->request(local).totals;
     }
 }
 
@@ -135,15 +125,15 @@ Cluster::mergedTimeline(
 {
     core::Timeline merged;
     merged.request = id;
-    const auto &per_node = globalToLocal[static_cast<std::size_t>(id)];
+    const GlobalRequestInfo &info = request(id);
     for (NodeId n = 0; n < numNodes(); ++n) {
-        if (per_node[n] == os::InvalidRequestId)
+        const os::RequestId local = info.local[n];
+        if (local == os::InvalidRequestId)
             continue;
         const auto idx = static_cast<std::size_t>(n);
         if (idx >= samplers.size() || !samplers[idx])
             continue;
-        const core::Timeline &tl =
-            samplers[idx]->timelineOf(per_node[n]);
+        const core::Timeline &tl = samplers[idx]->timelineOf(local);
         merged.periods.insert(merged.periods.end(),
                               tl.periods.begin(), tl.periods.end());
     }

@@ -19,7 +19,6 @@
 #define RBV_DIST_CLUSTER_HH
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,16 +37,18 @@ constexpr GlobalRequestId InvalidGlobalRequestId = -1;
 /** Node identifier within a cluster. */
 using NodeId = int;
 
-/** Cluster-wide view of one request. */
+/** The cluster's one record of a global request. */
 struct GlobalRequestInfo
 {
     GlobalRequestId id = InvalidGlobalRequestId;
-    std::string className;
-    const void *spec = nullptr;
 
     sim::Tick injected = 0;
     sim::Tick completed = 0;
     bool done = false;
+
+    /** Node-local request id per node (InvalidRequestId = the
+     *  request never reached that node). */
+    std::vector<os::RequestId> local;
 
     /** Per-node exact counter totals (indexed by NodeId). */
     std::vector<sim::CounterSnapshot> perNode;
@@ -88,9 +89,8 @@ class Cluster
 
     /** @name Global requests */
     /// @{
-    /** Register a cluster-wide request. */
-    GlobalRequestId registerRequest(std::string class_name,
-                                    const void *spec = nullptr);
+    /** Register a cluster-wide request (after every addNode()). */
+    GlobalRequestId registerRequest();
 
     /** Inject a request's first message at a node (network arrival). */
     void post(NodeId node, os::ChannelId channel, os::Message msg,
@@ -140,9 +140,6 @@ class Cluster
     /** Fold a node's local RequestInfo into the global record. */
     void foldNodeAccounting(GlobalRequestId id);
 
-    /** Extend the per-global node maps after a node is added. */
-    void globalToLocal_resize();
-
     sim::EventQueue &eq;
     std::vector<std::unique_ptr<Node>> nodes;
 
@@ -153,12 +150,11 @@ class Cluster
      */
     std::deque<GlobalRequestInfo> requests;
 
-    /** local id -> global id, per node. */
-    std::vector<std::map<os::RequestId, GlobalRequestId>>
-        localToGlobal;
-
-    /** global id -> local id per node (-1 = not registered there). */
-    std::vector<std::vector<os::RequestId>> globalToLocal;
+    /**
+     * Global id by node-local id, per node. Dense: the cluster never
+     * recycles a node-local id, so each node's ids count up from 0.
+     */
+    std::vector<std::vector<GlobalRequestId>> localToGlobal;
 
     bool started = false;
 };

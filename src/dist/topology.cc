@@ -266,10 +266,10 @@ Topology::start()
 }
 
 GlobalRequestId
-Topology::inject(const std::string &className)
+Topology::inject()
 {
     RBV_CHECK(started, "inject() before start()");
-    const GlobalRequestId gid = cl.registerRequest(className);
+    const GlobalRequestId gid = cl.registerRequest();
     RBV_CHECK(static_cast<std::size_t>(gid) == reqStates.size(),
               "global id/state desync");
     reqStates.emplace_back();

@@ -138,7 +138,7 @@ class Topology
     void start();
 
     /** Inject one request at tier 0 (a client network arrival). */
-    GlobalRequestId inject(const std::string &className = "cluster");
+    GlobalRequestId inject();
 
     /** Called once per request when it completes or fails. */
     void setResolvedCallback(

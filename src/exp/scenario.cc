@@ -166,6 +166,26 @@ runScenario(const ScenarioConfig &cfg)
             sampler->setFaults(faultSession.get());
     }
 
+    // --- Records, built at completion while the spec is alive ---
+    // Batch ids are never recycled, so an id counts injections and
+    // the first `warmup` of them are skipped.
+    ScenarioResult result;
+    driver.setCompletionCallback([&](os::RequestId id,
+                                     const wl::RequestSpec &spec) {
+        if (static_cast<std::size_t>(id) < cfg.warmup)
+            return;
+        const os::RequestInfo &info = kernel.request(id);
+        RequestRecord rec;
+        rec.id = id;
+        rec.className = spec.className;
+        rec.classId = spec.classId;
+        rec.totals = info.totals;
+        rec.injected = info.injected;
+        rec.completed = info.completed;
+        rec.syscalls = info.syscalls;
+        result.records.push_back(std::move(rec));
+    });
+
     // --- Run ---
     kernel.start();
     if (sampler)
@@ -178,7 +198,6 @@ runScenario(const ScenarioConfig &cfg)
     eq.runUntil(cfg.maxTicks);
 
     // --- Collect ---
-    ScenarioResult result;
     result.wallCycles = eq.now();
     result.kernelStats = kernel.stats();
     if (sampler)
@@ -192,32 +211,20 @@ runScenario(const ScenarioConfig &cfg)
     for (sim::CoreId c = 0; c < machine.numCores(); ++c)
         result.busyCycles += machine.counters(c).snapshot().cycles;
 
-    std::vector<core::Timeline> timelines;
-    if (sampler)
-        timelines = sampler->takeTimelines();
-
-    const auto &ids = driver.requestIds();
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        if (i < cfg.warmup)
-            continue;
-        const os::RequestId id = ids[i];
-        const os::RequestInfo &info = kernel.request(id);
-        if (!info.done)
-            continue;
-
-        RequestRecord rec;
-        rec.id = id;
-        rec.className = info.className;
-        const wl::RequestSpec *spec = driver.specOf(id);
-        rec.classId = spec ? spec->classId : 0;
-        rec.totals = info.totals;
-        rec.injected = info.injected;
-        rec.completed = info.completed;
-        rec.syscalls = info.syscalls;
-        const auto idx = static_cast<std::size_t>(id);
-        if (idx < timelines.size())
-            rec.timeline = std::move(timelines[idx]);
-        result.records.push_back(std::move(rec));
+    // Timelines are taken at the end of the run: a worker's
+    // post-reply periods still land on the request it replied for.
+    std::sort(result.records.begin(), result.records.end(),
+              [](const RequestRecord &a, const RequestRecord &b) {
+                  return a.id < b.id;
+              });
+    if (sampler) {
+        std::vector<core::Timeline> timelines =
+            sampler->takeTimelines();
+        for (RequestRecord &rec : result.records) {
+            const auto idx = static_cast<std::size_t>(rec.id);
+            if (idx < timelines.size())
+                rec.timeline = std::move(timelines[idx]);
+        }
     }
 
     return result;

@@ -58,7 +58,8 @@ struct ScenarioConfig
     /** Completed requests to run (including warmup). */
     std::size_t requests = 300;
 
-    /** Leading completed requests excluded from the records. */
+    /** Requests excluded from the records: the first `warmup`
+     *  injected, whether or not they complete first. */
     std::size_t warmup = 20;
 
     /** Closed-loop users; -1 uses the generator default. */

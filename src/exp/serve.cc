@@ -225,7 +225,7 @@ runServe(const ServeConfig &cfg, std::ostream &out)
                             const core::Timeline &tl) {
         diag::Evidence ev;
         ev.requestId = static_cast<std::int64_t>(id);
-        ev.group = info.className;
+        ev.group = spec.className;
         ev.score = score;
         ev.injected = info.injected;
         ev.completed = info.completed;

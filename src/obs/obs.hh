@@ -237,8 +237,12 @@ struct ThreadState
 
 namespace detail {
 
-/** The calling thread's shard; null when dormant. */
-extern thread_local ThreadState *tl_state;
+/**
+ * The calling thread's shard; null when dormant. `constinit` tells
+ * every includer that the variable needs no dynamic initialization,
+ * so reads skip the TLS init wrapper.
+ */
+extern constinit thread_local ThreadState *tl_state;
 
 /** Outlined emit helpers (called only when tl_state is non-null). */
 void emitSim(char phase, const char *cat, const char *name,

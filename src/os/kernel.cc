@@ -86,7 +86,7 @@ Kernel::start()
 }
 
 RequestId
-Kernel::registerRequest(std::string class_name, const void *spec)
+Kernel::registerRequest()
 {
     RequestInfo info;
     if (!freeSlots.empty()) {
@@ -97,8 +97,6 @@ Kernel::registerRequest(std::string class_name, const void *spec)
         reqs.emplace_back();
     }
     info.seq = numRegistered;
-    info.className = std::move(class_name);
-    info.spec = spec;
     info.injected = now();
     const RequestId id = info.id;
     reqs[static_cast<std::size_t>(id)] = std::move(info);
@@ -184,12 +182,6 @@ Kernel::currentRequest(sim::CoreId core) const
 
 const RequestInfo &
 Kernel::request(RequestId id) const
-{
-    return reqs[id];
-}
-
-RequestInfo &
-Kernel::requestMutable(RequestId id)
 {
     return reqs[id];
 }

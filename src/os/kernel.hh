@@ -114,7 +114,7 @@ class Kernel : public sim::CoreClient
     /** @name External request interface (the load driver) */
     /// @{
     /** Create a request record; returns its id. */
-    RequestId registerRequest(std::string class_name, const void *spec);
+    RequestId registerRequest();
 
     /** Inject a message from outside (network arrival). */
     void post(ChannelId ch, Message msg);
@@ -144,7 +144,6 @@ class Kernel : public sim::CoreClient
     RequestId currentRequest(sim::CoreId core) const;
 
     const RequestInfo &request(RequestId id) const;
-    RequestInfo &requestMutable(RequestId id);
     std::size_t numRequests() const { return reqs.size(); }
     std::size_t completedRequests() const { return numCompleted; }
 

@@ -12,7 +12,6 @@
 #ifndef RBV_OS_REQUEST_HH
 #define RBV_OS_REQUEST_HH
 
-#include <string>
 #include <vector>
 
 #include "os/ids.hh"
@@ -36,12 +35,6 @@ struct RequestInfo
      * this, not the id, so a recycled slot is not condemned forever.
      */
     std::uint64_t seq = 0;
-
-    /** Workload-defined class name (e.g., "tpcc.new_order"). */
-    std::string className;
-
-    /** Workload-defined specification handle. */
-    const void *spec = nullptr;
 
     /** Exact counter totals attributed to this request. */
     sim::CounterSnapshot totals;

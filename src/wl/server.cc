@@ -28,89 +28,94 @@ ServerApp::ServerApp(os::Kernel &kernel,
     }
 }
 
-LoadDriver::LoadDriver(os::Kernel &kernel, ServerApp &app,
-                       Generator &gen, stats::Rng rng, Config cfg)
-    : kernel(kernel), app(app), gen(gen), rng(rng), cfg(cfg)
+RequestDriver::RequestDriver(os::Kernel &kernel, ServerApp &app,
+                             Generator &gen, stats::Rng rng)
+    : kernel(kernel), rng(rng), app(app), gen(gen)
 {
     kernel.setChannelSink(app.replyChannel(),
                           [this](const os::Message &msg) {
                               onReply(msg);
                           });
+}
+
+void
+RequestDriver::inject()
+{
+    auto spec = gen.generate(rng);
+    const os::RequestId id = kernel.registerRequest();
+    os::Message msg;
+    msg.request = id;
+    msg.tag = 0;
+    msg.payload = spec.get();
+    const os::ChannelId first =
+        app.tierChannel(spec->stages.front().tier);
+
+    const auto idx = static_cast<std::size_t>(id);
+    if (liveSpecs.size() <= idx)
+        liveSpecs.resize(idx + 1);
+    liveSpecs[idx] = std::move(spec);
+    ++numInjected;
+    kernel.post(first, msg);
+}
+
+void
+RequestDriver::onReply(const os::Message &msg)
+{
+    kernel.completeRequest(msg.request);
+    ++numCompleted;
+
+    // No worker reads a spec after its reply, so it dies here.
+    const auto idx = static_cast<std::size_t>(msg.request);
+    if (idx < liveSpecs.size() && liveSpecs[idx]) {
+        if (onComplete)
+            onComplete(msg.request, *liveSpecs[idx]);
+        liveSpecs[idx].reset();
+    }
+    afterReply(msg.request);
+}
+
+LoadDriver::LoadDriver(os::Kernel &kernel, ServerApp &app,
+                       Generator &gen, stats::Rng rng, Config cfg)
+    : RequestDriver(kernel, app, gen, rng), cfg(cfg)
+{
 }
 
 void
 LoadDriver::start()
 {
-    const int population =
-        static_cast<int>(std::min<std::size_t>(
-            cfg.concurrency, cfg.targetRequests));
-    for (int u = 0; u < population; ++u) {
-        // Stagger the initial arrivals over roughly one think time.
-        const auto delay = static_cast<sim::Tick>(
-            sim::usToCycles(rng.exponential(cfg.thinkTimeUs)));
-        kernel.eventQueue().scheduleIn(delay + 1, [this] { inject(); });
-    }
+    // Stagger the initial arrivals over roughly one think time.
+    const std::size_t population = std::min<std::size_t>(
+        cfg.concurrency, cfg.targetRequests);
+    for (std::size_t u = 0; u < population; ++u)
+        scheduleUser();
 }
 
 void
-LoadDriver::inject()
+LoadDriver::scheduleUser()
 {
-    if (numInjected >= cfg.targetRequests)
-        return;
-    ++numInjected;
-
-    auto spec = gen.generate(rng);
-    const RequestSpec *raw = spec.get();
-    specs.push_back(std::move(spec));
-
-    const os::RequestId id =
-        kernel.registerRequest(raw->className, raw);
-    ids.push_back(id);
-    if (specByRequest.size() <= static_cast<std::size_t>(id))
-        specByRequest.resize(static_cast<std::size_t>(id) + 1, nullptr);
-    specByRequest[static_cast<std::size_t>(id)] = raw;
-
-    os::Message msg;
-    msg.request = id;
-    msg.tag = 0;
-    msg.payload = raw;
-    kernel.post(app.tierChannel(raw->stages.front().tier), msg);
+    const auto delay = static_cast<sim::Tick>(
+        sim::usToCycles(rng.exponential(cfg.thinkTimeUs)));
+    kernel.eventQueue().scheduleIn(delay + 1, [this] {
+        if (numInjected < cfg.targetRequests)
+            inject();
+    });
 }
 
 void
-LoadDriver::onReply(const os::Message &msg)
+LoadDriver::afterReply(os::RequestId)
 {
-    kernel.completeRequest(msg.request);
-    ++numCompleted;
-
-    if (numCompleted >= cfg.targetRequests) {
+    if (numCompleted >= cfg.targetRequests)
         kernel.eventQueue().requestStop();
-        return;
-    }
-    if (numInjected < cfg.targetRequests) {
-        const auto delay = static_cast<sim::Tick>(
-            sim::usToCycles(rng.exponential(cfg.thinkTimeUs)));
-        kernel.eventQueue().scheduleIn(delay + 1, [this] { inject(); });
-    }
-}
-
-const RequestSpec *
-LoadDriver::specOf(os::RequestId id) const
-{
-    const auto idx = static_cast<std::size_t>(id);
-    return idx < specByRequest.size() ? specByRequest[idx] : nullptr;
+    else if (numInjected < cfg.targetRequests)
+        scheduleUser();
 }
 
 OpenLoopDriver::OpenLoopDriver(os::Kernel &kernel, ServerApp &app,
                                Generator &gen, stats::Rng rng_,
                                Config cfg_)
-    : kernel(kernel), app(app), gen(gen), rng(rng_), cfg(cfg_),
+    : RequestDriver(kernel, app, gen, rng_), cfg(cfg_),
       arrival(cfg.arrival, rng.split())
 {
-    kernel.setChannelSink(app.replyChannel(),
-                          [this](const os::Message &msg) {
-                              onReply(msg);
-                          });
 }
 
 void
@@ -144,70 +149,31 @@ OpenLoopDriver::onArrival()
         maybeStop();
         return;
     }
-
-    auto spec = gen.generate(rng);
-    const RequestSpec *raw = spec.get();
-    const os::RequestId id =
-        kernel.registerRequest(raw->className, raw);
-    const auto idx = static_cast<std::size_t>(id);
-    if (specByRequest.size() <= idx)
-        specByRequest.resize(idx + 1);
-    specByRequest[idx] = std::move(spec);
-    ++numInjected;
-
-    os::Message msg;
-    msg.request = id;
-    msg.tag = 0;
-    msg.payload = raw;
-    kernel.post(app.tierChannel(raw->stages.front().tier), msg);
+    inject();
 }
 
 void
-OpenLoopDriver::onReply(const os::Message &msg)
+OpenLoopDriver::afterReply(os::RequestId id)
 {
-    kernel.completeRequest(msg.request);
-    ++numCompleted;
-
-    const auto idx = static_cast<std::size_t>(msg.request);
-    if (onComplete && idx < specByRequest.size() &&
-        specByRequest[idx] != nullptr)
-        onComplete(msg.request, *specByRequest[idx]);
-
-    // The worker that sent this reply still dereferences the spec in
-    // its post-reply continuation (checking the final stage), so the
-    // spec must outlive the reply. It dies together with the kernel
-    // slot, whose release condition — no core context, no thread
-    // holds the id — is exactly "nothing can touch the spec anymore".
-    kernel.requestMutable(msg.request).spec = nullptr;
-    tryRelease(msg.request);
-
-    // Retry earlier deferred releases: ids pinned by a worker thread
-    // between its reply and its next recv fall quiescent as traffic
-    // moves on, so the pending list stays bounded by the thread count.
+    // Try the replying id first, then retry earlier deferred
+    // releases in order: ids pinned by a worker thread between its
+    // reply and its next recv fall quiescent as traffic moves on, so
+    // the pending list stays bounded by the thread count. The order
+    // fixes which slot a future registerRequest reuses.
+    if (kernel.releaseRequest(id))
+        RBV_COUNT(OsRequestSlotsRecycled, 1);
+    else
+        pendingRelease.push_back(id);
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < pendingRelease.size(); ++i) {
-        const os::RequestId id = pendingRelease[i];
-        if (!kernel.releaseRequest(id)) {
-            pendingRelease[kept++] = id;
-        } else {
-            specByRequest[static_cast<std::size_t>(id)].reset();
+    for (const os::RequestId pending : pendingRelease) {
+        if (kernel.releaseRequest(pending))
             RBV_COUNT(OsRequestSlotsRecycled, 1);
-        }
+        else
+            pendingRelease[kept++] = pending;
     }
     pendingRelease.resize(kept);
 
     maybeStop();
-}
-
-void
-OpenLoopDriver::tryRelease(os::RequestId id)
-{
-    if (kernel.releaseRequest(id)) {
-        specByRequest[static_cast<std::size_t>(id)].reset();
-        RBV_COUNT(OsRequestSlotsRecycled, 1);
-    } else {
-        pendingRelease.push_back(id);
-    }
 }
 
 void

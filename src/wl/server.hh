@@ -45,12 +45,69 @@ class ServerApp
 };
 
 /**
+ * What both load drivers share: each request's spec lives from
+ * generate() to its reply, behind one inject path (generate,
+ * register, post) and one reply path (complete, completion callback,
+ * free the spec). A driver subclass decides only when the next
+ * request is injected and what happens after a reply.
+ */
+class RequestDriver
+{
+  public:
+    /**
+     * Invoked on each completion, after the kernel froze the totals
+     * and before the spec is freed: the last point at which the spec
+     * is valid. kernel.request(id) stays valid until the slot is
+     * recycled (serving mode only).
+     */
+    using CompletionCallback =
+        std::function<void(os::RequestId, const RequestSpec &)>;
+
+    RequestDriver(const RequestDriver &) = delete;
+    RequestDriver &operator=(const RequestDriver &) = delete;
+
+    void
+    setCompletionCallback(CompletionCallback cb)
+    {
+        onComplete = std::move(cb);
+    }
+
+    std::size_t injected() const { return numInjected; }
+    std::size_t completed() const { return numCompleted; }
+
+  protected:
+    RequestDriver(os::Kernel &kernel, ServerApp &app, Generator &gen,
+                  stats::Rng rng);
+    ~RequestDriver() = default;
+
+    /** Generate one request, register it and post its first stage. */
+    void inject();
+
+    /** After a reply is complete and its spec freed. */
+    virtual void afterReply(os::RequestId id) = 0;
+
+    os::Kernel &kernel;
+    stats::Rng rng;
+    std::size_t numInjected = 0;
+    std::size_t numCompleted = 0;
+
+  private:
+    void onReply(const os::Message &msg);
+
+    ServerApp &app;
+    Generator &gen;
+    /** Specs of requests awaiting their reply, by request id. */
+    std::vector<std::unique_ptr<RequestSpec>> liveSpecs;
+    CompletionCallback onComplete;
+};
+
+/**
  * Closed-loop load driver: a fixed population of virtual users, each
  * injecting its next request an exponentially distributed think time
  * after its previous reply. Injection stops after a target number of
  * requests; the event loop is stopped when the last reply arrives.
  */
-class LoadDriver
+class LoadDriver : public RequestDriver
 {
   public:
     struct Config
@@ -66,43 +123,24 @@ class LoadDriver
     /** Inject the initial user population (call after Kernel::start). */
     void start();
 
-    std::size_t completed() const { return numCompleted; }
-    std::size_t injected() const { return numInjected; }
-
-    /** Request spec by request id (nullptr if unknown). */
-    const RequestSpec *specOf(os::RequestId id) const;
-
-    /** All request ids this driver injected, in injection order. */
-    const std::vector<os::RequestId> &requestIds() const { return ids; }
-
   private:
-    void inject();
-    void onReply(const os::Message &msg);
+    /** One user thinks, then injects unless the target is reached. */
+    void scheduleUser();
+    void afterReply(os::RequestId id) override;
 
-    os::Kernel &kernel;
-    ServerApp &app;
-    Generator &gen;
-    stats::Rng rng;
     Config cfg;
-
-    std::vector<std::unique_ptr<RequestSpec>> specs;
-    std::vector<os::RequestId> ids;
-    std::vector<const RequestSpec *> specByRequest;
-    std::size_t numInjected = 0;
-    std::size_t numCompleted = 0;
 };
 
 /**
  * Open-loop load driver: requests arrive on an ArrivalProcess
- * schedule, independent of completions. Unlike the closed-loop
- * driver it retains nothing per request — each spec lives only while
- * its request is outstanding, and completed kernel request slots are
- * recycled (Kernel::releaseRequest) as soon as they fall quiescent —
- * so memory stays flat over arbitrarily long serving runs. Arrivals
- * beyond a configurable outstanding cap are shed, which both models
- * server-side admission control and bounds memory under overload.
+ * schedule, independent of completions. Completed kernel request
+ * slots are recycled (Kernel::releaseRequest) as soon as they fall
+ * quiescent, so memory stays flat over arbitrarily long serving
+ * runs. Arrivals beyond a configurable outstanding cap are shed,
+ * which both models server-side admission control and bounds memory
+ * under overload.
  */
-class OpenLoopDriver
+class OpenLoopDriver : public RequestDriver
 {
   public:
     struct Config
@@ -114,30 +152,14 @@ class OpenLoopDriver
         std::size_t maxOutstanding = 4096;
     };
 
-    /**
-     * Invoked on each completion, after the kernel froze the totals
-     * and before the request slot and spec are recycled: the last
-     * point at which kernel.request(id) and the spec are valid.
-     */
-    using CompletionCallback =
-        std::function<void(os::RequestId, const RequestSpec &)>;
-
     OpenLoopDriver(os::Kernel &kernel, ServerApp &app, Generator &gen,
                    stats::Rng rng, Config cfg);
 
     /** Schedule the first arrival (call after Kernel::start). */
     void start();
 
-    void
-    setCompletionCallback(CompletionCallback cb)
-    {
-        onComplete = std::move(cb);
-    }
-
     /** Arrivals generated (injected + shed). */
     std::size_t arrivals() const { return numArrivals; }
-    std::size_t injected() const { return numInjected; }
-    std::size_t completed() const { return numCompleted; }
     /** Arrivals dropped at the admission cap. */
     std::size_t shed() const { return numShed; }
     std::size_t outstanding() const
@@ -148,25 +170,14 @@ class OpenLoopDriver
   private:
     void scheduleNextArrival();
     void onArrival();
-    void onReply(const os::Message &msg);
-    void tryRelease(os::RequestId id);
+    void afterReply(os::RequestId id) override;
     void maybeStop();
 
-    os::Kernel &kernel;
-    ServerApp &app;
-    Generator &gen;
-    stats::Rng rng;
     Config cfg;
     ArrivalProcess arrival;
-
-    /** Live specs, indexed by (recycled) request id — bounded. */
-    std::vector<std::unique_ptr<RequestSpec>> specByRequest;
     std::vector<os::RequestId> pendingRelease;
-    CompletionCallback onComplete;
 
     std::size_t numArrivals = 0;
-    std::size_t numInjected = 0;
-    std::size_t numCompleted = 0;
     std::size_t numShed = 0;
 };
 

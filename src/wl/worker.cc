@@ -51,7 +51,6 @@ WorkerLogic::onMessage(const os::Message &msg)
     stageIdx = msg.tag;
     segIdx = 0;
     entrySyscallIssued = false;
-    sendIssued = false;
     assert(spec && stageIdx < spec->stages.size());
 }
 
@@ -76,23 +75,19 @@ WorkerLogic::next()
         return os::ActExec{seg.params, seg.instructions};
     }
 
-    if (!sendIssued) {
-        // Stage finished: forward to the next stage's tier, or reply.
-        sendIssued = true;
-        os::Message msg;
-        msg.tag = stageIdx + 1;
-        msg.payload = spec;
-        os::ChannelId dest = replyChannel;
-        if (stageIdx + 1 < spec->stages.size()) {
-            const int tier = spec->stages[stageIdx + 1].tier;
-            dest = tierChannels[tier];
-        }
-        return os::ActSyscall{os::Sys::send, sendArgs(dest, msg)};
+    // Stage finished: forward to the next stage's tier, or reply.
+    // The worker lets go of the spec here, so past the reply nothing
+    // but the load driver holds it.
+    os::Message msg;
+    msg.tag = stageIdx + 1;
+    msg.payload = spec;
+    os::ChannelId dest = replyChannel;
+    if (stageIdx + 1 < spec->stages.size()) {
+        const int tier = spec->stages[stageIdx + 1].tier;
+        dest = tierChannels[tier];
     }
-
-    // Send done; this worker is finished with the request.
     spec = nullptr;
-    return os::ActSyscall{os::Sys::recv, recvArgs(myChannel)};
+    return os::ActSyscall{os::Sys::send, sendArgs(dest, msg)};
 }
 
 } // namespace rbv::wl

@@ -52,7 +52,6 @@ class WorkerLogic : public os::ThreadLogic
     std::size_t stageIdx = 0;
     std::size_t segIdx = 0;
     bool entrySyscallIssued = false;
-    bool sendIssued = false;
 };
 
 } // namespace rbv::wl

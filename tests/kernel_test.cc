@@ -292,8 +292,7 @@ TEST(Kernel, RequestContextPropagatesOverChannel)
     rig.kernel.createThread(proc, std::move(stage1));
     rig.kernel.createThread(proc, std::move(stage2));
 
-    const RequestId req = rig.kernel.registerRequest("test.req",
-                                                     nullptr);
+    const RequestId req = rig.kernel.registerRequest();
     rig.kernel.start();
     Message m;
     m.request = req;
@@ -324,7 +323,7 @@ TEST(Kernel, RequestTotalsFreezeAtCompletion)
     rig.kernel.createThread(rig.kernel.createProcess("p"),
                             std::move(logic));
 
-    const RequestId req = rig.kernel.registerRequest("r", nullptr);
+    const RequestId req = rig.kernel.registerRequest();
     rig.kernel.start();
     Message m;
     m.request = req;
@@ -352,7 +351,7 @@ TEST(Kernel, SyscallSequenceRecordedPerRequest)
     logic->script.push_back(sendAction(reply));
     rig.kernel.createThread(rig.kernel.createProcess("p"),
                             std::move(logic));
-    const RequestId req = rig.kernel.registerRequest("r", nullptr);
+    const RequestId req = rig.kernel.registerRequest();
     rig.kernel.start();
     Message m;
     m.request = req;
@@ -458,7 +457,7 @@ TEST(Kernel, HooksObserveSyscallsAndSwitches)
     logic->script.push_back(sendAction(reply));
     rig.kernel.createThread(rig.kernel.createProcess("p"),
                             std::move(logic));
-    const RequestId req = rig.kernel.registerRequest("r", nullptr);
+    const RequestId req = rig.kernel.registerRequest();
     rig.kernel.start();
     Message m;
     m.request = req;
@@ -472,7 +471,7 @@ TEST(Kernel, HooksObserveSyscallsAndSwitches)
 TEST(Kernel, DoubleCompletionIsANoOp)
 {
     Rig rig(1);
-    const RequestId req = rig.kernel.registerRequest("r", nullptr);
+    const RequestId req = rig.kernel.registerRequest();
     rig.kernel.completeRequest(req);
     EXPECT_TRUE(rig.kernel.request(req).done);
     EXPECT_EQ(rig.kernel.completedRequests(), 1u);

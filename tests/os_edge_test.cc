@@ -256,7 +256,7 @@ TEST(OsEdge, RequestContextClearsWhenCoreIdles)
     l->script.push_back(recvAction(in)); // blocks forever
     rig.kernel.createThread(rig.kernel.createProcess("p"),
                             std::move(l));
-    const RequestId req = rig.kernel.registerRequest("r", nullptr);
+    const RequestId req = rig.kernel.registerRequest();
     rig.kernel.start();
     Message m;
     m.request = req;
@@ -302,7 +302,7 @@ TEST(OsEdge, SyscallSequenceCapRespected)
         l->script.push_back(execAction(1000.0));
     }
     kernel.createThread(kernel.createProcess("p"), std::move(l));
-    const RequestId req = kernel.registerRequest("r", nullptr);
+    const RequestId req = kernel.registerRequest();
     kernel.start();
     Message m;
     m.request = req;

@@ -93,6 +93,8 @@ INSTANTIATE_TEST_SUITE_P(
         FixtureCase{"r2_bad.cc", "src/sim/fixture.cc",
                     "R2-global-state", 3},
         FixtureCase{"r2_good.cc", "src/sim/fixture.cc", nullptr, 0},
+        FixtureCase{"r2_constinit.cc", "src/sim/fixture.cc",
+                    "R2-global-state", 2},
         FixtureCase{"r3_bad.cc", "src/core/fixture.cc", "R3-io", 2},
         FixtureCase{"r3_good.cc", "src/core/fixture.cc", nullptr, 0},
         FixtureCase{"r4_bad_unguarded.hh", "src/sim/fixture.hh",

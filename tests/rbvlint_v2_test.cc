@@ -271,6 +271,15 @@ TEST(R2Reach, FlagsStateReachableFromTheRunner)
     EXPECT_EQ(countRule(vs, "R2-global-state"), 2);
 }
 
+TEST(R2Reach, ConstinitStateStaysMutable)
+{
+    const auto vs = treeLint(
+        makeUnits({{"r2_reach_runner.cc", "src/exp/runner.cc"},
+                   {"r2_constinit.cc", "src/wl/helpers.cc"}}));
+    // The constinit thread_local and the constinit static local.
+    EXPECT_EQ(countRule(vs, "R2-global-state"), 2);
+}
+
 TEST(R2Reach, SilentWithoutAReachableRoot)
 {
     const auto vs = treeLint(

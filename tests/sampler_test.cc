@@ -158,7 +158,7 @@ struct Rig
     startWithRequest(std::unique_ptr<ThreadLogic> logic)
     {
         const ChannelId in = kernel.createChannel();
-        req = kernel.registerRequest("t", nullptr);
+        req = kernel.registerRequest();
         // A tiny shim delivers the request context, then delegates.
         struct Shim : ThreadLogic
         {

@@ -5,6 +5,7 @@
  * the end-to-end serve loop (determinism, shedding, degraded exit).
  */
 
+#include <algorithm>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "fi/plan.hh"
 #include "stats/online.hh"
 #include "stats/rng.hh"
+#include "wl/server.hh"
 
 using namespace rbv;
 
@@ -249,6 +251,65 @@ TEST(ServeLoop, DurationModeRunsWithoutARequestTarget)
     const auto res = exp::runServe(cfg, out);
     EXPECT_GT(res.completed, 100u);
     EXPECT_LT(res.requestSlots, 64u);
+}
+
+TEST(ServeLoop, RecycledSlotsInheritOnePostReplyPeriod)
+{
+    // Pins a known defect (docs/SERVING.md, "Known defect: the
+    // inherited period"). The serving loop takes a request's
+    // timeline at completion, but the replying worker's post-reply
+    // context-switch period still lands on that id afterwards, and
+    // the next request to reuse the slot starts its timeline with
+    // it: a leading period that began before the request was
+    // injected. When the defect is fixed, no completion carries such
+    // a period and this count drops to zero.
+    // Default seed and arrival process (1000 QPS Poisson).
+    exp::ServeConfig cfg;
+    cfg.appName = "micromix";
+    auto gen = exp::makeServeGenerator(cfg.appName);
+
+    sim::EventQueue eq;
+    sim::MachineConfig mc;
+    mc.numCores = cfg.base.numCores;
+    mc.coresPerL2Domain = std::min(2, cfg.base.numCores);
+    sim::Machine machine(mc, eq);
+    os::Kernel kernel(machine);
+    machine.setClient(&kernel);
+
+    wl::ServerApp app(kernel, gen->tiers());
+    wl::OpenLoopDriver::Config dc;
+    dc.arrival = cfg.arrival;
+    dc.targetRequests = 1000;
+    wl::OpenLoopDriver driver(kernel, app, *gen,
+                              stats::Rng(cfg.base.seed), dc);
+    const auto sampler = exp::makeSampler(
+        cfg.base, kernel, gen->defaultSamplingPeriodUs());
+    ASSERT_NE(sampler, nullptr);
+
+    std::size_t inherited = 0; // completions with one such period
+    std::size_t more = 0;      // completions with several
+    driver.setCompletionCallback([&](os::RequestId id,
+                                     const wl::RequestSpec &) {
+        const core::Timeline tl = sampler->takeTimeline(id);
+        const sim::Tick injected = kernel.request(id).injected;
+        std::size_t early = 0;
+        for (const auto &p : tl.periods)
+            early += p.wallStart < injected ? 1 : 0;
+        inherited += early == 1 ? 1 : 0;
+        more += early > 1 ? 1 : 0;
+        if (early > 0) {
+            EXPECT_LT(tl.periods.front().wallStart, injected);
+        }
+    });
+
+    kernel.start();
+    sampler->start();
+    driver.start();
+    eq.runUntil(cfg.base.maxTicks);
+
+    EXPECT_EQ(driver.completed(), 1000u);
+    EXPECT_EQ(inherited, 989u);
+    EXPECT_EQ(more, 0u);
 }
 
 TEST(ServeGenerator, ResolvesCatalogueAppsAndMicromix)

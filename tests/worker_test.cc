@@ -127,8 +127,10 @@ TEST(LoadDriver, AllStagesExecuteAndAttribute)
     driver.start();
     rig.eq.runUntil(sim::msToCycles(500.0));
 
-    for (os::RequestId id : driver.requestIds()) {
-        const auto &info = rig.kernel.request(id);
+    ASSERT_EQ(rig.kernel.numRequests(), 5u);
+    for (std::size_t id = 0; id < rig.kernel.numRequests(); ++id) {
+        const auto &info =
+            rig.kernel.request(static_cast<os::RequestId>(id));
         ASSERT_TRUE(info.done);
         // 10000 + 20000 + 5000 user instructions plus kernel costs.
         EXPECT_GT(info.totals.instructions, 35000.0);
@@ -146,7 +148,7 @@ TEST(LoadDriver, AllStagesExecuteAndAttribute)
     }
 }
 
-TEST(LoadDriver, SpecLookupByRequestId)
+TEST(LoadDriver, CompletionCallbackSeesEachRequestOnce)
 {
     Rig rig;
     TwoTierGen gen;
@@ -155,16 +157,24 @@ TEST(LoadDriver, SpecLookupByRequestId)
     dc.concurrency = 2;
     dc.targetRequests = 6;
     LoadDriver driver(rig.kernel, app, gen, stats::Rng(3), dc);
+    std::vector<int> seen(6, 0);
+    driver.setCompletionCallback(
+        [&](os::RequestId id, const RequestSpec &spec) {
+            ASSERT_GE(id, 0);
+            ASSERT_LT(id, 6);
+            ++seen[static_cast<std::size_t>(id)];
+            // The kernel froze the record before the callback, and
+            // the spec is still alive until it returns.
+            EXPECT_TRUE(rig.kernel.request(id).done);
+            EXPECT_EQ(spec.className, "twotier.req");
+        });
     rig.kernel.start();
     driver.start();
     rig.eq.runUntil(sim::msToCycles(500.0));
 
-    for (os::RequestId id : driver.requestIds()) {
-        const RequestSpec *spec = driver.specOf(id);
-        ASSERT_NE(spec, nullptr);
-        EXPECT_EQ(spec->className, "twotier.req");
-    }
-    EXPECT_EQ(driver.specOf(9999), nullptr);
+    EXPECT_EQ(driver.completed(), 6u);
+    for (int n : seen)
+        EXPECT_EQ(n, 1);
 }
 
 TEST(LoadDriver, ConcurrencyBoundsInFlightRequests)
@@ -183,11 +193,11 @@ TEST(LoadDriver, ConcurrencyBoundsInFlightRequests)
     driver.start();
     rig.eq.runUntil(sim::msToCycles(500.0));
 
-    const auto &ids = driver.requestIds();
-    ASSERT_EQ(ids.size(), 4u);
-    for (std::size_t i = 1; i < ids.size(); ++i) {
-        EXPECT_GE(rig.kernel.request(ids[i]).injected,
-                  rig.kernel.request(ids[i - 1]).completed);
+    ASSERT_EQ(rig.kernel.numRequests(), 4u);
+    for (std::size_t id = 1; id < rig.kernel.numRequests(); ++id) {
+        const auto cur = static_cast<os::RequestId>(id);
+        EXPECT_GE(rig.kernel.request(cur).injected,
+                  rig.kernel.request(cur - 1).completed);
     }
 }
 
@@ -243,6 +253,34 @@ TEST(WorkerLogic, ExecutesStageThenForwards)
     auto a5 = w.next();
     ASSERT_TRUE(std::holds_alternative<os::ActSyscall>(a5));
     EXPECT_EQ(std::get<os::ActSyscall>(a5).id, os::Sys::recv);
+}
+
+TEST(WorkerLogic, LetsGoOfTheSpecAtTheSend)
+{
+    // Past its send a worker never reads the spec again, so the load
+    // driver may free the spec as soon as the reply arrives. A
+    // segment appended after the send must not be executed.
+    RequestSpec spec;
+    StageSpec st;
+    st.tier = 0;
+    st.segments.push_back(seg(1000, 1.0, 0.0, 0.0, 0.0));
+    spec.stages.push_back(st);
+
+    WorkerLogic w(7, {7, 8}, 9);
+    os::Message msg;
+    msg.tag = 0;
+    msg.payload = &spec;
+    w.onMessage(msg);
+
+    ASSERT_TRUE(std::holds_alternative<os::ActExec>(w.next()));
+    const auto send = w.next();
+    ASSERT_TRUE(std::holds_alternative<os::ActSyscall>(send));
+    EXPECT_EQ(std::get<os::ActSyscall>(send).id, os::Sys::send);
+
+    spec.stages[0].segments.push_back(seg(5000, 1.0, 0.0, 0.0, 0.0));
+    const auto after = w.next();
+    ASSERT_TRUE(std::holds_alternative<os::ActSyscall>(after));
+    EXPECT_EQ(std::get<os::ActSyscall>(after).id, os::Sys::recv);
 }
 
 TEST(WorkerLogic, MiddleStageForwardsToNextTier)

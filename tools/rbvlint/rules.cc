@@ -522,9 +522,10 @@ class Linter
     void
     checkState(const std::vector<Token> &stmt, char term)
     {
+        // `constinit` fixes how a variable is initialised, not
+        // whether it can change, so it does not count here.
         const bool immutable = stmtContains(stmt, "const") ||
-                               stmtContains(stmt, "constexpr") ||
-                               stmtContains(stmt, "constinit");
+                               stmtContains(stmt, "constexpr");
 
         for (const auto &t : stmt) {
             if (t.text != "static")
