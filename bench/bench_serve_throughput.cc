@@ -17,6 +17,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "exp/cli.hh"
 #include "exp/serve.hh"
@@ -105,6 +106,8 @@ emitJson(const std::string &path, const Measurement &m)
     out << std::fixed << std::setprecision(1);
     out << "{\n"
         << "  \"bench\": \"serve\",\n"
+        << "  \"host_cpus\": " << std::thread::hardware_concurrency()
+        << ",\n"
         << "  \"app\": \"micromix\",\n"
         << "  \"requests\": " << m.requests << ",\n"
         << "  \"wall_s\": " << m.wallSec << ",\n"

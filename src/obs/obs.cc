@@ -29,6 +29,8 @@ counterName(Counter c)
         return "sim.events_fired";
       case Counter::SimEventsCancelled:
         return "sim.events_cancelled";
+      case Counter::SimEventsRescheduled:
+        return "sim.events_rescheduled";
       case Counter::SimWaterFills:
         return "sim.water_fills";
       case Counter::OsSyscalls:

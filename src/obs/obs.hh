@@ -68,6 +68,7 @@ enum class Counter : std::uint16_t
     SimEventsScheduled,
     SimEventsFired,
     SimEventsCancelled,
+    SimEventsRescheduled,
     SimWaterFills,
     OsSyscalls,
     OsContextSwitches,

@@ -547,10 +547,11 @@ void
 Kernel::resetQuantum(sim::CoreId core)
 {
     CoreSched &cs = coreSched[core];
-    if (cs.quantumEv != sim::InvalidEventId)
-        eventQueue().cancel(cs.quantumEv);
-    cs.quantumEv = eventQueue().scheduleIn(
-        sched->quantum(), [this, core] { quantumFired(core); });
+    const sim::Tick when = eventQueue().now() + sched->quantum();
+    if (!eventQueue().reschedule(cs.quantumEv, when)) {
+        cs.quantumEv = eventQueue().schedule(
+            when, [this, core] { quantumFired(core); });
+    }
 }
 
 void

@@ -20,7 +20,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <vector>
+#include <cstdint>
+#include <span>
 
 namespace rbv::sim {
 
@@ -102,14 +103,20 @@ struct SavedFootprint
  * capacity is redistributed among the uncapped runners, iterating to
  * a fixed point (at most n rounds).
  *
+ * The caller owns all storage, so a call allocates nothing. All four
+ * spans must have the same length.
+ *
  * @param capacity     Domain capacity in bytes.
  * @param weights      Demand weight per runner (>= 0).
  * @param working_sets Working set per runner (0 = insensitive).
- * @return Target occupancy per runner, summing to <= capacity.
+ * @param targets      Out: target occupancy per runner, summing to
+ *                     <= capacity.
+ * @param capped       Scratch: one cap flag per runner.
  */
-std::vector<double> waterFillTargets(
-    double capacity, const std::vector<double> &weights,
-    const std::vector<double> &working_sets);
+void waterFillTargets(double capacity, std::span<const double> weights,
+                      std::span<const double> working_sets,
+                      std::span<double> targets,
+                      std::span<std::uint8_t> capped);
 
 /**
  * Advance a running thread's occupancy over a window of @p dt cycles.

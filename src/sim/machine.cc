@@ -5,7 +5,9 @@
 
 #include "sim/machine.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "core/check.hh"
 
@@ -39,6 +41,11 @@ Machine::Machine(const MachineConfig &cfg, EventQueue &eq,
     const int domains =
         (cfg.numCores + cfg.coresPerL2Domain - 1) / cfg.coresPerL2Domain;
     domainInsertion.assign(domains, 0.0);
+    fillRunners.resize(cfg.numCores);
+    fillWeights.resize(cfg.numCores);
+    fillWsets.resize(cfg.numCores);
+    fillTargets.resize(cfg.numCores);
+    fillCapped.resize(cfg.numCores);
 
     if (cfg.modelRefreshIntervalCycles > 0) {
         eq.scheduleIn(cfg.modelRefreshIntervalCycles, [this] {
@@ -149,22 +156,28 @@ Machine::recomputeRates()
     // water-filling, with demand approximated by each runner's L2
     // reference pressure (references per cycle at its current CPI).
     for (int d = 0; d < num_domains; ++d) {
-        std::vector<CoreId> runners;
-        std::vector<double> weights, wsets;
-        for (CoreId i = 0; i < cfg.numCores; ++i) {
-            if (domainOf(i) != d || !cores[i].busy)
-                continue;
-            runners.push_back(i);
+        const CoreId first = d * cfg.coresPerL2Domain;
+        const CoreId end =
+            std::min(first + cfg.coresPerL2Domain, cfg.numCores);
+        std::size_t n = 0;
+        for (CoreId i = first; i < end; ++i) {
             const auto &c = cores[i];
+            if (!c.busy)
+                continue;
             const double cpi = c.effCpi > 0.0 ? c.effCpi
                                               : c.params.baseCpi;
-            weights.push_back(c.params.refsPerIns / cpi);
-            wsets.push_back(c.params.curve.workingSetBytes);
+            fillRunners[n] = i;
+            fillWeights[n] = c.params.refsPerIns / cpi;
+            fillWsets[n] = c.params.curve.workingSetBytes;
+            ++n;
         }
-        const auto targets =
-            waterFillTargets(cfg.l2CapacityBytes, weights, wsets);
-        for (std::size_t k = 0; k < runners.size(); ++k)
-            cores[runners[k]].targetOcc = targets[k];
+        waterFillTargets(cfg.l2CapacityBytes,
+                         std::span(fillWeights).first(n),
+                         std::span(fillWsets).first(n),
+                         std::span(fillTargets).first(n),
+                         std::span(fillCapped).first(n));
+        for (std::size_t k = 0; k < n; ++k)
+            cores[fillRunners[k]].targetOcc = fillTargets[k];
     }
 
     // Pass 2: miss ratios from current occupancies.
@@ -236,17 +249,12 @@ Machine::recomputeRates()
 void
 Machine::scheduleBoundaries()
 {
+    // Each core's boundary, then its timer: re-key a pending event,
+    // schedule one if none is pending, and cancel one no longer
+    // wanted. Sequence numbers are drawn in the order cancelling and
+    // rescheduling every event would draw them.
     for (CoreId i = 0; i < cfg.numCores; ++i) {
         auto &c = cores[i];
-
-        if (c.boundaryEv != InvalidEventId) {
-            eq.cancel(c.boundaryEv);
-            c.boundaryEv = InvalidEventId;
-        }
-        if (c.timerEv != InvalidEventId) {
-            eq.cancel(c.timerEv);
-            c.timerEv = InvalidEventId;
-        }
 
         const double fixed = fixedCyclesPending(c);
         double completion = -1.0; // cycles until busy work retires
@@ -260,28 +268,33 @@ Machine::scheduleBoundaries()
         if (completion >= 0.0) {
             const Tick when =
                 eq.now() + static_cast<Tick>(std::ceil(completion));
-            c.boundaryEv = eq.schedule(when, [this, i] {
-                boundaryFired(i);
-            });
+            if (!eq.reschedule(c.boundaryEv, when)) {
+                c.boundaryEv = eq.schedule(when, [this, i] {
+                    boundaryFired(i);
+                });
+            }
+        } else if (c.boundaryEv != InvalidEventId) {
+            eq.cancel(c.boundaryEv);
+            c.boundaryEv = InvalidEventId;
         }
 
-        if (c.timerArmed) {
-            // The timer counts non-halt cycles; while the core stays
-            // busy they track wall time 1:1. If the timer would fire
-            // after the next boundary, the boundary's rescheduling
-            // pass re-examines it.
-            const double busy_horizon = completion >= 0.0
-                                            ? completion
-                                            : 0.0;
-            if (c.timerRemaining <= busy_horizon ||
-                (c.busy && completion < 0.0)) {
-                const Tick when =
-                    eq.now() +
-                    static_cast<Tick>(std::ceil(c.timerRemaining));
+        // The timer counts non-halt cycles; while the core stays busy
+        // they track wall time 1:1. If the timer would fire after the
+        // next boundary, the boundary's rescheduling pass re-examines
+        // it.
+        const double busy_horizon = completion >= 0.0 ? completion : 0.0;
+        if (c.timerArmed && (c.timerRemaining <= busy_horizon ||
+                             (c.busy && completion < 0.0))) {
+            const Tick when =
+                eq.now() + static_cast<Tick>(std::ceil(c.timerRemaining));
+            if (!eq.reschedule(c.timerEv, when)) {
                 c.timerEv = eq.schedule(when, [this, i] {
                     timerFired(i);
                 });
             }
+        } else if (c.timerEv != InvalidEventId) {
+            eq.cancel(c.timerEv);
+            c.timerEv = InvalidEventId;
         }
     }
 }

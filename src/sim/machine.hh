@@ -27,6 +27,7 @@
 #ifndef RBV_SIM_MACHINE_HH
 #define RBV_SIM_MACHINE_HH
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -226,6 +227,12 @@ class Machine
 
     std::vector<CoreState> cores;
     std::vector<double> domainInsertion; ///< Bytes per L2 domain.
+
+    // recomputeRates' water-fill scratch for one domain's runners,
+    // sized to numCores once so the rate model allocates nothing.
+    std::vector<CoreId> fillRunners;
+    std::vector<double> fillWeights, fillWsets, fillTargets;
+    std::vector<std::uint8_t> fillCapped;
     MemoryModel memory;
     double memLatency;
 

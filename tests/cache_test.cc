@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "sim/cache.hh"
 #include "sim/memory.hh"
 #include "stats/rng.hh"
@@ -13,6 +16,17 @@ using namespace rbv::sim;
 
 namespace {
 constexpr double MiB = 1024.0 * 1024.0;
+
+/** Water-fill into local target and cap-flag arrays. */
+std::vector<double>
+waterFill(double capacity, const std::vector<double> &weights,
+     const std::vector<double> &working_sets)
+{
+    std::vector<double> targets(weights.size());
+    std::vector<std::uint8_t> capped(weights.size());
+    waterFillTargets(capacity, weights, working_sets, targets, capped);
+    return targets;
+}
 } // namespace
 
 // ------------------------------------------------------------ MissCurve
@@ -102,21 +116,21 @@ TEST(SavedFootprint, NegativeIntegralDeltaTreatedAsZero)
 
 TEST(WaterFill, SingleRunnerGetsItsWorkingSet)
 {
-    const auto t = waterFillTargets(4 * MiB, {1.0}, {1 * MiB});
+    const auto t = waterFill(4 * MiB, {1.0}, {1 * MiB});
     ASSERT_EQ(t.size(), 1u);
     EXPECT_DOUBLE_EQ(t[0], 1 * MiB);
 }
 
 TEST(WaterFill, SingleLargeRunnerCappedByCapacity)
 {
-    const auto t = waterFillTargets(4 * MiB, {1.0}, {16 * MiB});
+    const auto t = waterFill(4 * MiB, {1.0}, {16 * MiB});
     EXPECT_DOUBLE_EQ(t[0], 4 * MiB);
 }
 
 TEST(WaterFill, EqualWeightsSplitEvenly)
 {
     const auto t =
-        waterFillTargets(4 * MiB, {1.0, 1.0}, {8 * MiB, 8 * MiB});
+        waterFill(4 * MiB, {1.0, 1.0}, {8 * MiB, 8 * MiB});
     EXPECT_DOUBLE_EQ(t[0], 2 * MiB);
     EXPECT_DOUBLE_EQ(t[1], 2 * MiB);
 }
@@ -124,7 +138,7 @@ TEST(WaterFill, EqualWeightsSplitEvenly)
 TEST(WaterFill, SmallWorkingSetLeavesRoomForOther)
 {
     const auto t =
-        waterFillTargets(4 * MiB, {1.0, 1.0}, {1 * MiB, 8 * MiB});
+        waterFill(4 * MiB, {1.0, 1.0}, {1 * MiB, 8 * MiB});
     EXPECT_DOUBLE_EQ(t[0], 1 * MiB);
     EXPECT_DOUBLE_EQ(t[1], 3 * MiB);
 }
@@ -132,7 +146,7 @@ TEST(WaterFill, SmallWorkingSetLeavesRoomForOther)
 TEST(WaterFill, WeightsBiasShares)
 {
     const auto t =
-        waterFillTargets(4 * MiB, {3.0, 1.0}, {8 * MiB, 8 * MiB});
+        waterFill(4 * MiB, {3.0, 1.0}, {8 * MiB, 8 * MiB});
     EXPECT_DOUBLE_EQ(t[0], 3 * MiB);
     EXPECT_DOUBLE_EQ(t[1], 1 * MiB);
 }
@@ -140,14 +154,14 @@ TEST(WaterFill, WeightsBiasShares)
 TEST(WaterFill, ZeroWeightRunnersShareLeftoverEvenly)
 {
     const auto t =
-        waterFillTargets(4 * MiB, {0.0, 0.0}, {8 * MiB, 8 * MiB});
+        waterFill(4 * MiB, {0.0, 0.0}, {8 * MiB, 8 * MiB});
     EXPECT_DOUBLE_EQ(t[0], 2 * MiB);
     EXPECT_DOUBLE_EQ(t[1], 2 * MiB);
 }
 
 TEST(WaterFill, EmptyInput)
 {
-    EXPECT_TRUE(waterFillTargets(4 * MiB, {}, {}).empty());
+    EXPECT_TRUE(waterFill(4 * MiB, {}, {}).empty());
 }
 
 TEST(WaterFill, TargetsNeverExceedCapacity)
@@ -160,7 +174,7 @@ TEST(WaterFill, TargetsNeverExceedCapacity)
             w.push_back(rng.uniform(0.0, 2.0));
             ws.push_back(rng.uniform(0.0, 10.0) * MiB);
         }
-        const auto t = waterFillTargets(4 * MiB, w, ws);
+        const auto t = waterFill(4 * MiB, w, ws);
         double sum = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
             EXPECT_GE(t[i], -1e-6);

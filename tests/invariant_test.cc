@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/check.hh"
 #include "core/model/anomaly.hh"
 #include "core/model/kmedoids.hh"
@@ -228,6 +230,17 @@ TEST(CheckTripDeath, ScheduleIntoThePastAborts)
                  "RBV_CHECK failed.*scheduled into the past");
 }
 
+TEST(CheckTripDeath, RescheduleIntoThePastAborts)
+{
+    sim::EventQueue eq;
+    eq.schedule(100, [] {});
+    const sim::EventId later = eq.schedule(200, [] {});
+    ASSERT_TRUE(eq.runOne());
+    EXPECT_DEATH(eq.reschedule(later, 50),
+                 "RBV_CHECK failed.*rescheduled into the past");
+    EXPECT_TRUE(eq.reschedule(later, 100));
+}
+
 TEST(CheckTripDeath, RunUntilBackwardsAborts)
 {
     sim::EventQueue eq;
@@ -270,9 +283,17 @@ TEST(CheckTripDeath, InvalidCoreAndCpiAbort)
 
 TEST(CheckTripDeath, WaterFillArityMismatchAborts)
 {
-    EXPECT_DEATH(
-        sim::waterFillTargets(1024.0, {1.0, 2.0}, {512.0}),
-        "RBV_CHECK failed.*arity mismatch");
+    const double weights[] = {1.0, 2.0};
+    const double working_sets[] = {512.0};
+    double targets[2];
+    std::uint8_t capped[2];
+    EXPECT_DEATH(sim::waterFillTargets(1024.0, weights, working_sets,
+                                       targets, capped),
+                 "RBV_CHECK failed.*arity mismatch");
+    double one_target[1];
+    EXPECT_DEATH(sim::waterFillTargets(1024.0, weights, weights,
+                                       one_target, capped),
+                 "RBV_CHECK failed.*arity mismatch");
 }
 
 TEST(CheckTripDeath, KernelDoubleStartAborts)

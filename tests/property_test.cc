@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "core/model/distance.hh"
 #include "sim/cache.hh"
@@ -175,15 +177,18 @@ TEST_P(WaterFillSweep, SharesShrinkWithMoreRunners)
 {
     const int n = GetParam();
     const double cap = 4.0 * 1024 * 1024;
-    std::vector<double> w(n, 1.0), ws(n, 16.0 * 1024 * 1024);
-    const auto t = sim::waterFillTargets(cap, w, ws);
+    std::vector<double> w(n, 1.0), ws(n, 16.0 * 1024 * 1024), t(n);
+    std::vector<std::uint8_t> capped(n);
+    sim::waterFillTargets(cap, w, ws, t, capped);
     for (double share : t)
         EXPECT_NEAR(share, cap / n, 1.0);
 
     if (n > 1) {
-        std::vector<double> w1(n - 1, 1.0),
-            ws1(n - 1, 16.0 * 1024 * 1024);
-        const auto t1 = sim::waterFillTargets(cap, w1, ws1);
+        const std::span<const double> w1(w.data(), n - 1),
+            ws1(ws.data(), n - 1);
+        std::vector<double> t1(n - 1);
+        sim::waterFillTargets(cap, w1, ws1, t1,
+                              std::span(capped).first(n - 1));
         EXPECT_GT(t1[0], t[0]);
     }
 }
