@@ -15,6 +15,7 @@
  * unresolved).
  */
 
+#include <cmath>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -83,6 +84,26 @@ main(int argc, char **argv)
                       << ": a cluster run injects node-* and link-* "
                          "faults only\n";
             return 2;
+        }
+        // A node outside the topology would log an injection that
+        // never happens. node=-1 means every link of a link fault.
+        const int nodes = cfg.topo.totalNodes();
+        for (const fi::FaultSpec &fs : plan.specs()) {
+            const bool link = fs.kind == fi::FaultKind::LinkDrop ||
+                              fs.kind == fi::FaultKind::LinkDelay;
+            for (const auto &[key, value] : fs.params) {
+                if (key != "node" && key != "a" && key != "b")
+                    continue;
+                const double n = fs.param(key, 0.0);
+                if ((link && n == -1.0) ||
+                    (n >= 0.0 && n < nodes && n == std::floor(n)))
+                    continue;
+                std::cerr << argv[0] << ": bad --faults plan: "
+                          << fi::faultName(fs.kind) << " " << key << "="
+                          << value << " is not a node of the " << nodes
+                          << "-node topology\n";
+                return 2;
+            }
         }
         cfg.faults = plan;
     }

@@ -10,6 +10,12 @@
  * under its original global identity with per-node counter
  * accounting conserved.
  *
+ * The report reads everything from the Topology: the one record of
+ * the chosen request (`request`), each node's share of it
+ * (`nodeTotals`: the node kernel's record, frozen when the request
+ * resolved) and its cross-machine timeline, merged from one sampler
+ * per node (`mergedTimeline`).
+ *
  * All output is simulation-deterministic: rerunning prints
  * byte-identical text.
  *
@@ -63,14 +69,13 @@ main(int argc, char **argv)
 
     // One sampler per machine (the paper's OS-level tracking runs
     // independently on every node).
-    Cluster &cluster = topo.cluster();
     core::SamplerConfig sc;
     sc.periodUs = 20.0;
     std::vector<std::optional<core::InterruptSampler>> samplers(
-        static_cast<std::size_t>(cluster.numNodes()));
-    for (NodeId n = 0; n < cluster.numNodes(); ++n)
-        samplers[static_cast<std::size_t>(n)].emplace(
-            cluster.kernel(n), sc);
+        static_cast<std::size_t>(topo.numNodes()));
+    for (NodeId n = 0; n < topo.numNodes(); ++n)
+        samplers[static_cast<std::size_t>(n)].emplace(topo.kernel(n),
+                                                      sc);
 
     topo.start();
     for (auto &s : samplers)
@@ -121,25 +126,24 @@ main(int argc, char **argv)
     // Per-node accounting of a request that failed over: an even id
     // arriving after the crash first targets dead frontend/0
     // (replica = id % 2), times out, and retries on frontend/1 —
-    // same global id, counters conserved across the failover.
+    // same global id, counters conserved across the failover. A
+    // node's share reads zero until the request resolves.
     GlobalRequestId pick = -1;
     for (GlobalRequestId g = 0;
          g < static_cast<GlobalRequestId>(requests); ++g) {
-        const auto &info = cluster.request(g);
-        if (g % 2 == 0 && info.done &&
-            info.perNode[0].instructions < 1.0 &&
-            info.perNode[1].instructions > 1.0)
+        if (g % 2 == 0 && topo.nodeTotals(g, 0).instructions < 1.0 &&
+            topo.nodeTotals(g, 1).instructions > 1.0)
             pick = g;
     }
     if (pick < 0)
         pick = requests / 2; // no failover happened; still report
-    const auto &info = cluster.request(pick);
+    const auto &info = topo.request(pick);
     std::cout << "request " << pick
               << " (failed over to the surviving replica):\n";
     stats::Table tacc({"node", "instructions", "cycles", "CPI"});
-    for (NodeId n = 0; n < cluster.numNodes(); ++n) {
-        const auto &c = info.perNode[static_cast<std::size_t>(n)];
-        tacc.addRow({cluster.nodeName(n),
+    for (NodeId n = 0; n < topo.numNodes(); ++n) {
+        const sim::CounterSnapshot c = topo.nodeTotals(pick, n);
+        tacc.addRow({topo.nodeName(n),
                      stats::Table::fmt(c.instructions, 0),
                      stats::Table::fmt(c.cycles, 0),
                      stats::Table::fmt(
@@ -149,7 +153,7 @@ main(int argc, char **argv)
     std::cout << "end-to-end latency "
               << stats::Table::fmt(
                      sim::cyclesToUs(static_cast<double>(
-                         info.completed - info.injected)),
+                         info.resolved - info.injected)),
                      0)
               << " us\n\n";
 
@@ -159,7 +163,7 @@ main(int argc, char **argv)
     std::vector<const core::Sampler *> views;
     for (const auto &smp : samplers)
         views.push_back(&*smp);
-    const auto merged = cluster.mergedTimeline(pick, views);
+    const auto merged = topo.mergedTimeline(pick, views);
     std::cout << "merged timeline (" << merged.periods.size()
               << " periods across the serving nodes):\n";
     stats::Table tl({"wall (us)", "instructions", "CPI"});

@@ -6,7 +6,6 @@
 
 #include "dist/faults.hh"
 
-#include "dist/topology.hh"
 #include "obs/obs.hh"
 #include "os/faults.hh"
 
@@ -34,10 +33,9 @@ struct ClusterFaultSession::NodeAdapter final : os::KernelFaults
     }
 
     os::DeliveryFault
-    messageDelivery(os::ChannelId channel,
-                    const os::Message &msg) override
+    messageDelivery(os::ChannelId, const os::Message &msg) override
     {
-        return session->onDelivery(node, channel, msg);
+        return session->onDelivery(node, msg);
     }
 };
 
@@ -103,34 +101,31 @@ ClusterFaultSession::ClusterFaultSession(const fi::FaultPlan &plan,
 ClusterFaultSession::~ClusterFaultSession() = default;
 
 void
-ClusterFaultSession::attach(Topology &topo)
+ClusterFaultSession::attach(Topology &t)
 {
-    cl = &topo.cluster();
-    eq = &topo.eventQueue();
-    for (const auto &[node, ch] : topo.linkEndpoints())
-        links.insert({node, ch});
-
+    topo = &t;
     adapters.clear();
-    for (NodeId n = 0; n < cl->numNodes(); ++n) {
+    for (NodeId n = 0; n < topo->numNodes(); ++n) {
         adapters.push_back(std::make_unique<NodeAdapter>(this, n));
-        cl->kernel(n).setFaults(adapters.back().get());
+        topo->kernel(n).setFaults(adapters.back().get());
     }
 
     // Arm the timed windows: one log record at each window start
     // marks the injection itself (per-delivery drops log their own
     // victims as they happen).
+    sim::EventQueue &eq = topo->eventQueue();
     for (const auto &w : crashes) {
-        eq->scheduleIn(w.at, [this, w] {
+        eq.scheduleIn(w.at, [this, w] {
             record(fi::FaultKind::NodeCrash, w.node, 1.0, -1);
         });
     }
     for (const auto &w : degrades) {
-        eq->scheduleIn(w.from, [this, w] {
+        eq.scheduleIn(w.from, [this, w] {
             record(fi::FaultKind::NodeDegrade, w.node, w.mult, -1);
         });
     }
     for (const auto &w : partitions) {
-        eq->scheduleIn(w.from, [this, w] {
+        eq.scheduleIn(w.from, [this, w] {
             record(fi::FaultKind::LinkPartition, w.a,
                    static_cast<double>(w.b), -1);
         });
@@ -146,7 +141,7 @@ ClusterFaultSession::formatLog() const
 sim::Tick
 ClusterFaultSession::now() const
 {
-    return eq != nullptr ? eq->now() : 0;
+    return topo != nullptr ? topo->eventQueue().now() : 0;
 }
 
 bool
@@ -156,13 +151,6 @@ ClusterFaultSession::nodeDead(NodeId node, sim::Tick t) const
         if (w.node == node && t >= w.at)
             return true;
     return false;
-}
-
-bool
-ClusterFaultSession::isLinkChannel(NodeId node,
-                                   os::ChannelId channel) const
-{
-    return links.count({node, channel}) != 0;
 }
 
 void
@@ -191,8 +179,7 @@ ClusterFaultSession::execMultiplierFor(NodeId node) const
 }
 
 os::DeliveryFault
-ClusterFaultSession::onDelivery(NodeId node, os::ChannelId channel,
-                                const os::Message &msg)
+ClusterFaultSession::onDelivery(NodeId node, const os::Message &msg)
 {
     const sim::Tick t = now();
 
@@ -201,14 +188,11 @@ ClusterFaultSession::onDelivery(NodeId node, os::ChannelId channel,
     // the ground-truth join.
     if (nodeDead(node, t)) {
         record(fi::FaultKind::NodeCrash, node, 1.0,
-               cl->globalIdOf(node, msg.request));
+               topo->globalIdOf(node, msg.request));
         return os::DeliveryFault{true, 0.0};
     }
 
-    // Everything below is network behavior: only link channels.
-    if (!isLinkChannel(node, channel))
-        return {};
-
+    // Every delivery is link traffic: a node has only ingress/reply channels.
     const NodeId peer = tagPeer(msg.tag);
     for (const auto &w : partitions) {
         if (t < w.from || t >= w.until)
@@ -218,7 +202,7 @@ ClusterFaultSession::onDelivery(NodeId node, os::ChannelId channel,
         if (match) {
             record(fi::FaultKind::LinkPartition, node,
                    static_cast<double>(peer),
-                   cl->globalIdOf(node, msg.request));
+                   topo->globalIdOf(node, msg.request));
             return os::DeliveryFault{true, 0.0};
         }
     }
@@ -231,7 +215,7 @@ ClusterFaultSession::onDelivery(NodeId node, os::ChannelId channel,
             continue;
         if (fi::unitIntervalHash(seed, 0xd70bu, seq) < r.p) {
             record(fi::FaultKind::LinkDrop, node, 1.0,
-                   cl->globalIdOf(node, msg.request));
+                   topo->globalIdOf(node, msg.request));
             return os::DeliveryFault{true, 0.0};
         }
     }
@@ -240,7 +224,7 @@ ClusterFaultSession::onDelivery(NodeId node, os::ChannelId channel,
             continue;
         if (fi::unitIntervalHash(seed, 0xde1a4u, seq) < r.p) {
             record(fi::FaultKind::LinkDelay, node, r.addUs,
-                   cl->globalIdOf(node, msg.request));
+                   topo->globalIdOf(node, msg.request));
             return os::DeliveryFault{
                 false, static_cast<double>(sim::usToCycles(r.addUs))};
         }

@@ -5,13 +5,14 @@
  * `--faults` plan grammar as the single-machine injectors (fi/).
  *
  * A ClusterFaultSession installs one os::KernelFaults adapter per
- * node and intercepts every message delivery on the topology's link
- * channels (tier ingress and reply channels — both directions of a
- * link cross one of them). Fault decisions are stateless lotteries
- * over (seed, kind, delivery sequence), so the injection log is a
- * deterministic artifact of (plan, seed): byte-identical across
- * reruns and `--jobs` levels, and usable as ground truth (each
- * dropped delivery records the victim global request id).
+ * node and intercepts every message delivery: a topology's nodes
+ * have only link channels (tier ingress and reply channels — both
+ * directions of a link cross one of them). Fault decisions are
+ * stateless lotteries over (seed, kind, delivery sequence), so the
+ * injection log is a deterministic artifact of (plan, seed):
+ * byte-identical across reruns and `--jobs` levels, and usable as
+ * ground truth (each dropped delivery records the victim global
+ * request id).
  *
  * Fault catalogue (plan grammar names):
  *
@@ -30,18 +31,14 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "dist/cluster.hh"
+#include "dist/topology.hh"
 #include "fi/injection.hh"
 #include "fi/plan.hh"
 
 namespace rbv::dist {
-
-class Topology;
 
 /** Deterministic cluster fault injector for one topology run. */
 class ClusterFaultSession
@@ -70,8 +67,7 @@ class ClusterFaultSession
 
     /** @name Adapter callbacks (single-threaded event loop) */
     /// @{
-    os::DeliveryFault onDelivery(NodeId node, os::ChannelId channel,
-                                 const os::Message &msg);
+    os::DeliveryFault onDelivery(NodeId node, const os::Message &msg);
     double execMultiplierFor(NodeId node) const;
     /// @}
 
@@ -110,7 +106,6 @@ class ClusterFaultSession
     };
 
     bool nodeDead(NodeId node, sim::Tick now) const;
-    bool isLinkChannel(NodeId node, os::ChannelId channel) const;
     void record(fi::FaultKind kind, std::int64_t subject,
                 double magnitude, std::int64_t victim);
     sim::Tick now() const;
@@ -122,9 +117,7 @@ class ClusterFaultSession
     std::vector<DelayRule> delays;
     std::vector<PartitionWindow> partitions;
 
-    Cluster *cl = nullptr;
-    sim::EventQueue *eq = nullptr;
-    std::set<std::pair<NodeId, os::ChannelId>> links;
+    Topology *topo = nullptr;
     std::vector<std::unique_ptr<NodeAdapter>> adapters;
     std::vector<fi::Injection> log_;
 

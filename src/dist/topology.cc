@@ -7,6 +7,7 @@
 #include "dist/topology.hh"
 
 #include <algorithm>
+#include <cstdlib>
 #include <sstream>
 
 #include "fi/plan.hh"
@@ -34,6 +35,27 @@ constexpr sim::Tick HedgeMinTicks = sim::usToCycles(150.0);
 
 /** Observed-latency samples a tier needs before hedging arms. */
 constexpr std::size_t HedgeWarmup = 16;
+
+/**
+ * Largest service demand a tier may ask for. One attempt's cycles
+ * must fit sim::Tick; at this cap an attempt already runs for minutes
+ * of simulated time.
+ */
+constexpr double MaxKiloIns = 1e9;
+
+/** Split on @p sep, keeping empty fields ("a," is {"a", ""}). */
+std::vector<std::string>
+split(const std::string &text, char sep)
+{
+    std::vector<std::string> out(1);
+    for (const char c : text) {
+        if (c == sep)
+            out.emplace_back();
+        else
+            out.back() += c;
+    }
+    return out;
+}
 
 /**
  * Replica worker: recv from the tier ingress, execute the request's
@@ -109,67 +131,48 @@ TopologySpec::parse(const std::string &text, TopologySpec &out,
                     std::string &error)
 {
     out.tiers.clear();
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
+    for (const std::string &item : split(text, ',')) {
         if (item.empty()) {
             error = "empty tier in topology \"" + text + "\"";
             return false;
         }
-        std::stringstream ts(item);
-        std::string name, repl, kilo;
-        std::getline(ts, name, ':');
-        if (!std::getline(ts, repl, ':')) {
+        const std::vector<std::string> f = split(item, ':');
+        if (f.size() < 2 || f.size() > 3) {
             error = "tier \"" + item +
                     "\" needs <name>:<replicas>[:<kilo-ins>]";
             return false;
         }
-        std::getline(ts, kilo, ':');
-        std::string extra;
-        if (std::getline(ts, extra, ':')) {
-            error = "tier \"" + item + "\" has trailing fields";
+        if (std::find(f.begin(), f.end(), "") != f.end()) {
+            error = "tier \"" + item + "\" has an empty field";
             return false;
         }
         TierSpec tier;
-        tier.name = name;
-        if (name.empty()) {
-            error = "tier with empty name in \"" + text + "\"";
+        tier.name = f[0];
+        char *end = nullptr;
+        const long replicas = std::strtol(f[1].c_str(), &end, 10);
+        if (*end != '\0' || replicas < 1 || replicas > 16) {
+            error = "tier \"" + item +
+                    "\": replicas must be an integer in [1, 16]";
             return false;
         }
-        try {
-            std::size_t pos = 0;
-            tier.replicas = std::stoi(repl, &pos);
-            if (pos != repl.size())
-                throw std::invalid_argument(repl);
-            if (!kilo.empty()) {
-                tier.serviceKiloIns = std::stod(kilo, &pos);
-                if (pos != kilo.size())
-                    throw std::invalid_argument(kilo);
+        tier.replicas = static_cast<int>(replicas);
+        if (f.size() == 3) {
+            tier.serviceKiloIns = std::strtod(f[2].c_str(), &end);
+            // Negated so that NaN fails too.
+            if (*end != '\0' || !(tier.serviceKiloIns > 0.0 &&
+                                  tier.serviceKiloIns <= MaxKiloIns)) {
+                error = "tier \"" + item +
+                        "\": kilo-ins must be a number in (0, 1e9]";
+                return false;
             }
-        } catch (const std::exception &) {
-            error = "bad number in tier \"" + item + "\"";
-            return false;
-        }
-        if (tier.replicas < 1 || tier.replicas > 16) {
-            error = "tier \"" + name +
-                    "\": replicas must be in [1, 16]";
-            return false;
-        }
-        if (tier.serviceKiloIns <= 0.0) {
-            error = "tier \"" + name + "\": kilo-ins must be > 0";
-            return false;
         }
         for (const auto &t : out.tiers) {
-            if (t.name == name) {
-                error = "duplicate tier name \"" + name + "\"";
+            if (t.name == tier.name) {
+                error = "duplicate tier name \"" + tier.name + "\"";
                 return false;
             }
         }
         out.tiers.push_back(std::move(tier));
-    }
-    if (out.tiers.empty()) {
-        error = "topology \"" + text + "\" has no tiers";
-        return false;
     }
     return true;
 }
@@ -201,26 +204,29 @@ TopologySpec::totalNodes() const
 
 Topology::Topology(const TopologySpec &spec, const RpcPolicy &policy,
                    const BreakerConfig &breaker, std::uint64_t seed)
-    : spec_(spec), policy(policy), breakerCfg(breaker), seed(seed),
-      cl(eq)
+    : spec_(spec), policy(policy), breakerCfg(breaker), seed(seed)
 {
     RBV_CHECK(!spec_.tiers.empty(), "topology needs >= 1 tier");
     for (std::size_t ti = 0; ti < spec_.tiers.size(); ++ti) {
         const TierSpec &ts = spec_.tiers[ti];
         TierRt rt;
         for (int ri = 0; ri < ts.replicas; ++ri) {
-            const std::string name =
-                ts.name + "/" + std::to_string(ri);
             sim::MachineConfig machine;
             machine.numCores = ReplicaCores;
             machine.coresPerL2Domain = ReplicaCores;
+            Node &node = nodes.emplace_back();
+            node.name = ts.name + "/" + std::to_string(ri);
+            node.machine = std::make_unique<sim::Machine>(machine, eq);
+            node.kernel = std::make_unique<os::Kernel>(*node.machine);
+            node.machine->setClient(node.kernel.get());
+
             Replica rep;
-            rep.node = cl.addNode(name, machine);
+            rep.node = static_cast<NodeId>(nodes.size() - 1);
             rep.health = ReplicaHealth(breakerCfg);
-            os::Kernel &k = cl.kernel(rep.node);
+            os::Kernel &k = *node.kernel;
             rep.ingress = k.createChannel();
             rep.reply = k.createChannel();
-            const os::ProcessId proc = k.createProcess(name);
+            const os::ProcessId proc = k.createProcess(node.name);
             for (int w = 0; w < ReplicaWorkers; ++w) {
                 k.createThread(
                     proc, std::make_unique<ReplicaLogic>(
@@ -244,42 +250,96 @@ Topology::Topology(const TopologySpec &spec, const RpcPolicy &policy,
 
 Topology::~Topology() = default;
 
-std::vector<std::pair<NodeId, os::ChannelId>>
-Topology::linkEndpoints() const
-{
-    std::vector<std::pair<NodeId, os::ChannelId>> out;
-    for (const auto &t : tiers) {
-        for (const auto &r : t.replicas) {
-            out.emplace_back(r.node, r.ingress);
-            out.emplace_back(r.node, r.reply);
-        }
-    }
-    return out;
-}
-
 void
 Topology::start()
 {
     RBV_CHECK(!started, "topology started twice");
     started = true;
-    cl.start();
+    for (Node &node : nodes)
+        node.kernel->start();
 }
 
 GlobalRequestId
 Topology::inject()
 {
     RBV_CHECK(started, "inject() before start()");
-    const GlobalRequestId gid = cl.registerRequest();
-    RBV_CHECK(static_cast<std::size_t>(gid) == reqStates.size(),
-              "global id/state desync");
-    reqStates.emplace_back();
-    ++injected_;
+    const auto gid = static_cast<GlobalRequestId>(requests.size());
+    GlobalRequestInfo &info = requests.emplace_back();
+    info.injected = eq.now();
+    info.local.resize(nodes.size(), os::InvalidRequestId);
     sendAttempt(gid, 0, 0, false);
     return gid;
 }
 
+sim::CounterSnapshot
+Topology::nodeTotals(GlobalRequestId gid, NodeId node) const
+{
+    const os::RequestId local = request(gid).local[node];
+    if (local == os::InvalidRequestId)
+        return {};
+    const os::RequestInfo &info = nodes[node].kernel->request(local);
+    return info.done ? info.totals : sim::CounterSnapshot{};
+}
+
+GlobalRequestId
+Topology::globalIdOf(NodeId node, os::RequestId local) const
+{
+    const auto &ids = nodes[node].localToGlobal;
+    const auto idx = static_cast<std::size_t>(local);
+    return idx < ids.size() ? ids[idx] : InvalidGlobalRequestId;
+}
+
+os::RequestId
+Topology::localIdOf(NodeId node, GlobalRequestId gid)
+{
+    RBV_CHECK(gid >= 0 &&
+                  static_cast<std::size_t>(gid) < requests.size(),
+              "localIdOf of unknown global request " << gid);
+    RBV_CHECK(node >= 0 && node < numNodes(),
+              "localIdOf on unknown node " << node);
+    os::RequestId &local = record(gid).local[node];
+    if (local != os::InvalidRequestId)
+        return local;
+
+    local = kernel(node).registerRequest();
+    auto &ids = nodes[node].localToGlobal;
+    const auto idx = static_cast<std::size_t>(local);
+    if (ids.size() <= idx)
+        ids.resize(idx + 1, InvalidGlobalRequestId);
+    ids[idx] = gid;
+    return local;
+}
+
+core::Timeline
+Topology::mergedTimeline(
+    GlobalRequestId gid,
+    const std::vector<const core::Sampler *> &samplers) const
+{
+    core::Timeline merged;
+    merged.request = gid;
+    const GlobalRequestInfo &info = request(gid);
+    for (NodeId n = 0; n < numNodes(); ++n) {
+        const os::RequestId local = info.local[n];
+        if (local == os::InvalidRequestId)
+            continue;
+        const auto idx = static_cast<std::size_t>(n);
+        if (idx >= samplers.size() || !samplers[idx])
+            continue;
+        const core::Timeline &tl = samplers[idx]->timelineOf(local);
+        merged.periods.insert(merged.periods.end(),
+                              tl.periods.begin(), tl.periods.end());
+    }
+    // All nodes share one clock, so wall start order serializes the
+    // cross-machine execution (a request's stages run sequentially).
+    std::stable_sort(merged.periods.begin(), merged.periods.end(),
+                     [](const core::Period &a, const core::Period &b) {
+                         return a.wallStart < b.wallStart;
+                     });
+    return merged;
+}
+
 void
-Topology::dropToken(ReqState &rs, std::uint64_t token)
+Topology::dropToken(GlobalRequestInfo &rs, std::uint64_t token)
 {
     auto it =
         std::find(rs.liveTokens.begin(), rs.liveTokens.end(), token);
@@ -291,7 +351,7 @@ void
 Topology::sendAttempt(GlobalRequestId gid, int tier, int attempt,
                       bool hedge)
 {
-    ReqState &rs = reqStates[static_cast<std::size_t>(gid)];
+    GlobalRequestInfo &rs = record(gid);
     TierRt &T = tiers[static_cast<std::size_t>(tier)];
     const int n = static_cast<int>(T.replicas.size());
     const sim::Tick now = eq.now();
@@ -353,8 +413,9 @@ Topology::sendAttempt(GlobalRequestId gid, int tier, int attempt,
     const NodeId node = rep.node;
     const os::ChannelId ingress = rep.ingress;
     eq.scheduleIn(spec_.linkLatencyTicks,
-                  [this, node, ingress, m, gid] {
-                      cl.post(node, ingress, m, gid);
+                  [this, node, ingress, m, gid]() mutable {
+                      m.request = localIdOf(node, gid);
+                      kernel(node).post(ingress, m);
                   });
 
     // Every attempt carries a deadline: a lost message can only cost
@@ -388,9 +449,9 @@ Topology::onDeadline(std::uint64_t token)
         .replicas[static_cast<std::size_t>(a.replica)]
         .health.onFailure(eq.now());
 
-    ReqState &rs = reqStates[static_cast<std::size_t>(a.gid)];
+    GlobalRequestInfo &rs = record(a.gid);
     dropToken(rs, token);
-    if (rs.completed || rs.failed || rs.tier != a.tier)
+    if (rs.state != RequestState::InFlight || rs.tier != a.tier)
         return;
     if (!rs.liveTokens.empty())
         return; // a hedge sibling is still in flight
@@ -404,8 +465,8 @@ Topology::maybeHedge(std::uint64_t token, int armedAttempt)
     if (it == attempts.end())
         return; // the attempt already resolved: nothing to hedge
     const Attempt a = it->second;
-    ReqState &rs = reqStates[static_cast<std::size_t>(a.gid)];
-    if (rs.completed || rs.failed || rs.tier != a.tier ||
+    GlobalRequestInfo &rs = record(a.gid);
+    if (rs.state != RequestState::InFlight || rs.tier != a.tier ||
         rs.attempt != armedAttempt || rs.hedged)
         return;
     rs.hedged = true;
@@ -429,9 +490,9 @@ Topology::onReply(int tier, int replica, const os::Message &msg)
     T.replicas[static_cast<std::size_t>(replica)].health.onSuccess(
         eq.now());
 
-    ReqState &rs = reqStates[static_cast<std::size_t>(a.gid)];
+    GlobalRequestInfo &rs = record(a.gid);
     dropToken(rs, token);
-    if (rs.completed || rs.failed)
+    if (rs.state != RequestState::InFlight)
         return;
     RBV_DCHECK(rs.tier == a.tier, "reply for a stale hop");
     T.hopLatencyUs.add(
@@ -453,11 +514,6 @@ Topology::onReply(int tier, int replica, const os::Message &msg)
         rs.prevNode = servedBy;
         sendAttempt(a.gid, rs.tier, 0, false);
     } else {
-        cl.completeRequest(a.gid);
-        rs.completed = true;
-        ++completed_;
-        latenciesUs.push_back(sim::cyclesToUs(static_cast<double>(
-            eq.now() - cl.request(a.gid).injected)));
         resolve(a.gid, true);
     }
 }
@@ -465,7 +521,7 @@ Topology::onReply(int tier, int replica, const os::Message &msg)
 void
 Topology::scheduleRetryOrFail(GlobalRequestId gid, int tier)
 {
-    ReqState &rs = reqStates[static_cast<std::size_t>(gid)];
+    GlobalRequestInfo &rs = record(gid);
     const int next = rs.attempt + 1;
     if (next >= policy.maxAttempts) {
         failRequest(gid);
@@ -475,8 +531,8 @@ Topology::scheduleRetryOrFail(GlobalRequestId gid, int tier)
     rs.hedged = false;
     const sim::Tick wait = policy.backoffTicks(seed, gid, next);
     eq.scheduleIn(wait, [this, gid, tier, next] {
-        ReqState &rs2 = reqStates[static_cast<std::size_t>(gid)];
-        if (rs2.completed || rs2.failed || rs2.tier != tier ||
+        const GlobalRequestInfo &rs2 = record(gid);
+        if (rs2.state != RequestState::InFlight || rs2.tier != tier ||
             rs2.attempt != next)
             return;
         sendAttempt(gid, tier, next, false);
@@ -486,24 +542,36 @@ Topology::scheduleRetryOrFail(GlobalRequestId gid, int tier)
 void
 Topology::failRequest(GlobalRequestId gid)
 {
-    ReqState &rs = reqStates[static_cast<std::size_t>(gid)];
-    if (rs.completed || rs.failed)
+    GlobalRequestInfo &rs = record(gid);
+    if (rs.state != RequestState::InFlight)
         return;
     for (const std::uint64_t t : rs.liveTokens)
         attempts.erase(t);
     rs.liveTokens.clear();
-    rs.failed = true;
-    ++failed_;
-    // Degraded, not lost: freeze and fold whatever per-node
-    // accounting the request accumulated before giving up (the PR 4
+    // Degraded, not lost: whatever per-node accounting the request
+    // accumulated before giving up freezes with it (the
     // graceful-degradation contract).
-    cl.completeRequest(gid);
     resolve(gid, false);
 }
 
 void
 Topology::resolve(GlobalRequestId gid, bool ok)
 {
+    GlobalRequestInfo &rs = record(gid);
+    // Completing each node-local request freezes its kernel record,
+    // which is that node's share of the request from now on.
+    for (NodeId n = 0; n < numNodes(); ++n)
+        if (rs.local[n] != os::InvalidRequestId)
+            kernel(n).completeRequest(rs.local[n]);
+    rs.state = ok ? RequestState::Completed : RequestState::Failed;
+    rs.resolved = eq.now();
+    if (ok) {
+        ++completed_;
+        latenciesUs.push_back(sim::cyclesToUs(
+            static_cast<double>(rs.resolved - rs.injected)));
+    } else {
+        ++failed_;
+    }
     if (resolvedCb)
         resolvedCb(gid, ok);
 }

@@ -1,22 +1,32 @@
 /**
  * @file
- * Declarative multi-tier topologies over a Cluster, with
- * fault-tolerant RPC between tiers.
+ * Distributed request behavior tracking — the paper's stated future
+ * work ("the online management of request behavior variations across
+ * a distributed server architecture can expose both local and
+ * inter-machine variations") — over declarative multi-tier
+ * topologies with fault-tolerant RPC between tiers.
  *
  * A TopologySpec describes a chain of tiers (LB -> app -> DB), each
- * replicated N ways; Topology materializes one cluster node per
- * replica, wires ingress/reply channels, and drives every request
- * through the tier chain hop by hop under an RpcPolicy: per-attempt
- * deadlines, bounded retries with deterministic backoff, optional
- * hedged seconds, and per-replica circuit breakers (health.hh).
+ * replicated N ways; Topology builds one node (a full machine +
+ * kernel pair) per replica on one simulated clock, wires
+ * ingress/reply channels, and drives every request through the tier
+ * chain hop by hop under an RpcPolicy: per-attempt deadlines, bounded
+ * retries with deterministic backoff, optional hedged seconds, and
+ * per-replica circuit breakers (health.hh).
+ *
+ * A request keeps one cluster-wide id across machine boundaries, and
+ * the topology keeps one record of it (GlobalRequestInfo): its hop
+ * state and the node-local id it holds on each node it reached. A
+ * node's share of the request is that node kernel's record, which
+ * freezes when the request resolves; the per-node sampled timelines
+ * merge into one serialized cross-machine execution timeline.
  *
  * Failover preserves identity and accounting: a retried hop reuses
- * the same global request id, so the per-node counter totals of the
- * dead and the surviving replica both fold into one
- * GlobalRequestInfo (the PR 4 graceful-degradation contract — a dead
- * replica degrades the request, never loses it). Exhausted retries
- * mark the request failed (degraded, exit 3 at the driver), never
- * hang: every attempt carries a deadline event.
+ * the same global request id, so the dead and the surviving replica
+ * both account to one global request (the graceful-degradation
+ * contract — a dead replica degrades the request, never loses it).
+ * Exhausted retries mark the request failed (degraded, exit 3 at the
+ * driver), never hang: every attempt carries a deadline event.
  *
  * Determinism: the whole cluster runs on one simulated clock in one
  * thread; every lottery (backoff jitter, service-time spread,
@@ -32,19 +42,28 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "dist/cluster.hh"
+#include "core/check.hh"
+#include "core/sampling/sampler.hh"
 #include "dist/health.hh"
 #include "dist/rpc.hh"
+#include "os/kernel.hh"
 #include "sim/event_queue.hh"
+#include "sim/machine.hh"
 #include "stats/online.hh"
 
 namespace rbv::dist {
 
-class ClusterFaultSession;
+/** Cluster-wide request identifier. */
+using GlobalRequestId = std::int64_t;
+constexpr GlobalRequestId InvalidGlobalRequestId = -1;
+
+/** Node identifier within a topology: replicas numbered tier by tier. */
+using NodeId = int;
 
 /** One tier of the serving chain. */
 struct TierSpec
@@ -106,9 +125,40 @@ tagToken(std::uint64_t tag)
     return tag & TagTokenMask;
 }
 
+/** Where a global request stands. */
+enum class RequestState : std::uint8_t
+{
+    InFlight,
+    Completed,
+    Failed,
+};
+
+/** The topology's one record of a global request. */
+struct GlobalRequestInfo
+{
+    sim::Tick injected = 0;
+    sim::Tick resolved = 0; ///< Tick it completed or failed.
+    RequestState state = RequestState::InFlight;
+
+    /** @name Progress through the tier chain */
+    /// @{
+    bool hedged = false;  ///< Hedge already issued at this hop.
+    int tier = 0;
+    int attempt = 0;      ///< Retry ordinal at the current hop.
+    int lastReplica = -1; ///< Replica of the latest attempt.
+    NodeId prevNode = -1; ///< Upstream node (-1 = client).
+    std::vector<std::uint64_t> liveTokens;
+    /// @}
+
+    /** Node-local request id per node (InvalidRequestId = the
+     *  request never reached that node). */
+    std::vector<os::RequestId> local;
+};
+
 /**
- * A running multi-tier deployment: owns the event queue and the
- * Cluster, mediates every tier hop under the RpcPolicy.
+ * A running multi-tier deployment: owns the event queue and one node
+ * per replica, mediates every tier hop under the RpcPolicy, and keeps
+ * the one record of every global request.
  */
 class Topology
 {
@@ -121,20 +171,21 @@ class Topology
     Topology &operator=(const Topology &) = delete;
 
     sim::EventQueue &eventQueue() { return eq; }
-    Cluster &cluster() { return cl; }
     const TopologySpec &spec() const { return spec_; }
 
     int tierCount() const { return static_cast<int>(tiers.size()); }
 
-    /**
-     * Every (node, channel) pair that carries network traffic —
-     * tier ingress and reply channels — for the fault layer to
-     * classify deliveries as link traffic.
-     */
-    std::vector<std::pair<NodeId, os::ChannelId>> linkEndpoints()
-        const;
+    /** @name Nodes, numbered tier by tier */
+    /// @{
+    int numNodes() const { return static_cast<int>(nodes.size()); }
+    os::Kernel &kernel(NodeId node) { return *nodes[node].kernel; }
+    const std::string &nodeName(NodeId node) const
+    {
+        return nodes[node].name;
+    }
+    /// @}
 
-    /** Start all node kernels. Call once, before inject(). */
+    /** Start every node's kernel. Call once, before inject(). */
     void start();
 
     /** Inject one request at tier 0 (a client network arrival). */
@@ -147,13 +198,51 @@ class Topology
         resolvedCb = std::move(cb);
     }
 
-    std::size_t injectedCount() const { return injected_; }
+    std::size_t injectedCount() const { return requests.size(); }
     std::size_t completedCount() const { return completed_; }
     std::size_t failedCount() const { return failed_; }
     bool allResolved() const
     {
-        return completed_ + failed_ == injected_;
+        return completed_ + failed_ == requests.size();
     }
+
+    /** @name Global requests */
+    /// @{
+    const GlobalRequestInfo &request(GlobalRequestId gid) const
+    {
+        RBV_CHECK(gid >= 0 &&
+                      static_cast<std::size_t>(gid) < requests.size(),
+                  "unknown global request " << gid);
+        return requests[static_cast<std::size_t>(gid)];
+    }
+
+    /**
+     * A node's share of a request: the node kernel's record of it
+     * once that record is done (it freezes when the request
+     * resolves). Zero before then, on nodes the request never
+     * reached, and on a node a hedge reached only after it resolved.
+     */
+    sim::CounterSnapshot nodeTotals(GlobalRequestId gid,
+                                    NodeId node) const;
+
+    /** Translate a node-local request id to the global id. */
+    GlobalRequestId globalIdOf(NodeId node, os::RequestId local) const;
+
+    /** The node-local id of a global request (registering lazily). */
+    os::RequestId localIdOf(NodeId node, GlobalRequestId gid);
+
+    /**
+     * Merge the per-node sampled timelines of a global request into
+     * one wall-clock-ordered timeline (the serialized cross-machine
+     * request execution), given each node's sampler.
+     *
+     * @param samplers One sampler per node (index = NodeId); null
+     *                 entries are skipped.
+     */
+    core::Timeline mergedTimeline(
+        GlobalRequestId gid,
+        const std::vector<const core::Sampler *> &samplers) const;
+    /// @}
 
     const RpcStats &rpcStats() const { return stats_; }
 
@@ -179,6 +268,19 @@ class Topology
     std::vector<BreakerEvent> breakerHistory() const;
 
   private:
+    struct Node
+    {
+        std::string name;
+        std::unique_ptr<sim::Machine> machine;
+        std::unique_ptr<os::Kernel> kernel;
+
+        /**
+         * Global id by node-local id. Dense: the topology never
+         * recycles a node-local id, so a node's ids count up from 0.
+         */
+        std::vector<GlobalRequestId> localToGlobal;
+    };
+
     struct Replica
     {
         NodeId node = -1;
@@ -203,18 +305,11 @@ class Topology
         sim::Tick sentAt = 0;
     };
 
-    /** Per-request progress through the tier chain. */
-    struct ReqState
+    GlobalRequestInfo &
+    record(GlobalRequestId gid)
     {
-        int tier = 0;
-        int attempt = 0;        ///< Retry ordinal at the current hop.
-        bool hedged = false;    ///< Hedge already issued at this hop.
-        int lastReplica = -1;   ///< Replica of the latest attempt.
-        NodeId prevNode = -1;   ///< Upstream node (-1 = client).
-        std::vector<std::uint64_t> liveTokens;
-        bool completed = false;
-        bool failed = false;
-    };
+        return requests[static_cast<std::size_t>(gid)];
+    }
 
     void sendAttempt(GlobalRequestId gid, int tier, int attempt,
                      bool hedge);
@@ -224,7 +319,7 @@ class Topology
     void scheduleRetryOrFail(GlobalRequestId gid, int tier);
     void failRequest(GlobalRequestId gid);
     void resolve(GlobalRequestId gid, bool ok);
-    void dropToken(ReqState &rs, std::uint64_t token);
+    void dropToken(GlobalRequestInfo &info, std::uint64_t token);
 
     TopologySpec spec_;
     RpcPolicy policy;
@@ -232,15 +327,20 @@ class Topology
     std::uint64_t seed;
 
     sim::EventQueue eq;
-    Cluster cl;
+    std::vector<Node> nodes;
     std::vector<TierRt> tiers;
 
-    std::deque<ReqState> reqStates; ///< Indexed by global id.
+    /**
+     * One record per global request, indexed by global id. A deque,
+     * not a vector: request() hands out long-lived references while
+     * inject() keeps appending, and a vector reallocation would
+     * invalidate every one of them.
+     */
+    std::deque<GlobalRequestInfo> requests;
     std::map<std::uint64_t, Attempt> attempts;
     std::uint64_t nextToken = 1;
 
     RpcStats stats_;
-    std::size_t injected_ = 0;
     std::size_t completed_ = 0;
     std::size_t failed_ = 0;
     std::vector<double> latenciesUs;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -72,6 +73,14 @@ bool acceptsKey(const KindEntry &entry, const std::string &key)
     return false;
 }
 
+/// A complete, finite number: the only value a parameter may hold.
+bool parseNumber(const std::string &text, double &out)
+{
+    char *end = nullptr;
+    out = std::strtod(text.c_str(), &end);
+    return end != text.c_str() && *end == '\0' && std::isfinite(out);
+}
+
 /// Trim ASCII whitespace from both ends.
 std::string trim(const std::string &s)
 {
@@ -126,6 +135,12 @@ bool parseOneFault(const std::string &text, FaultSpec &out,
                     "\"";
             return false;
         }
+        double number = 0.0;
+        if (!parseNumber(value, number)) {
+            error = "parameter \"" + item + "\" of fault \"" + name +
+                    "\" is not a finite number";
+            return false;
+        }
         out.params[key] = value;
     }
     return true;
@@ -142,13 +157,8 @@ const char *faultName(FaultKind kind)
 double FaultSpec::param(const std::string &key, double def) const
 {
     auto it = params.find(key);
-    if (it == params.end())
-        return def;
-    char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || end == nullptr || *end != '\0')
-        return def;
-    return v;
+    double v = 0.0;
+    return it != params.end() && parseNumber(it->second, v) ? v : def;
 }
 
 bool FaultPlan::parse(const std::string &spec, FaultPlan &out,

@@ -11,8 +11,9 @@
  *     <param>    ::= <key> '=' <value>
  *
  * e.g. `--faults="irq-drop(p=0.2);req-stuck(p=0.05,mult=4)"`.
- * Unknown fault names and parameters are parse errors — a typo in a
- * fault plan must never silently inject nothing.
+ * Unknown fault names and parameters, and values that are not
+ * complete finite numbers, are parse errors — a typo in a fault plan
+ * must never silently inject nothing.
  *
  * Plans carry no randomness: the same plan combined with the same
  * scenario seed produces the identical injection sequence regardless
@@ -72,7 +73,8 @@ struct FaultSpec
     /** Raw parameters, keyed by the grammar's <key> tokens. */
     std::map<std::string, std::string> params;
 
-    /** Numeric parameter with default; parse errors yield @p def. */
+    /** Numeric parameter, or @p def when absent (or, in a plan built
+     *  with add(), not a finite number). */
     double param(const std::string &key, double def) const;
 };
 
@@ -85,8 +87,9 @@ class FaultPlan
   public:
     /**
      * Parse a CLI spec string. Returns false and sets @p error on an
-     * unknown fault name, an unknown parameter, or a grammar error;
-     * parsing is all-or-nothing.
+     * unknown fault name, an unknown parameter, a value that is not
+     * a complete finite number, or a grammar error; parsing is
+     * all-or-nothing.
      */
     static bool parse(const std::string &spec, FaultPlan &out,
                       std::string &error);

@@ -106,6 +106,14 @@ TEST(FaultPlan, RejectsTyposInsteadOfInjectingNothing)
     EXPECT_NE(err.find("missing ')'"), std::string::npos);
     EXPECT_FALSE(fi::FaultPlan::parse("", plan, err));
     EXPECT_FALSE(fi::FaultPlan::parse("irq-drop(p)", plan, err));
+    // A value must be a complete, finite number.
+    for (const char *bad : {"req-stuck(p=0.o8,mult=5)", "irq-drop(p=)",
+                            "irq-drop(p=nan)", "irq-drop(p=inf)",
+                            "irq-drop(p=1e400)", "irq-drop(p=0.2x)"}) {
+        EXPECT_FALSE(fi::FaultPlan::parse(bad, plan, err)) << bad;
+        EXPECT_NE(err.find("not a finite number"), std::string::npos)
+            << bad;
+    }
 }
 
 TEST(FaultPlan, LayerPredicates)
