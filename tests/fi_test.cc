@@ -260,6 +260,43 @@ TEST(Injectors, DroppedInterruptsFlagGaps)
         << "no period carries the gapBefore degradation flag";
 }
 
+TEST(Injectors, LostAndLateInterruptsPinBothSamplers)
+{
+    // Dropped and coalesced counter interrupts re-arm the periodic
+    // timer (InterruptSampler) and the backup timer (SyscallSampler);
+    // the exact counts pin both paths.
+    fi::FaultPlan plan;
+    plan.add(fi::FaultKind::IrqDrop, {{"p", 0.3}})
+        .add(fi::FaultKind::IrqCoalesce, {{"p", 0.3}});
+    struct Want
+    {
+        const char *name;
+        SamplerKind kind;
+        std::uint64_t contextSwitch, syscall, interrupt, backup,
+            dropped, coalesced, gaps, injections;
+    };
+    for (const Want &w :
+         {Want{"interrupt", SamplerKind::Interrupt, 72, 0, 202, 0, 87,
+               86, 65, 173},
+          Want{"syscall", SamplerKind::Syscall, 84, 50, 0, 8, 5, 9, 5,
+               14}}) {
+        SCOPED_TRACE(w.name);
+        ScenarioConfig cfg = withPlan(plan);
+        cfg.sampler = w.kind;
+        const ScenarioResult res = runScenario(cfg);
+        const core::SamplerStats &s = res.samplerStats;
+        EXPECT_EQ(s.contextSwitchSamples, w.contextSwitch);
+        EXPECT_EQ(s.syscallSamples, w.syscall);
+        EXPECT_EQ(s.interruptSamples, w.interrupt);
+        EXPECT_EQ(s.backupSamples, w.backup);
+        EXPECT_EQ(s.droppedInterrupts, w.dropped);
+        EXPECT_EQ(s.coalescedInterrupts, w.coalesced);
+        EXPECT_EQ(s.gapCount, w.gaps);
+        EXPECT_EQ(s.suspectCount, 0u);
+        EXPECT_EQ(res.injections.size(), w.injections);
+    }
+}
+
 TEST(Injectors, CounterCorruptionFlagsSuspectsAndStaysFinite)
 {
     fi::FaultPlan plan;
