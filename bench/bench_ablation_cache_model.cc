@@ -57,7 +57,7 @@ main(int argc, char **argv)
     const Cli cli(argc, argv, {"seed", "requests", "jobs", "quiet"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const std::size_t requests = cli.getU64("requests", 150);
+    const std::size_t requests = cli.getCount("requests", 150);
 
     banner("Ablation", "Shared-L2 contention model (TPCH)",
            "the 4-core CPI inflation must be produced by cache "

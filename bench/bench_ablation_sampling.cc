@@ -15,6 +15,7 @@
  *     choices.
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "exp/analysis.hh"
@@ -62,7 +63,7 @@ main(int argc, char **argv)
     const Cli cli(argc, argv, {"seed", "requests", "jobs", "quiet"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const std::size_t requests = cli.getU64("requests", 500);
+    const std::size_t requests = cli.getCount("requests", 500);
 
     banner("Ablation", "Sampling design choices (Sec. 3)",
            "compensation removes the observer-effect bias without "
@@ -104,7 +105,7 @@ main(int argc, char **argv)
     ScenarioConfig sweep_base;
     sweep_base.app = wl::App::Tpcc;
     sweep_base.seed = seed;
-    sweep_base.requests = requests / 2;
+    sweep_base.requests = std::max<std::size_t>(1, requests / 2);
     sweep_base.warmup = requests / 20;
     ScenarioGrid sweep_grid(sweep_base);
     sweep_grid.sweep("period", SweepPeriodsUs,

@@ -81,7 +81,7 @@ main(int argc, char **argv)
              {"4-core",
               [](ScenarioConfig &c) { c.numCores = 4; }}})
         .finalize([&](ScenarioConfig &c) {
-            c.requests = cli.getU64("requests", defaultRequests(c.app));
+            c.requests = cli.getCount("requests", defaultRequests(c.app));
             c.warmup = c.requests / 10;
         });
     const auto results =

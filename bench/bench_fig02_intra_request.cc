@@ -72,7 +72,7 @@ main(int argc, char **argv)
     base.seed = seed;
     ScenarioGrid grid(base);
     grid.apps(wl::allApps()).finalize([&](ScenarioConfig &c) {
-        c.requests = cli.getU64("requests", defaultRequests(c.app));
+        c.requests = cli.getCount("requests", defaultRequests(c.app));
         c.warmup = c.requests / 10;
     });
     const auto results =

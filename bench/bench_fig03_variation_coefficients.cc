@@ -65,7 +65,7 @@ main(int argc, char **argv)
     // App-specific sampling periods per Sec. 3.1 (the scenario
     // default already applies 10 us / 100 us / 1 ms).
     grid.apps(wl::allApps()).finalize([&](ScenarioConfig &c) {
-        c.requests = cli.getU64("requests", defaultRequests(c.app));
+        c.requests = cli.getCount("requests", defaultRequests(c.app));
         c.warmup = c.requests / 10;
     });
     const auto results =

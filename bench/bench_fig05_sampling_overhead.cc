@@ -61,7 +61,7 @@ main(int argc, char **argv)
     ScenarioConfig base;
     base.seed = seed;
     const auto perApp = [&](ScenarioConfig &c) {
-        c.requests = cli.getU64("requests", defaultRequests(c.app));
+        c.requests = cli.getCount("requests", defaultRequests(c.app));
         c.warmup = c.requests / 10;
     };
 

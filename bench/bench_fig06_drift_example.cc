@@ -31,7 +31,7 @@ main(int argc, char **argv)
     const Cli cli(argc, argv, {"seed", "requests", "jobs", "quiet"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const std::size_t requests = cli.getU64("requests", 400);
+    const std::size_t requests = cli.getCount("requests", 400);
 
     banner("Figure 6", "Similar TPCC requests drifting apart",
            "two inherently similar requests with slightly shifted "

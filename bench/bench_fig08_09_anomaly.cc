@@ -174,7 +174,7 @@ main(int argc, char **argv)
 {
     const Cli cli(argc, argv, {"seed", "requests", "webwork-requests",
                                "rows", "jobs", "quiet", "faults",
-                               "retries", "diagnose", "diag-out"});
+                               "diagnose", "diag-out"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
     const std::size_t rows = cli.getU64("rows", 16);
@@ -205,8 +205,8 @@ main(int argc, char **argv)
     grid.apps({wl::App::Tpch, wl::App::WebWork})
         .finalize([&](ScenarioConfig &c) {
             c.requests = c.app == wl::App::Tpch
-                             ? cli.getU64("requests", 170)
-                             : cli.getU64("webwork-requests", 110);
+                             ? cli.getCount("requests", 170)
+                             : cli.getCount("webwork-requests", 110);
             c.warmup = c.requests / 10;
         });
     std::vector<Job> jobs = grid.jobs();

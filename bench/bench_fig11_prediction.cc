@@ -55,7 +55,7 @@ main(int argc, char **argv)
     ScenarioGrid grid(base);
     grid.apps(apps).finalize([&](ScenarioConfig &c) {
         c.requests =
-            cli.getU64("requests", c.app == wl::App::Tpch ? 150 : 100);
+            cli.getCount("requests", c.app == wl::App::Tpch ? 150 : 100);
         c.warmup = c.requests / 10;
     });
     const auto results =

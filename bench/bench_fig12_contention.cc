@@ -12,6 +12,7 @@
  * applications; milder contention shrinks less.
  */
 
+#include <algorithm>
 #include <iostream>
 #include <map>
 
@@ -58,7 +59,7 @@ main(int argc, char **argv)
                   {"seed", "requests", "runs", "jobs", "quiet"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const int runs = static_cast<int>(cli.getU64("runs", 5));
+    const int runs = cli.getCount("runs", 5);
 
     banner("Figure 12", "Contention-easing scheduling: simultaneous "
            "high-resource-usage execution time",
@@ -68,7 +69,7 @@ main(int argc, char **argv)
     const ParallelRunner runner(runnerOptions(cli));
     const std::vector<wl::App> apps = {wl::App::Tpch, wl::App::WebWork};
     const auto requestsFor = [&](wl::App app) {
-        return cli.getU64("requests", app == wl::App::Tpch ? 300 : 160);
+        return cli.getCount("requests", app == wl::App::Tpch ? 300 : 160);
     };
     const auto concurrencyFor = [](wl::App app) {
         return app == wl::App::Tpch ? 12 : 16;
@@ -79,7 +80,7 @@ main(int argc, char **argv)
     ScenarioGrid cal;
     cal.apps(apps).finalize([&](ScenarioConfig &c) {
         c.seed = seed + 7;
-        c.requests = requestsFor(c.app) / 2;
+        c.requests = std::max(1, requestsFor(c.app) / 2);
         c.warmup = c.requests / 10;
         c.concurrency = concurrencyFor(c.app);
     });

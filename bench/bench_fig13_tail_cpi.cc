@@ -10,6 +10,7 @@
  * agreements care about exactly those high percentiles).
  */
 
+#include <algorithm>
 #include <iostream>
 #include <map>
 
@@ -82,7 +83,7 @@ main(int argc, char **argv)
                   {"seed", "requests", "runs", "jobs", "quiet"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const int runs = static_cast<int>(cli.getU64("runs", 8));
+    const int runs = cli.getCount("runs", 8);
 
     banner("Figure 13", "Request CPI under contention-easing "
            "scheduling (lower is better)",
@@ -92,7 +93,7 @@ main(int argc, char **argv)
     const ParallelRunner runner(runnerOptions(cli));
     const std::vector<wl::App> apps = {wl::App::Tpch, wl::App::WebWork};
     const auto requestsFor = [&](wl::App app) {
-        return cli.getU64("requests", app == wl::App::Tpch ? 300 : 160);
+        return cli.getCount("requests", app == wl::App::Tpch ? 300 : 160);
     };
     const auto concurrencyFor = [](wl::App app) {
         return app == wl::App::Tpch ? 12 : 16;
@@ -102,7 +103,7 @@ main(int argc, char **argv)
     ScenarioGrid cal;
     cal.apps(apps).finalize([&](ScenarioConfig &c) {
         c.seed = seed + 7;
-        c.requests = requestsFor(c.app) / 2;
+        c.requests = std::max(1, requestsFor(c.app) / 2);
         c.warmup = c.requests / 10;
         c.concurrency = concurrencyFor(c.app);
     });

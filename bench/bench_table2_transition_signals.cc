@@ -68,7 +68,7 @@ main(int argc, char **argv)
     const Cli cli(argc, argv, {"seed", "requests", "jobs", "quiet"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const std::size_t requests = cli.getU64("requests", 700);
+    const std::size_t requests = cli.getCount("requests", 700);
 
     banner("Table 2", "System call behavior-transition signals "
            "(Apache web server)",
@@ -85,17 +85,17 @@ main(int argc, char **argv)
     base.warmup = requests / 10;
     base.sampler = SamplerKind::Syscall;
 
-    // --- Phase A: the two trainer runs and the plain-sampling
-    // baseline are independent; run them concurrently. The trainers
-    // attach inside their scenarios via the sampler hook; training
-    // uses syscall-aligned sampling (~10 us windows given the web
-    // server's call density).
+    // --- Phase A: the trainer run and the plain-sampling baseline
+    // are independent; run them concurrently. The trainer attaches
+    // inside its scenario via the sampler hook and learns single-call
+    // and call-pair signals from the same calls; training uses
+    // syscall-aligned sampling (~10 us windows given the web server's
+    // call density).
     std::unique_ptr<core::TransitionTrainer> trainer;
-    std::unique_ptr<core::BigramTransitionTrainer> btrainer;
 
     ScenarioGrid phase_a(base);
     phase_a.variants(
-        {{"train-unigram",
+        {{"train",
           [&trainer](ScenarioConfig &c) {
               c.minGapUs = 1.0;
               c.backupUs = 50.0;
@@ -105,32 +105,21 @@ main(int argc, char **argv)
                       std::make_unique<core::TransitionTrainer>(k, s);
               };
           }},
-         {"plain",
-          [](ScenarioConfig &c) {
+         {"plain", [](ScenarioConfig &c) {
               c.minGapUs = 10.0;
               c.backupUs = 80.0;
-          }},
-         {"train-bigram", [&btrainer](ScenarioConfig &c) {
-              c.minGapUs = 1.0;
-              c.backupUs = 50.0;
-              c.onSamplerReady = [&btrainer](os::Kernel &k,
-                                             core::Sampler &s) {
-                  btrainer = std::make_unique<
-                      core::BigramTransitionTrainer>(k, s);
-              };
           }}});
     const auto phase_a_results = runner.run(phase_a.jobs());
     const auto &pr = resultFor(phase_a_results, "var=plain");
 
     // --- Part 1 report: ranked signals and the selected triggers.
-    std::vector<os::Sys> triggers;
     {
         stats::Table t({"system call", "CPI change (mean±std)",
                         "occurrences"});
-        for (const auto &sig : trainer->ranked(50)) {
+        for (const auto &sig : trainer->ranked(false, 50)) {
             std::string dir =
                 sig.meanChange >= 0.0 ? "Increase " : "Decrease ";
-            t.addRow({std::string(os::sysName(sig.sys)),
+            t.addRow({std::string(os::sysName(sig.signal.sys)),
                       dir +
                           stats::Table::fmt(std::abs(sig.meanChange),
                                             2) +
@@ -138,37 +127,33 @@ main(int argc, char **argv)
                       std::to_string(sig.count)});
         }
         t.print(std::cout);
-        triggers = trainer->selectTriggers(4, 50);
-
-        std::cout << "\nselected triggers:";
-        for (os::Sys s : triggers)
-            std::cout << " " << os::sysName(s);
-        std::cout << " (paper selects writev, lseek, stat, poll)\n\n";
     }
-    const auto bigrams = btrainer->selectTriggers(6, 50);
+    const auto triggers = trainer->selectTriggers(false, 4, 50);
+    std::cout << "\nselected triggers:";
+    for (const core::TransitionSignal &s : triggers)
+        std::cout << " " << os::sysName(s.sys);
+    std::cout << " (paper selects writev, lseek, stat, poll)\n\n";
+    const auto pairs = trainer->selectTriggers(true, 6, 50);
 
-    // --- Phase B: targeted and bigram sampling, each calibrated to
-    // the plain run's overall frequency; the two chains run
-    // concurrently.
+    // --- Phase B: single-call and call-pair sampling, each
+    // calibrated to the plain run's overall frequency; the two chains
+    // run concurrently.
     ScenarioConfig targeted = base;
     targeted.sampler = SamplerKind::TransitionSignal;
     targeted.triggers = triggers;
     targeted.minGapUs = 2.0;
     targeted.backupUs = 80.0;
 
-    ScenarioConfig bigram_cfg = base;
-    bigram_cfg.sampler = SamplerKind::BigramTransitionSignal;
-    bigram_cfg.bigramTriggers = bigrams;
-    bigram_cfg.minGapUs = 2.0;
-    bigram_cfg.backupUs = 80.0;
+    ScenarioConfig pair_cfg = targeted;
+    pair_cfg.triggers = pairs;
 
     const std::uint64_t plain_samples =
         pr.samplerStats.totalSamples();
     const auto phase_b_results = runner.run(
         {calibrationJob("var=targeted", targeted, plain_samples),
-         calibrationJob("var=bigram", bigram_cfg, plain_samples)});
+         calibrationJob("var=pairs", pair_cfg, plain_samples)});
     const auto &tr = resultFor(phase_b_results, "var=targeted");
-    const auto &br = resultFor(phase_b_results, "var=bigram");
+    const auto &br = resultFor(phase_b_results, "var=pairs");
 
     const double cov_plain = periodsCov(pr.records, core::Metric::Cpi);
     const double cov_targeted =
@@ -195,9 +180,9 @@ main(int argc, char **argv)
     // names"), compared against the unigram-targeted sampler at
     // matched frequency.
     std::cout << "\ntop bigram signals:";
-    for (const auto &[p, c2] : bigrams)
-        std::cout << " (" << os::sysName(p) << "," << os::sysName(c2)
-                  << ")";
+    for (const core::TransitionSignal &s : pairs)
+        std::cout << " (" << os::sysName(s.prev) << ","
+                  << os::sysName(s.sys) << ")";
     std::cout << "\n";
 
     stats::Table c3({"sampling", "samples", "captured CoV (CPI)"});

@@ -58,15 +58,13 @@ main(int argc, char **argv)
     cfg.policy.hedgeQuantile = cli.getDouble("hedge", 0.0);
     cfg.seed = cli.getU64("seed", 1);
     cfg.qps = cli.getRate("qps", 2000.0, sim::usToCycles(1.0e6));
-    cfg.requests = cli.getU64("requests", 2000);
+    cfg.requests = cli.getCount("requests", 2000);
     cfg.checkpointEvery = cli.getU64("checkpoint-every", 500);
     cfg.diagnose = cli.getBool("diagnose", false);
-    if (cfg.requests == 0 || cfg.policy.maxAttempts < 1 ||
-        cfg.policy.hedgeQuantile < 0.0 ||
+    if (cfg.policy.maxAttempts < 1 || cfg.policy.hedgeQuantile < 0.0 ||
         cfg.policy.hedgeQuantile > 1.0) {
         std::cerr << argv[0]
-                  << ": --requests must be positive, "
-                     "--rpc-retries >= 1, --hedge in [0, 1]\n";
+                  << ": --rpc-retries must be >= 1, --hedge in [0, 1]\n";
         return 2;
     }
 
@@ -108,11 +106,7 @@ main(int argc, char **argv)
         cfg.faults = plan;
     }
 
-    const std::uint64_t runs = cli.getU64("runs", 1);
-    if (runs == 0) {
-        std::cerr << argv[0] << ": --runs must be >= 1\n";
-        return 2;
-    }
+    const int runs = cli.getCount("runs", 1);
 
     // Replicates run in parallel and print in run order: the
     // determinism contract (`--jobs` never changes stdout) is

@@ -9,6 +9,7 @@
  *   ./build/examples/adaptive_scheduler [--app tpch] [--requests 200]
  */
 
+#include <algorithm>
 #include <iostream>
 
 #include "core/sched/contention.hh"
@@ -29,7 +30,7 @@ main(int argc, char **argv)
                        {"app", "requests", "seed", "jobs", "quiet"});
     const exp::ObsScope obs(cli);
     const auto app = wl::appFromName(cli.getStr("app", "tpch"));
-    const auto requests = cli.getU64("requests", 200);
+    const auto requests = cli.getCount("requests", 200);
     const std::uint64_t seed = cli.getU64("seed", 5);
 
     const exp::ParallelRunner runner(exp::runnerOptions(cli));
@@ -40,7 +41,7 @@ main(int argc, char **argv)
         exp::ScenarioConfig cal;
         cal.app = app;
         cal.seed = seed + 7;
-        cal.requests = requests / 2;
+        cal.requests = std::max(1, requests / 2);
         cal.warmup = cal.requests / 10;
         cal.concurrency = 12;
         const auto res =

@@ -31,7 +31,7 @@ main(int argc, char **argv)
 
     exp::ScenarioConfig cfg;
     cfg.app = wl::appFromName(cli.getStr("app", "tpch"));
-    cfg.requests = cli.getU64("requests", 150);
+    cfg.requests = cli.getCount("requests", 150);
     cfg.warmup = cfg.requests / 10;
     cfg.seed = cli.getU64("seed", 3);
     const auto results = exp::ParallelRunner(exp::runnerOptions(cli))

@@ -42,7 +42,7 @@ main(int argc, char **argv)
 {
     const exp::Cli cli(argc, argv, {"requests", "seed"});
     const exp::ObsScope obs(cli);
-    const int requests = static_cast<int>(cli.getU64("requests", 40));
+    const int requests = cli.getCount("requests", 40);
     const std::uint64_t seed = cli.getU64("seed", 1);
 
     // Two frontend replicas, one db node: nodes 0,1 = frontend/0,1

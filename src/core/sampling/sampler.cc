@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/obs.hh"
 #include "sim/types.hh"
@@ -60,12 +61,6 @@ Sampler::timelineOf(os::RequestId id) const
     if (id == os::InvalidRequestId || idx >= timelines.size())
         return EmptyTimeline;
     return timelines[idx];
-}
-
-std::vector<Timeline>
-Sampler::takeTimelines()
-{
-    return std::move(timelines);
 }
 
 Timeline
@@ -198,112 +193,67 @@ Sampler::onRequestSwitch(sim::CoreId core, os::RequestId out,
                SampleContext::InKernel);
 }
 
-IrqFate
-Sampler::counterIrqFate(sim::CoreId core)
+void
+Sampler::armIrq(sim::CoreId core, SampleTrigger trigger)
 {
-    if (faults == nullptr)
-        return IrqFate::Deliver;
-    const IrqFate fate = faults->onCounterIrq(core);
-    if (fate == IrqFate::Drop) {
-        ++sstats.droppedInterrupts;
-        coreState[core].gapPending = true;
-    } else if (fate == IrqFate::Coalesce) {
-        ++sstats.coalescedInterrupts;
-    }
-    return fate;
+    auto fire = [this, core, trigger] {
+        switch (faults != nullptr ? faults->onCounterIrq(core)
+                                  : IrqFate::Deliver) {
+          case IrqFate::Drop:
+            // Lost outright: no sample, the running period silently
+            // spans two nominal ones; the next recorded period
+            // carries the gap flag.
+            ++sstats.droppedInterrupts;
+            coreState[core].gapPending = true;
+            armIrq(core, trigger);
+            return;
+          case IrqFate::Coalesce:
+            // Deferred delivery: the merged interrupt fires late.
+            ++sstats.coalescedInterrupts;
+            machine.armCycleTimer(
+                core, irqDelay(trigger) / 4, [this, core, trigger] {
+                    takeSample(core, trigger, SampleContext::Interrupt);
+                    armIrq(core, trigger);
+                });
+            return;
+          case IrqFate::Deliver:
+            break;
+        }
+        takeSample(core, trigger, SampleContext::Interrupt);
+        armIrq(core, trigger);
+    };
+    // Re-armed every period: libstdc++'s std::function stores a
+    // callable of up to 16 bytes without a heap allocation.
+    static_assert(sizeof(fire) <= 16);
+    machine.armCycleTimer(core, irqDelay(trigger), std::move(fire));
+}
+
+sim::Tick
+Sampler::irqDelay(SampleTrigger trigger) const
+{
+    return sim::usToCycles(trigger == SampleTrigger::Interrupt
+                               ? cfg.periodUs
+                               : cfg.backupUs);
 }
 
 // ---------------------------------------------------------------------
 // InterruptSampler
 
-InterruptSampler::InterruptSampler(os::Kernel &kernel, SamplerConfig cfg)
-    : Sampler(kernel, cfg)
-{
-}
-
 void
 InterruptSampler::start()
 {
     for (sim::CoreId c = 0; c < machine.numCores(); ++c)
-        arm(c);
-}
-
-void
-InterruptSampler::arm(sim::CoreId core)
-{
-    machine.armCycleTimer(core, sim::usToCycles(cfg.periodUs),
-                          [this, core] {
-                              switch (counterIrqFate(core)) {
-                                case IrqFate::Drop:
-                                  // Lost outright: no sample, the
-                                  // running period silently spans two
-                                  // nominal ones; the next recorded
-                                  // period carries the gap flag.
-                                  arm(core);
-                                  return;
-                                case IrqFate::Coalesce:
-                                  // Deferred delivery: the merged
-                                  // interrupt fires late.
-                                  machine.armCycleTimer(
-                                      core,
-                                      sim::usToCycles(cfg.periodUs) / 4,
-                                      [this, core] {
-                                          takeSample(
-                                              core,
-                                              SampleTrigger::Interrupt,
-                                              SampleContext::Interrupt);
-                                          arm(core);
-                                      });
-                                  return;
-                                case IrqFate::Deliver:
-                                  break;
-                              }
-                              takeSample(core, SampleTrigger::Interrupt,
-                                         SampleContext::Interrupt);
-                              arm(core);
-                          });
+        armIrq(c, SampleTrigger::Interrupt);
 }
 
 // ---------------------------------------------------------------------
 // SyscallSampler
 
-SyscallSampler::SyscallSampler(os::Kernel &kernel, SamplerConfig cfg)
-    : Sampler(kernel, cfg)
-{
-}
-
 void
 SyscallSampler::start()
 {
     for (sim::CoreId c = 0; c < machine.numCores(); ++c)
-        armBackup(c);
-}
-
-void
-SyscallSampler::armBackup(sim::CoreId core)
-{
-    machine.armCycleTimer(
-        core, sim::usToCycles(cfg.backupUs), [this, core] {
-            switch (counterIrqFate(core)) {
-              case IrqFate::Drop:
-                armBackup(core);
-                return;
-              case IrqFate::Coalesce:
-                machine.armCycleTimer(
-                    core, sim::usToCycles(cfg.backupUs) / 4,
-                    [this, core] {
-                        takeSample(core, SampleTrigger::BackupInterrupt,
-                                   SampleContext::Interrupt);
-                        armBackup(core);
-                    });
-                return;
-              case IrqFate::Deliver:
-                break;
-            }
-            takeSample(core, SampleTrigger::BackupInterrupt,
-                       SampleContext::Interrupt);
-            armBackup(core);
-        });
+        armIrq(c, SampleTrigger::BackupInterrupt);
 }
 
 void
@@ -317,7 +267,7 @@ SyscallSampler::onSyscallEntry(sim::CoreId core, os::ThreadId thread,
         static_cast<double>(sim::usToCycles(cfg.minGapUs)))
         return;
     takeSample(core, SampleTrigger::Syscall, SampleContext::InKernel);
-    armBackup(core);
+    armIrq(core, SampleTrigger::BackupInterrupt);
 }
 
 void
@@ -325,50 +275,7 @@ SyscallSampler::onRequestSwitch(sim::CoreId core, os::RequestId out,
                                 os::RequestId in)
 {
     Sampler::onRequestSwitch(core, out, in);
-    armBackup(core);
-}
-
-// ---------------------------------------------------------------------
-// TransitionSignalSampler
-
-TransitionSignalSampler::TransitionSignalSampler(
-    os::Kernel &kernel, SamplerConfig cfg,
-    const std::vector<os::Sys> &triggers)
-    : SyscallSampler(kernel, cfg)
-{
-    for (os::Sys s : triggers)
-        triggerSet[static_cast<std::size_t>(s)] = true;
-}
-
-// ---------------------------------------------------------------------
-// BigramTransitionSignalSampler
-
-BigramTransitionSignalSampler::BigramTransitionSignalSampler(
-    os::Kernel &kernel, SamplerConfig cfg,
-    const std::vector<Bigram> &triggers)
-    : SyscallSampler(kernel, cfg),
-      triggerSet(static_cast<std::size_t>(os::NumSys) * os::NumSys,
-                 false)
-{
-    for (const auto &[prev, cur] : triggers) {
-        triggerSet[static_cast<std::size_t>(prev) * os::NumSys +
-                   static_cast<std::size_t>(cur)] = true;
-    }
-}
-
-bool
-BigramTransitionSignalSampler::isTrigger(os::ThreadId thread,
-                                         os::Sys sys)
-{
-    const auto idx = static_cast<std::size_t>(thread);
-    if (lastSys.size() <= idx)
-        lastSys.resize(idx + 1, os::Sys::NumSyscalls);
-    const os::Sys prev = lastSys[idx];
-    lastSys[idx] = sys;
-    if (prev == os::Sys::NumSyscalls)
-        return false;
-    return triggerSet[static_cast<std::size_t>(prev) * os::NumSys +
-                      static_cast<std::size_t>(sys)];
+    armIrq(core, SampleTrigger::BackupInterrupt);
 }
 
 } // namespace rbv::core

@@ -10,10 +10,12 @@
  *    interrupts at a configurable period (10 us .. 1 ms);
  *  - SyscallSampler (Sec. 3.2): cheap in-kernel samples at system
  *    call entries, rate-limited by T_syscall_min, with a backup
- *    interrupt timer at T_backup_int covering syscall-free stretches;
- *  - TransitionSignalSampler (Sec. 3.2): only samples at system
- *    calls selected as behavior-transition signals (Table 2).
+ *    interrupt timer at T_backup_int covering syscall-free stretches.
+ *    Its subclass TransitionSignalSampler (transition.hh) samples
+ *    only at selected behavior-transition signals (Table 2).
  *
+ * Both interrupts, the periodic one and the backup one, are armed by
+ * one function, which also applies a fault layer's drop or coalesce.
  * Each sample injects its observer cost into the machine and the
  * closing of each period optionally subtracts the "do no harm"
  * compensation.
@@ -22,7 +24,6 @@
 #ifndef RBV_CORE_SAMPLING_SAMPLER_HH
 #define RBV_CORE_SAMPLING_SAMPLER_HH
 
-#include <array>
 #include <functional>
 #include <vector>
 
@@ -86,13 +87,6 @@ struct SamplerStats
     {
         return contextSwitchSamples + syscallSamples;
     }
-
-    /** Samples taken at an interrupt. */
-    std::uint64_t
-    interruptContextSamples() const
-    {
-        return interruptSamples + backupSamples;
-    }
 };
 
 /**
@@ -107,19 +101,14 @@ class Sampler : public os::KernelHooks
         sim::CoreId, os::RequestId, const Period &)>;
 
     Sampler(os::Kernel &kernel, SamplerConfig cfg);
-    ~Sampler() override = default;
 
     /** Arm timers; call after Kernel::start(). */
     virtual void start() {}
 
     const SamplerStats &stats() const { return sstats; }
-    const SamplerConfig &config() const { return cfg; }
 
     /** Timeline of a request (empty if none recorded). */
     const Timeline &timelineOf(os::RequestId id) const;
-
-    /** Move all recorded timelines out of the sampler. */
-    std::vector<Timeline> takeTimelines();
 
     /**
      * Move one request's timeline out and reset its slot, so a
@@ -148,11 +137,13 @@ class Sampler : public os::KernelHooks
 
   protected:
     /**
-     * Consult the fault layer about a counter interrupt about to
-     * fire; updates the degraded-telemetry stats and marks the
-     * pending gap on a drop.
+     * Arm a core's counter interrupt of kind @p trigger (Interrupt
+     * after periodUs, BackupInterrupt after backupUs), replacing any
+     * pending one. When it fires it samples and re-arms itself; one
+     * the fault layer drops only re-arms and marks a gap, and one it
+     * coalesces samples a quarter delay late.
      */
-    IrqFate counterIrqFate(sim::CoreId core);
+    void armIrq(sim::CoreId core, SampleTrigger trigger);
 
     /**
      * Take one sample on a core: close the current period, attribute
@@ -171,6 +162,9 @@ class Sampler : public os::KernelHooks
     SamplingFaults *faults = nullptr;
 
   private:
+    /** Delay of a counter interrupt of kind @p trigger (cycles). */
+    sim::Tick irqDelay(SampleTrigger trigger) const;
+
     struct CoreSampleState
     {
         sim::CounterSnapshot lastSnap;
@@ -189,19 +183,16 @@ class Sampler : public os::KernelHooks
 class InterruptSampler : public Sampler
 {
   public:
-    InterruptSampler(os::Kernel &kernel, SamplerConfig cfg);
+    using Sampler::Sampler;
 
     void start() override;
-
-  private:
-    void arm(sim::CoreId core);
 };
 
 /** System call-triggered sampler with backup interrupts (Sec. 3.2). */
 class SyscallSampler : public Sampler
 {
   public:
-    SyscallSampler(os::Kernel &kernel, SamplerConfig cfg);
+    using Sampler::Sampler;
 
     void start() override;
 
@@ -214,8 +205,8 @@ class SyscallSampler : public Sampler
   protected:
     /**
      * Whether this syscall may trigger a sample (all, by default).
-     * The calling thread is provided so derived samplers can use
-     * per-thread history (e.g., syscall bigrams).
+     * Called on every syscall entry, so a subclass may track the
+     * calling thread's history.
      */
     virtual bool
     isTrigger(os::ThreadId thread, os::Sys sys)
@@ -224,57 +215,6 @@ class SyscallSampler : public Sampler
         (void)sys;
         return true;
     }
-
-  private:
-    void armBackup(sim::CoreId core);
-};
-
-/**
- * Enhanced sampler using behavior-transition signals: only a trained
- * subset of system calls triggers samples (Sec. 3.2, Table 2).
- */
-class TransitionSignalSampler : public SyscallSampler
-{
-  public:
-    TransitionSignalSampler(os::Kernel &kernel, SamplerConfig cfg,
-                            const std::vector<os::Sys> &triggers);
-
-  protected:
-    bool
-    isTrigger(os::ThreadId thread, os::Sys sys) override
-    {
-        (void)thread;
-        return triggerSet[static_cast<std::size_t>(sys)];
-    }
-
-  private:
-    std::array<bool, os::NumSys> triggerSet{};
-};
-
-/**
- * Extension the paper suggests but does not investigate (Sec. 3.2):
- * trigger on *sequences of two recent system call names*. A bigram
- * disambiguates calls whose behavioral meaning depends on context —
- * e.g., the web server's read() after poll() (request arrival,
- * parse follows) vs read() after write() (the next body chunk) — so
- * it can signal transitions a single name cannot.
- */
-class BigramTransitionSignalSampler : public SyscallSampler
-{
-  public:
-    /** A (previous, current) syscall-name pair. */
-    using Bigram = std::pair<os::Sys, os::Sys>;
-
-    BigramTransitionSignalSampler(os::Kernel &kernel,
-                                  SamplerConfig cfg,
-                                  const std::vector<Bigram> &triggers);
-
-  protected:
-    bool isTrigger(os::ThreadId thread, os::Sys sys) override;
-
-  private:
-    std::vector<bool> triggerSet; ///< NumSys * NumSys flags.
-    std::vector<os::Sys> lastSys; ///< Per thread.
 };
 
 } // namespace rbv::core

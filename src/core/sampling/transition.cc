@@ -1,6 +1,6 @@
 /**
  * @file
- * Behavior-transition signal training implementation.
+ * Behavior-transition signal training and sampling.
  */
 
 #include "core/sampling/transition.hh"
@@ -12,19 +12,59 @@ namespace rbv::core {
 
 namespace {
 
-/** Cap on unresolved syscalls per core between two samples. */
+/** Cap on unresolved calls of one kind per core between two samples. */
 constexpr std::size_t MaxPending = 16;
+
+constexpr auto NumSys = static_cast<std::size_t>(os::NumSys);
+
+/** Dense-key cells of one kind. */
+constexpr std::size_t
+numKeys(bool pairs)
+{
+    return pairs ? NumSys * NumSys : NumSys;
+}
 
 } // namespace
 
+TransitionSignal
+TransitionSignal::fromKey(bool pair, std::size_t key)
+{
+    return pair ? after(static_cast<os::Sys>(key / NumSys),
+                        static_cast<os::Sys>(key % NumSys))
+                : call(static_cast<os::Sys>(key));
+}
+
+std::size_t
+TransitionSignal::key() const
+{
+    const auto s = static_cast<std::size_t>(sys);
+    return isPair() ? static_cast<std::size_t>(prev) * NumSys + s : s;
+}
+
+TransitionSignal
+LastCalls::enter(os::ThreadId thread, os::Sys sys)
+{
+    const auto idx = static_cast<std::size_t>(thread);
+    if (last.size() <= idx)
+        last.resize(idx + 1, os::Sys::NumSyscalls);
+    const os::Sys prev = last[idx];
+    last[idx] = sys;
+    return TransitionSignal::after(prev, sys);
+}
+
+// ---------------------------------------------------------------------
+// TransitionTrainer
+
 TransitionTrainer::TransitionTrainer(os::Kernel &kernel,
-                                     Sampler &sampler, Metric metric)
-    : metric(metric), cores(kernel.machine().numCores())
+                                     Sampler &sampler)
+    : byKey{std::vector<stats::OnlineMeanVar>(numKeys(false)),
+            std::vector<stats::OnlineMeanVar>(numKeys(true))},
+      cores(kernel.machine().numCores())
 {
     kernel.addHooks(this);
     sampler.addSampleObserver(
-        [this](sim::CoreId core, os::RequestId req, const Period &p) {
-            onSample(core, req, p);
+        [this](sim::CoreId core, os::RequestId, const Period &p) {
+            onSample(core, p);
         });
 }
 
@@ -32,38 +72,44 @@ void
 TransitionTrainer::onSyscallEntry(sim::CoreId core, os::ThreadId thread,
                                   os::RequestId request, os::Sys sys)
 {
-    (void)thread;
+    const TransitionSignal signal = lastCalls.enter(thread, sys);
     if (request == os::InvalidRequestId)
         return; // idle server loops carry no request semantics
     CoreTrain &ct = cores[core];
     if (!ct.hasBefore)
         return;
-    if (ct.pending.size() < MaxPending)
-        ct.pending.push_back(Pending{sys, ct.beforeValue, false});
+    const auto offer = [&ct](const TransitionSignal &s) {
+        auto &pending = ct.pending[s.isPair()];
+        if (pending.size() < MaxPending)
+            pending.push_back(Pending{s.key(), ct.beforeValue, false});
+    };
+    offer(TransitionSignal::call(sys));
+    if (signal.isPair())
+        offer(signal);
 }
 
 void
-TransitionTrainer::onSample(sim::CoreId core, os::RequestId request,
-                            const Period &period)
+TransitionTrainer::onSample(sim::CoreId core, const Period &period)
 {
-    (void)request;
     CoreTrain &ct = cores[core];
-    const double value = metricOf(period, metric);
+    const double value = metricOf(period, Metric::Cpi);
 
     // A period closed by a system call sample starts exactly at the
     // previous call, so it is a clean "after" window for any pending
     // call. Periods closed by interrupts straddle the call: skip the
     // straddling one and resolve against the next.
     const bool aligned = period.trigger == SampleTrigger::Syscall;
-    auto it = ct.pending.begin();
-    while (it != ct.pending.end()) {
-        if (aligned || it->armed) {
-            bySys[static_cast<std::size_t>(it->sys)].add(value -
-                                                         it->before);
-            it = ct.pending.erase(it);
-        } else {
-            it->armed = true;
-            ++it;
+    for (std::size_t kind = 0; kind < 2; ++kind) {
+        auto &pending = ct.pending[kind];
+        auto it = pending.begin();
+        while (it != pending.end()) {
+            if (aligned || it->armed) {
+                byKey[kind][it->key].add(value - it->before);
+                it = pending.erase(it);
+            } else {
+                it->armed = true;
+                ++it;
+            }
         }
     }
     ct.beforeValue = value;
@@ -71,19 +117,16 @@ TransitionTrainer::onSample(sim::CoreId core, os::RequestId request,
 }
 
 std::vector<TransitionTrainer::SignalStat>
-TransitionTrainer::ranked(std::size_t min_count) const
+TransitionTrainer::ranked(bool pairs, std::size_t min_count) const
 {
     std::vector<SignalStat> out;
-    for (int s = 0; s < os::NumSys; ++s) {
-        const auto &acc = bySys[static_cast<std::size_t>(s)];
+    const auto &cells = byKey[pairs];
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+        const auto &acc = cells[k];
         if (acc.count() < min_count)
             continue;
-        SignalStat st;
-        st.sys = static_cast<os::Sys>(s);
-        st.count = acc.count();
-        st.meanChange = acc.mean();
-        st.stddev = acc.sampleStddev();
-        out.push_back(st);
+        out.push_back({TransitionSignal::fromKey(pairs, k), acc.count(),
+                       acc.mean(), acc.sampleStddev()});
     }
     std::sort(out.begin(), out.end(),
               [](const SignalStat &a, const SignalStat &b) {
@@ -93,118 +136,45 @@ TransitionTrainer::ranked(std::size_t min_count) const
     return out;
 }
 
-std::vector<os::Sys>
-TransitionTrainer::selectTriggers(std::size_t k,
+std::vector<TransitionSignal>
+TransitionTrainer::selectTriggers(bool pairs, std::size_t k,
                                   std::size_t min_count) const
 {
-    std::vector<os::Sys> out;
-    for (const auto &st : ranked(min_count)) {
+    std::vector<TransitionSignal> out;
+    for (const auto &st : ranked(pairs, min_count)) {
         if (out.size() >= k)
             break;
-        out.push_back(st.sys);
+        out.push_back(st.signal);
     }
     return out;
 }
 
 // ---------------------------------------------------------------------
-// BigramTransitionTrainer
+// TransitionSignalSampler
 
-BigramTransitionTrainer::BigramTransitionTrainer(os::Kernel &kernel,
-                                                 Sampler &sampler,
-                                                 Metric metric)
-    : metric(metric),
-      byBigram(static_cast<std::size_t>(os::NumSys) * os::NumSys),
-      cores(kernel.machine().numCores())
+TransitionSignalSampler::TransitionSignalSampler(
+    os::Kernel &kernel, SamplerConfig cfg,
+    const std::vector<TransitionSignal> &triggers)
+    : SyscallSampler(kernel, cfg),
+      selected{std::vector<bool>(numKeys(false)),
+               std::vector<bool>(numKeys(true))}
 {
-    kernel.addHooks(this);
-    sampler.addSampleObserver(
-        [this](sim::CoreId core, os::RequestId req, const Period &p) {
-            onSample(core, req, p);
-        });
+    for (const TransitionSignal &s : triggers)
+        selected[s.isPair()][s.key()] = true;
 }
 
-void
-BigramTransitionTrainer::onSyscallEntry(sim::CoreId core,
-                                        os::ThreadId thread,
-                                        os::RequestId request,
-                                        os::Sys sys)
+bool
+TransitionSignalSampler::isTrigger(os::ThreadId thread, os::Sys sys)
 {
-    const auto tidx = static_cast<std::size_t>(thread);
-    if (lastSys.size() <= tidx)
-        lastSys.resize(tidx + 1, os::Sys::NumSyscalls);
-    const os::Sys prev = lastSys[tidx];
-    lastSys[tidx] = sys;
-
-    if (request == os::InvalidRequestId ||
-        prev == os::Sys::NumSyscalls)
-        return;
-    CoreTrain &ct = cores[core];
-    if (!ct.hasBefore)
-        return;
-    if (ct.pending.size() < MaxPending) {
-        ct.pending.push_back(
-            Pending{keyOf(prev, sys), ct.beforeValue, false});
-    }
+    // On a thread's first call, the pair is the single call itself.
+    const TransitionSignal pair = lastCalls.enter(thread, sys);
+    return isSelected(TransitionSignal::call(sys)) || isSelected(pair);
 }
 
-void
-BigramTransitionTrainer::onSample(sim::CoreId core,
-                                  os::RequestId request,
-                                  const Period &period)
+bool
+TransitionSignalSampler::isSelected(const TransitionSignal &s) const
 {
-    (void)request;
-    CoreTrain &ct = cores[core];
-    const double value = metricOf(period, metric);
-    const bool aligned = period.trigger == SampleTrigger::Syscall;
-    auto it = ct.pending.begin();
-    while (it != ct.pending.end()) {
-        if (aligned || it->armed) {
-            byBigram[it->key].add(value - it->before);
-            it = ct.pending.erase(it);
-        } else {
-            it->armed = true;
-            ++it;
-        }
-    }
-    ct.beforeValue = value;
-    ct.hasBefore = true;
-}
-
-std::vector<BigramTransitionTrainer::SignalStat>
-BigramTransitionTrainer::ranked(std::size_t min_count) const
-{
-    std::vector<SignalStat> out;
-    for (std::size_t k = 0; k < byBigram.size(); ++k) {
-        const auto &acc = byBigram[k];
-        if (acc.count() < min_count)
-            continue;
-        SignalStat st;
-        st.bigram = {static_cast<os::Sys>(k / os::NumSys),
-                     static_cast<os::Sys>(k % os::NumSys)};
-        st.count = acc.count();
-        st.meanChange = acc.mean();
-        st.stddev = acc.sampleStddev();
-        out.push_back(st);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const SignalStat &a, const SignalStat &b) {
-                  return std::abs(a.meanChange) >
-                         std::abs(b.meanChange);
-              });
-    return out;
-}
-
-std::vector<BigramTransitionTrainer::Bigram>
-BigramTransitionTrainer::selectTriggers(std::size_t k,
-                                        std::size_t min_count) const
-{
-    std::vector<Bigram> out;
-    for (const auto &st : ranked(min_count)) {
-        if (out.size() >= k)
-            break;
-        out.push_back(st.bigram);
-    }
-    return out;
+    return selected[s.isPair()][s.key()];
 }
 
 } // namespace rbv::core

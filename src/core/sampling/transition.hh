@@ -1,19 +1,31 @@
 /**
  * @file
- * Behavior-transition signal training (Sec. 3.2, Table 2).
+ * Behavior-transition signals (Sec. 3.2, Table 2): the signal, its
+ * online trainer, and the sampler that samples only at selected
+ * signals.
+ *
+ * A signal is a system call name, alone or right after a given
+ * previous call on the same thread. Table 2 uses single calls; the
+ * paper suggests "a sequence of two or more recent system call names"
+ * as a richer signal. A call pair separates calls whose meaning
+ * depends on context, e.g. the web server's read() after poll()
+ * (request arrival, parse follows) and read() after write() (the
+ * next body chunk).
  *
  * During an online training phase, each system call occurrence is
- * mapped to the change of a target metric (CPI, by default) between
- * the sampled periods immediately before and after the call. The
- * running average indicates the significance of the transition the
- * call signals; the standard deviation indicates its uniformity.
- * The most-correlated calls are then selected as sampling triggers.
+ * mapped to the CPI change between the sampled periods immediately
+ * before and after the call, once as a single call and once as a
+ * pair with the thread's previous call. The running average
+ * indicates the significance of the transition a signal marks; the
+ * standard deviation indicates its uniformity. The most significant
+ * signals are then selected as sampling triggers.
  */
 
 #ifndef RBV_CORE_SAMPLING_TRANSITION_HH
 #define RBV_CORE_SAMPLING_TRANSITION_HH
 
 #include <array>
+#include <cstddef>
 #include <vector>
 
 #include "core/sampling/sampler.hh"
@@ -23,20 +35,78 @@
 namespace rbv::core {
 
 /**
- * Trains the syscall-name -> metric-change mapping online.
+ * A system call, alone or right after @ref prev on the same thread.
+ * Built only by name, so two single calls cannot pass for one pair.
+ */
+class TransitionSignal
+{
+  public:
+    /** @p sys after any call. */
+    static constexpr TransitionSignal
+    call(os::Sys sys)
+    {
+        return {os::Sys::NumSyscalls, sys};
+    }
+
+    /** @p sys right after @p prev (any call, if NumSyscalls). */
+    static constexpr TransitionSignal
+    after(os::Sys prev, os::Sys sys)
+    {
+        return {prev, sys};
+    }
+
+    /** The single-call or pair signal with dense key @p key. */
+    static TransitionSignal fromKey(bool pair, std::size_t key);
+
+    bool isPair() const { return prev != os::Sys::NumSyscalls; }
+
+    /** Dense key within its kind: sys, or prev * NumSys + sys. */
+    std::size_t key() const;
+
+    bool operator==(const TransitionSignal &) const = default;
+
+    os::Sys prev; ///< os::Sys::NumSyscalls: after any call.
+    os::Sys sys;
+
+  private:
+    constexpr TransitionSignal(os::Sys prev, os::Sys sys)
+        : prev(prev), sys(sys)
+    {
+    }
+};
+
+/** The last system call of each thread. */
+class LastCalls
+{
+  public:
+    /**
+     * Record @p sys as @p thread's last call. Returns the signal
+     * this call completes: the pair with the thread's previous call,
+     * or the single call on the thread's first.
+     */
+    TransitionSignal enter(os::ThreadId thread, os::Sys sys);
+
+  private:
+    std::vector<os::Sys> last; ///< NumSyscalls before the first call.
+};
+
+/**
+ * Trains the signal -> CPI-change mapping online, for single calls
+ * and call pairs from the same calls.
  *
  * Attach to a kernel (for syscall entries) and a sampler (for period
- * completions). The "before" value is the metric of the last period
- * completed on the calling core; the "after" value is the metric of
- * the next period completed there.
+ * completions). The "before" value is the CPI of the last period
+ * completed on the calling core; the "after" value is the CPI of the
+ * next period completed there.
  */
 class TransitionTrainer : public os::KernelHooks
 {
   public:
-    /** Per-syscall training result. */
+    /** Training result of one signal. */
     struct SignalStat
     {
-        os::Sys sys = os::Sys::gettimeofday;
+        TransitionSignal signal =
+            TransitionSignal::call(os::Sys::gettimeofday);
         std::size_t count = 0;
         double meanChange = 0.0;
         double stddev = 0.0;
@@ -45,29 +115,30 @@ class TransitionTrainer : public os::KernelHooks
     /**
      * @param kernel  Kernel to observe.
      * @param sampler Sampler whose periods define the windows.
-     * @param metric  Target metric (the paper uses CPI).
      */
-    TransitionTrainer(os::Kernel &kernel, Sampler &sampler,
-                      Metric metric = Metric::Cpi);
+    TransitionTrainer(os::Kernel &kernel, Sampler &sampler);
 
     void onSyscallEntry(sim::CoreId core, os::ThreadId thread,
                         os::RequestId request, os::Sys sys) override;
 
-    /** Signals ranked by |mean change| (most significant first). */
-    std::vector<SignalStat> ranked(std::size_t min_count = 20) const;
+    /**
+     * Single-call signals (call pairs, with @p pairs) seen at least
+     * @p min_count times, ranked by |mean change|.
+     */
+    std::vector<SignalStat> ranked(bool pairs,
+                                   std::size_t min_count) const;
 
-    /** Select the top-k syscalls as sampling triggers. */
-    std::vector<os::Sys> selectTriggers(std::size_t k,
-                                        std::size_t min_count = 20)
-        const;
+    /** The top @p k of ranked() as sampling triggers. */
+    std::vector<TransitionSignal>
+    selectTriggers(bool pairs, std::size_t k,
+                   std::size_t min_count) const;
 
   private:
-    void onSample(sim::CoreId core, os::RequestId request,
-                  const Period &period);
+    void onSample(sim::CoreId core, const Period &period);
 
     struct Pending
     {
-        os::Sys sys;
+        std::size_t key;
         double before;
 
         /** Set once the period straddling the call has been skipped
@@ -79,78 +150,37 @@ class TransitionTrainer : public os::KernelHooks
     {
         bool hasBefore = false;
         double beforeValue = 0.0;
-        std::vector<Pending> pending; ///< Calls awaiting "after".
+
+        /** Calls awaiting "after", single calls and pairs apart. */
+        std::array<std::vector<Pending>, 2> pending;
     };
 
-    Metric metric;
-    std::array<stats::OnlineMeanVar, os::NumSys> bySys;
+    /** CPI changes by dense key, single calls and pairs apart. */
+    std::array<std::vector<stats::OnlineMeanVar>, 2> byKey;
+    LastCalls lastCalls;
     std::vector<CoreTrain> cores;
 };
 
 /**
- * Bigram variant of the trainer (the paper's suggested-but-not-
- * investigated improvement): maps *pairs* of consecutive system call
- * names within a thread to the subsequent metric change, so a call
- * whose meaning depends on context (read() after poll() vs read()
- * after write()) trains separate signals.
+ * Syscall sampler that samples only at selected behavior-transition
+ * signals (Sec. 3.2, Table 2): a call triggers when its single-call
+ * signal or its pair with the thread's previous call is selected.
  */
-class BigramTransitionTrainer : public os::KernelHooks
+class TransitionSignalSampler : public SyscallSampler
 {
   public:
-    using Bigram = std::pair<os::Sys, os::Sys>;
+    TransitionSignalSampler(os::Kernel &kernel, SamplerConfig cfg,
+                            const std::vector<TransitionSignal> &triggers);
 
-    /** Per-bigram training result. */
-    struct SignalStat
-    {
-        Bigram bigram{os::Sys::gettimeofday, os::Sys::gettimeofday};
-        std::size_t count = 0;
-        double meanChange = 0.0;
-        double stddev = 0.0;
-    };
-
-    BigramTransitionTrainer(os::Kernel &kernel, Sampler &sampler,
-                            Metric metric = Metric::Cpi);
-
-    void onSyscallEntry(sim::CoreId core, os::ThreadId thread,
-                        os::RequestId request, os::Sys sys) override;
-
-    /** Signals ranked by |mean change| (most significant first). */
-    std::vector<SignalStat> ranked(std::size_t min_count = 20) const;
-
-    /** Select the top-k bigrams as sampling triggers. */
-    std::vector<Bigram> selectTriggers(std::size_t k,
-                                       std::size_t min_count = 20)
-        const;
+  protected:
+    bool isTrigger(os::ThreadId thread, os::Sys sys) override;
 
   private:
-    void onSample(sim::CoreId core, os::RequestId request,
-                  const Period &period);
+    bool isSelected(const TransitionSignal &s) const;
 
-    static std::size_t
-    keyOf(os::Sys prev, os::Sys cur)
-    {
-        return static_cast<std::size_t>(prev) * os::NumSys +
-               static_cast<std::size_t>(cur);
-    }
-
-    struct Pending
-    {
-        std::size_t key;
-        double before;
-        bool armed;
-    };
-
-    struct CoreTrain
-    {
-        bool hasBefore = false;
-        double beforeValue = 0.0;
-        std::vector<Pending> pending;
-    };
-
-    Metric metric;
-    std::vector<stats::OnlineMeanVar> byBigram; ///< NumSys^2 cells.
-    std::vector<os::Sys> lastSys;               ///< Per thread.
-    std::vector<CoreTrain> cores;
+    /** Selected dense keys, single calls and pairs apart. */
+    std::array<std::vector<bool>, 2> selected;
+    LastCalls lastCalls;
 };
 
 } // namespace rbv::core

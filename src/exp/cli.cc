@@ -132,6 +132,19 @@ Cli::getU64(const std::string &name, std::uint64_t def) const
     return out;
 }
 
+int
+Cli::getCount(const std::string &name, int def) const
+{
+    const std::string *v = value(name);
+    if (v == nullptr)
+        return def;
+    const std::uint64_t out = getU64(name, 0);
+    if (out == 0 ||
+        out > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+        badValue(name, *v);
+    return static_cast<int>(out);
+}
+
 namespace {
 
 /** True when @p ticks converts to a sim::Tick without overflow. */
@@ -232,8 +245,6 @@ const std::pair<const char *, const char *> FlagCatalogue[] = {
     {"prof", "print the obs top-N self-profile table to stderr"},
     {"quiet", "suppress per-job progress lines on stderr"},
     {"requests", "requests to simulate per run"},
-    {"retries", "extra attempts per failing job before it is marked "
-                "failed"},
     {"rows", "rows of the per-request behavior table to print"},
     {"rpc-retries", "cluster attempts per tier hop (first try + "
                     "retries)"},

@@ -62,6 +62,12 @@ class Cli
                          std::uint64_t def) const;
 
     /**
+     * A count of runs or requests to do: like getU64, but 0 and
+     * values above INT_MAX also exit 2.
+     */
+    int getCount(const std::string &name, int def) const;
+
+    /**
      * A simulated time span of @p unitTicks ticks per unit of the
      * value. A value that is not positive (negative, when
      * @p allowZero) or whose tick count overflows exits 2 like a bad

@@ -5,7 +5,6 @@
 
 #include "exp/runner.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <mutex>
@@ -152,7 +151,6 @@ runnerOptions(const Cli &cli)
     RunnerOptions opts;
     opts.jobs = static_cast<int>(cli.getU64("jobs", 0));
     opts.progress = !cli.getBool("quiet", false);
-    opts.maxRetries = static_cast<int>(cli.getU64("retries", 0));
     return opts;
 }
 
@@ -241,36 +239,19 @@ ParallelRunner::run(const std::vector<Job> &jobs) const
             const obs::ScopedSimProcess proc(
                 static_cast<std::uint32_t>(2 + i), job.key);
 
-            // Job-boundary failure contract: a throwing body is
-            // retried (bounded, with linear backoff), then recorded
-            // as a failed slot — one poisoned job never takes down
-            // the sweep.
-            const int max_attempts = 1 + std::max(0, opts.maxRetries);
-            for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-                slot.attempts = attempt;
-                try {
-                    slot.result = job.body ? job.body(job.config)
-                                           : runScenario(job.config);
-                    slot.failed = false;
-                    slot.error.clear();
-                    break;
-                } catch (const std::exception &e) {
-                    slot.failed = true;
-                    slot.error = e.what();
-                } catch (...) {
-                    slot.failed = true;
-                    slot.error = "non-standard exception";
-                }
-                if (attempt == max_attempts)
-                    break;
-                // Host-side wait only; job bodies are deterministic
-                // in simulated time, so backoff never alters results.
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(
-                        opts.backoffMs * attempt));
+            // Job-boundary failure contract: a throwing body becomes
+            // a failed slot — one poisoned job never takes down the
+            // sweep.
+            try {
+                slot.result = job.body ? job.body(job.config)
+                                       : runScenario(job.config);
+            } catch (const std::exception &e) {
+                slot.failed = true;
+                slot.error = e.what();
+            } catch (...) {
+                slot.failed = true;
+                slot.error = "non-standard exception";
             }
-            if (slot.failed)
-                slot.result = ScenarioResult{};
         }
         slot.seconds =
             std::chrono::duration<double>(
@@ -285,10 +266,8 @@ ParallelRunner::run(const std::vector<Job> &jobs) const
             std::lock_guard<std::mutex> lock(log_mutex);
             log << "[" << finished << "/" << jobs.size() << "] "
                 << job.key << "  ";
-            if (slot.failed) {
-                log << "FAILED after " << slot.attempts
-                    << " attempt(s): " << slot.error << "  ";
-            }
+            if (slot.failed)
+                log << "FAILED: " << slot.error << "  ";
             log << static_cast<int>(slot.seconds * 100.0) / 100.0
                 << "s\n";
         }

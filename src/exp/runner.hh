@@ -64,14 +64,14 @@ struct JobResult
 
     /**
      * The job-boundary failure contract: a body that throws is caught
-     * here (after the configured retries), recorded, and never takes
-     * down the rest of the sweep. A failed slot carries a
+     * here, recorded, and never takes down the rest of the sweep. It
+     * is not retried: a body is a pure function of its config, so a
+     * retry would throw again. A failed slot carries a
      * default-constructed result and must be skipped by consumers
      * (see tryResultFor / exitCodeFor).
      */
     bool failed = false;
-    std::string error; ///< what() of the last attempt's exception.
-    int attempts = 1;  ///< Attempts consumed (1 = no retry needed).
+    std::string error; ///< what() of the body's exception.
 };
 
 /**
@@ -145,15 +145,9 @@ struct RunnerOptions
 
     /** Progress sink; null means std::cerr. */
     std::ostream *log = nullptr;
-
-    /** Extra attempts for a job whose body throws (bounded retry). */
-    int maxRetries = 0;
-
-    /** Host-side backoff before retry i is i * backoffMs. */
-    double backoffMs = 50.0;
 };
 
-/** Standard engine flags: --jobs N, --quiet, and --retries N. */
+/** Standard engine flags: --jobs N and --quiet. */
 RunnerOptions runnerOptions(const Cli &cli);
 
 /**

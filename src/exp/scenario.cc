@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "core/check.hh"
 #include "fi/session.hh"
 #include "obs/obs.hh"
 #include "wl/server.hh"
@@ -96,9 +97,6 @@ makeSampler(const ScenarioConfig &cfg, os::Kernel &kernel,
       case SamplerKind::TransitionSignal:
         return std::make_unique<core::TransitionSignalSampler>(
             kernel, sc, cfg.triggers);
-      case SamplerKind::BigramTransitionSignal:
-        return std::make_unique<core::BigramTransitionSignalSampler>(
-            kernel, sc, cfg.bigramTriggers);
     }
     return nullptr;
 }
@@ -115,6 +113,8 @@ ScenarioResult
 runScenario(const ScenarioConfig &cfg)
 {
     RBV_PROF_SCOPE(RunScenario);
+    // With no request to inject, the run would idle up to maxTicks.
+    RBV_CHECK(cfg.requests > 0, "scenario with no requests");
     auto gen = wl::makeGenerator(cfg.app);
     const double period_us = effectivePeriodUs(cfg);
 
@@ -218,13 +218,8 @@ runScenario(const ScenarioConfig &cfg)
                   return a.id < b.id;
               });
     if (sampler) {
-        std::vector<core::Timeline> timelines =
-            sampler->takeTimelines();
-        for (RequestRecord &rec : result.records) {
-            const auto idx = static_cast<std::size_t>(rec.id);
-            if (idx < timelines.size())
-                rec.timeline = std::move(timelines[idx]);
-        }
+        for (RequestRecord &rec : result.records)
+            rec.timeline = sampler->takeTimeline(rec.id);
     }
 
     return result;

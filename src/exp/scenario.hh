@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "core/sampling/sampler.hh"
+#include "core/sampling/transition.hh"
 #include "core/sched/contention.hh"
 #include "fi/injection.hh"
 #include "os/kernel.hh"
@@ -32,7 +32,6 @@ enum class SamplerKind
     Interrupt,
     Syscall,
     TransitionSignal,
-    BigramTransitionSignal,
 };
 
 /** One observed next-syscall gap (Fig. 4). */
@@ -77,11 +76,7 @@ struct ScenarioConfig
     double backupUs = -1.0;
 
     /** Trigger set for SamplerKind::TransitionSignal. */
-    std::vector<os::Sys> triggers;
-
-    /** Trigger set for SamplerKind::BigramTransitionSignal. */
-    std::vector<core::BigramTransitionSignalSampler::Bigram>
-        bigramTriggers;
+    std::vector<core::TransitionSignal> triggers;
 
     bool compensate = true;
     bool injectObserverCost = true;

@@ -35,7 +35,7 @@ const std::vector<std::string> BinaryFlags = {
     "deadline-us", "diag-out", "diagnose", "duration",
     "faults", "hedge", "jobs", "k", "link-us", "max-outstanding",
     "ms", "no-hist", "qps",
-    "quiet", "requests", "retries", "rows", "rpc-retries", "rss-log",
+    "quiet", "requests", "rows", "rpc-retries", "rss-log",
     "rubis", "runs", "seed", "topology", "tpch", "webwork-requests",
     "window",
 };
@@ -219,6 +219,15 @@ TEST(CliDeath, NumericValuesThatDoNotParseExitTwo)
     expectBadValue("--qps", "inf", d);
 }
 
+TEST(CliDeath, CountsOfZeroOrAboveIntMaxExitTwo)
+{
+    const auto runs = [](const Cli &c) { (void)c.getCount("runs", 1); };
+    expectBadValue("--runs", "0", runs);
+    expectBadValue("--runs", "2147483648", runs);
+    expectBadValue("--runs", "4294967296", runs); // an int cast gives 0
+    expectBadValue("--runs", "-1", runs);
+}
+
 TEST(CliDeath, TimeAndRateValuesWithoutATickCountExitTwo)
 {
     const auto deadline = [](const Cli &c) {
@@ -254,6 +263,11 @@ TEST(Cli, WellFormedNumbersStillParse)
     EXPECT_EQ(cli.getTime("link-us", 1.0, UsTicks, true), 0.0);
     EXPECT_DOUBLE_EQ(cli.getRate("qps", 0.0, SecondTicks), 2500.0);
     EXPECT_EQ(cli.getU64("seed", 0), 18446744073709551615u);
+
+    const char *counts[] = {"prog", "--runs", "2147483647"};
+    const Cli count_cli(3, const_cast<char **>(counts));
+    EXPECT_EQ(count_cli.getCount("runs", 1), 2147483647);
+    EXPECT_EQ(count_cli.getCount("requests", 40), 40);
 }
 
 TEST(CliDeath, ClusterFlagTypoIsRejected)

@@ -249,6 +249,14 @@ TEST(CheckTripDeath, RunUntilBackwardsAborts)
     EXPECT_DEATH(eq.runUntil(50), "RBV_CHECK failed");
 }
 
+TEST(CheckTripDeath, ScenarioWithNoRequestsAborts)
+{
+    ScenarioConfig cfg;
+    cfg.requests = 0;
+    EXPECT_DEATH((void)runScenario(cfg),
+                 "RBV_CHECK failed.*scenario with no requests");
+}
+
 TEST(CheckTripDeath, NegativeCounterAccrualAborts)
 {
     sim::PerfCounters pc;

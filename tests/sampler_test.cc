@@ -387,8 +387,10 @@ TEST(TransitionSampler, OnlySelectedSyscallsTrigger)
     SamplerConfig sc;
     sc.minGapUs = 1.0;
     sc.backupUs = 100000.0;
-    TransitionSignalSampler sampler(rig.kernel, sc,
-                                    {Sys::writev, Sys::stat});
+    TransitionSignalSampler sampler(
+        rig.kernel, sc,
+        {TransitionSignal::call(Sys::writev),
+         TransitionSignal::call(Sys::stat)});
     rig.startWithRequest(std::make_unique<TwoPhaseLogic>());
     sampler.start();
     rig.eq.runUntil(sim::msToCycles(10.0));
@@ -396,7 +398,8 @@ TEST(TransitionSampler, OnlySelectedSyscallsTrigger)
     EXPECT_GT(selected, 10u);
 
     Rig rig2;
-    TransitionSignalSampler none(rig2.kernel, sc, {Sys::open});
+    TransitionSignalSampler none(rig2.kernel, sc,
+                                 {TransitionSignal::call(Sys::open)});
     rig2.startWithRequest(std::make_unique<TwoPhaseLogic>());
     none.start();
     rig2.eq.runUntil(sim::msToCycles(10.0));
@@ -416,17 +419,17 @@ TEST(TransitionTrainer, LearnsSignedCpiChanges)
     sampler.start();
     rig.eq.runUntil(sim::msToCycles(20.0));
 
-    const auto ranked = trainer.ranked(5);
+    const auto ranked = trainer.ranked(false, 5);
     ASSERT_GE(ranked.size(), 2u);
 
     double writev_change = 0.0, stat_change = 0.0;
     bool saw_writev = false, saw_stat = false;
     for (const auto &s : ranked) {
-        if (s.sys == Sys::writev) {
+        if (s.signal.sys == Sys::writev) {
             writev_change = s.meanChange;
             saw_writev = true;
         }
-        if (s.sys == Sys::stat) {
+        if (s.signal.sys == Sys::stat) {
             stat_change = s.meanChange;
             saw_stat = true;
         }
@@ -449,11 +452,42 @@ TEST(TransitionTrainer, SelectTriggersRanksByMagnitude)
     sampler.start();
     rig.eq.runUntil(sim::msToCycles(20.0));
 
-    const auto triggers = trainer.selectTriggers(2, 5);
+    const auto triggers = trainer.selectTriggers(false, 2, 5);
     ASSERT_EQ(triggers.size(), 2u);
     // The two phase-change signals must rank above recv/send noise.
-    for (Sys s : triggers)
-        EXPECT_TRUE(s == Sys::writev || s == Sys::stat);
+    for (const TransitionSignal &s : triggers) {
+        EXPECT_TRUE(s == TransitionSignal::call(Sys::writev) ||
+                    s == TransitionSignal::call(Sys::stat));
+    }
+}
+
+TEST(TransitionTrainer, EachKindHasItsOwnPendingCap)
+{
+    // About 150 calls per 200 us interrupt period: each kind's pending
+    // list fills to its cap of 16 and resolves two periods later, so
+    // 16 calls of each kind count per two periods (192 in 5 ms), as in
+    // the separate single-call and pair trainers this one replaced. A
+    // list shared by both kinds would count 96 of each.
+    Rig rig;
+    SamplerConfig sc;
+    sc.periodUs = 200.0;
+    InterruptSampler sampler(rig.kernel, sc);
+    TransitionTrainer trainer(rig.kernel, sampler);
+    rig.startWithRequest(std::make_unique<BurstLogic>(2000.0));
+    sampler.start();
+    rig.eq.runUntil(sim::msToCycles(5.0));
+
+    const auto singles = trainer.ranked(false, 1);
+    const auto pairs = trainer.ranked(true, 1);
+    ASSERT_EQ(singles.size(), 1u);
+    ASSERT_EQ(pairs.size(), 1u);
+    EXPECT_TRUE(singles[0].signal ==
+                TransitionSignal::call(Sys::gettimeofday));
+    EXPECT_TRUE(pairs[0].signal == TransitionSignal::after(
+                                       Sys::gettimeofday,
+                                       Sys::gettimeofday));
+    EXPECT_EQ(singles[0].count, 192u);
+    EXPECT_EQ(pairs[0].count, 192u);
 }
 
 // ------------------------------------------------- Bigram extension
@@ -465,16 +499,15 @@ TEST(BigramTrainer, SeparatesContextDependentSyscalls)
     sc.minGapUs = 1.0;
     sc.backupUs = 100000.0;
     SyscallSampler sampler(rig.kernel, sc);
-    TransitionTrainer uni(rig.kernel, sampler);
-    BigramTransitionTrainer bi(rig.kernel, sampler);
+    TransitionTrainer trainer(rig.kernel, sampler);
     rig.startWithRequest(std::make_unique<ContextualReadLogic>());
     sampler.start();
     rig.eq.runUntil(sim::msToCycles(30.0));
 
     // Unigram: read's mean change blends +4 and 0 contexts.
     double uni_read = 0.0, uni_read_std = 0.0;
-    for (const auto &st : uni.ranked(5)) {
-        if (st.sys == Sys::read) {
+    for (const auto &st : trainer.ranked(false, 5)) {
+        if (st.signal.sys == Sys::read) {
             uni_read = st.meanChange;
             uni_read_std = st.stddev;
         }
@@ -487,12 +520,14 @@ TEST(BigramTrainer, SeparatesContextDependentSyscalls)
     // is near zero.
     double poll_read = 0.0, write_read = 1e9;
     double poll_read_std = 1e9;
-    for (const auto &st : bi.ranked(5)) {
-        if (st.bigram == std::make_pair(Sys::poll, Sys::read)) {
+    const auto poll_read_signal =
+        TransitionSignal::after(Sys::poll, Sys::read);
+    for (const auto &st : trainer.ranked(true, 5)) {
+        if (st.signal == poll_read_signal) {
             poll_read = st.meanChange;
             poll_read_std = st.stddev;
         }
-        if (st.bigram == std::make_pair(Sys::write, Sys::read))
+        if (st.signal == TransitionSignal::after(Sys::write, Sys::read))
             write_read = st.meanChange;
     }
     EXPECT_GT(poll_read, 3.0);
@@ -501,11 +536,10 @@ TEST(BigramTrainer, SeparatesContextDependentSyscalls)
 
     // And (poll, read) ranks among the strongest bigram signals
     // ((read, write), its mirror-image drop, is equally strong).
-    const auto triggers = bi.selectTriggers(2, 5);
+    const auto triggers = trainer.selectTriggers(true, 2, 5);
     ASSERT_EQ(triggers.size(), 2u);
-    const bool found =
-        triggers[0] == std::make_pair(Sys::poll, Sys::read) ||
-        triggers[1] == std::make_pair(Sys::poll, Sys::read);
+    const bool found = triggers[0] == poll_read_signal ||
+                       triggers[1] == poll_read_signal;
     EXPECT_TRUE(found);
 }
 
@@ -515,8 +549,8 @@ TEST(BigramSampler, TriggersOnlyOnSelectedPairs)
     SamplerConfig sc;
     sc.minGapUs = 1.0;
     sc.backupUs = 100000.0;
-    BigramTransitionSignalSampler sampler(
-        rig.kernel, sc, {{Sys::poll, Sys::read}});
+    TransitionSignalSampler sampler(
+        rig.kernel, sc, {TransitionSignal::after(Sys::poll, Sys::read)});
     rig.startWithRequest(std::make_unique<ContextualReadLogic>());
     sampler.start();
     rig.eq.runUntil(sim::msToCycles(20.0));
@@ -532,4 +566,33 @@ TEST(BigramSampler, TriggersOnlyOnSelectedPairs)
     all.start();
     rig2.eq.runUntil(sim::msToCycles(20.0));
     EXPECT_GT(all.stats().syscallSamples, n * 3);
+}
+
+TEST(TransitionSampler, MixedTriggersFireOnSingleCallsAndPairs)
+{
+    // Each 10-step cycle has one poll() and one read() after poll():
+    // a sampler selecting both signals samples at both, as often as
+    // the two one-signal samplers together. poll() must count as the
+    // previous call even on the calls where it fires by itself.
+    const auto syscall_samples =
+        [](const std::vector<TransitionSignal> &triggers) {
+            Rig rig;
+            SamplerConfig sc;
+            sc.minGapUs = 1.0;
+            sc.backupUs = 100000.0;
+            TransitionSignalSampler sampler(rig.kernel, sc, triggers);
+            rig.startWithRequest(std::make_unique<ContextualReadLogic>());
+            sampler.start();
+            rig.eq.runUntil(sim::msToCycles(20.0));
+            return sampler.stats().syscallSamples;
+        };
+    const auto poll = TransitionSignal::call(Sys::poll);
+    const auto poll_read = TransitionSignal::after(Sys::poll, Sys::read);
+    const auto at_poll = syscall_samples({poll});
+    const auto at_poll_read = syscall_samples({poll_read});
+    const auto at_both = syscall_samples({poll, poll_read});
+    EXPECT_GT(at_poll, 10u);
+    EXPECT_GT(at_poll_read, 10u);
+    EXPECT_NEAR(static_cast<double>(at_both),
+                static_cast<double>(at_poll + at_poll_read), 2.0);
 }

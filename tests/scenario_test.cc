@@ -105,7 +105,8 @@ TEST(Scenario, SyscallSamplerCheaperThanInterruptAtMatchedRate)
     ASSERT_GT(sr.samplerStats.totalSamples(), 0u);
     // In-kernel samples dominate for the syscall sampler.
     EXPECT_GT(sr.samplerStats.inKernelSamples(),
-              sr.samplerStats.interruptContextSamples());
+              sr.samplerStats.interruptSamples +
+                  sr.samplerStats.backupSamples);
     // Per-sample overhead is lower for the syscall sampler.
     const double ir_per =
         ir.samplerStats.overheadCycles / ir.samplerStats.totalSamples();
