@@ -3,7 +3,8 @@
  * Micro-benchmark: hot-path costs of the online machinery — the
  * predictor update the scheduler runs at every sample (Sec. 5.1),
  * partial-signature identification against a 500-entry bank
- * (Sec. 4.4), timeline binning, and k-medoids clustering.
+ * (Sec. 4.4), timeline binning, k-medoids clustering, and the
+ * serving mode's sliding quantile.
  *
  * These bound the real-time budget of online request modeling: all
  * per-sample operations must stay far below the per-sample cost of
@@ -23,6 +24,7 @@
 #include "core/predict/predictor.hh"
 #include "core/timeline.hh"
 #include "obs/obs.hh"
+#include "stats/online.hh"
 #include "stats/rng.hh"
 
 using namespace rbv;
@@ -98,6 +100,24 @@ BM_KMedoids(benchmark::State &state)
     for (auto _ : state) {
         stats::Rng crng(5);
         benchmark::DoNotOptimize(kMedoids(dm, 10, crng));
+    }
+}
+
+/**
+ * One add and one p99 read over a full window, as serve's anomaly
+ * scorer (1024) and latency window (8192) do per completion.
+ */
+void
+BM_SlidingQuantile(benchmark::State &state)
+{
+    const auto window = static_cast<std::size_t>(state.range(0));
+    stats::Rng rng(6);
+    stats::SlidingQuantile q(window);
+    for (std::size_t i = 0; i < window; ++i)
+        q.add(rng.exponential(50.0));
+    for (auto _ : state) {
+        q.add(rng.exponential(50.0));
+        benchmark::DoNotOptimize(q.quantile(0.99));
     }
 }
 
@@ -191,5 +211,6 @@ BENCHMARK(BM_SignatureBankIdentify)
     ->Args({500, 60});
 BENCHMARK(BM_TimelineBinning)->Range(64, 4096);
 BENCHMARK(BM_KMedoids)->Range(64, 512);
+BENCHMARK(BM_SlidingQuantile)->Arg(1024)->Arg(8192);
 
 BENCHMARK_MAIN();

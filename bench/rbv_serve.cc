@@ -15,7 +15,9 @@
  * fault plan).
  */
 
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -28,6 +30,16 @@
 
 using namespace rbv;
 using namespace rbv::exp;
+
+namespace {
+
+/**
+ * Largest --window, in series. The cluster model reserves a slot per
+ * series up front, and each series is one request's binned timeline.
+ */
+constexpr std::uint64_t MaxWindow = 65536;
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -56,8 +68,12 @@ main(int argc, char **argv)
     cfg.durationSec =
         cli.getTime("duration", 1.0, sim::usToCycles(1.0e6));
     cfg.checkpointEvery = cli.getU64("checkpoint-every", 10000);
-    cfg.window = cli.getU64("window", 512);
-    cfg.maxOutstanding = cli.getU64("max-outstanding", 4096);
+    // A window smaller than k never reclusters, so nothing is flagged;
+    // a cap of 0 sheds every arrival.
+    cfg.window = cli.getU64("window", 512, cfg.k, MaxWindow);
+    cfg.maxOutstanding = cli.getU64(
+        "max-outstanding", 4096, 1,
+        std::numeric_limits<std::uint64_t>::max());
     cfg.rssLog = cli.getStr("rss-log", "");
     cfg.quiet = cli.getBool("quiet", false);
     cfg.diagnose = cli.getBool("diagnose", false);

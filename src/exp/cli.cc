@@ -132,17 +132,25 @@ Cli::getU64(const std::string &name, std::uint64_t def) const
     return out;
 }
 
-int
-Cli::getCount(const std::string &name, int def) const
+std::uint64_t
+Cli::getU64(const std::string &name, std::uint64_t def, std::uint64_t lo,
+            std::uint64_t hi) const
 {
     const std::string *v = value(name);
     if (v == nullptr)
         return def;
-    const std::uint64_t out = getU64(name, 0);
-    if (out == 0 ||
-        out > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+    const std::uint64_t out = getU64(name, def);
+    if (out < lo || out > hi)
         badValue(name, *v);
-    return static_cast<int>(out);
+    return out;
+}
+
+int
+Cli::getCount(const std::string &name, int def) const
+{
+    return static_cast<int>(getU64(
+        name, static_cast<std::uint64_t>(def), 1,
+        static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
 }
 
 namespace {

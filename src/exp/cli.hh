@@ -62,8 +62,14 @@ class Cli
                          std::uint64_t def) const;
 
     /**
-     * A count of runs or requests to do: like getU64, but 0 and
-     * values above INT_MAX also exit 2.
+     * A count that must lie in [@p lo, @p hi]: like getU64, but a
+     * value outside the range also exits 2.
+     */
+    std::uint64_t getU64(const std::string &name, std::uint64_t def,
+                         std::uint64_t lo, std::uint64_t hi) const;
+
+    /**
+     * A count of runs or requests to do: a getU64 in [1, INT_MAX].
      */
     int getCount(const std::string &name, int def) const;
 

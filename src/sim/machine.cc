@@ -32,7 +32,6 @@ constexpr double L2HitLatencyCycles = 14.0;
 Machine::Machine(const MachineConfig &cfg, EventQueue &eq,
                  CoreClient *client)
     : cfg(cfg), eq(eq), client(client), cores(cfg.numCores),
-      memLatency(MemoryModel::BaseLatencyCycles),
       lastSync(eq.now())
 {
     RBV_CHECK(cfg.numCores > 0);
@@ -46,6 +45,7 @@ Machine::Machine(const MachineConfig &cfg, EventQueue &eq,
     fillWsets.resize(cfg.numCores);
     fillTargets.resize(cfg.numCores);
     fillCapped.resize(cfg.numCores);
+    solveEntryCpi.resize(cfg.numCores);
 
     if (cfg.modelRefreshIntervalCycles > 0) {
         eq.scheduleIn(cfg.modelRefreshIntervalCycles, [this] {
@@ -150,9 +150,34 @@ Machine::resync()
 void
 Machine::recomputeRates()
 {
+    // Pass 1: miss ratios from current occupancies. A busy core's
+    // ratio depends only on its curve and occupancy, so it is
+    // re-evaluated only when one of them changed.
+    bool miss_moved = false;
+    for (CoreId i = 0; i < cfg.numCores; ++i) {
+        auto &c = cores[i];
+        if (!c.busy) {
+            c.missRatio = 0.0;
+            c.missRatioStale = true;
+        } else if (c.missRatioStale || c.occupancy != c.missRatioOcc) {
+            const double m = c.params.curve.missRatioAt(c.occupancy);
+            miss_moved = miss_moved || m != c.missRatio;
+            c.missRatio = m;
+            c.missRatioOcc = c.occupancy;
+            c.missRatioStale = false;
+        }
+    }
+
+    // The rest is a pure function of the busy set and of each busy
+    // core's params, miss ratio and effCpi. When the last call left
+    // every effCpi as it found it and none of these moved since, it
+    // would write back exactly what every field already holds.
+    if (ratesCurrent && !miss_moved)
+        return;
+
     const int num_domains = static_cast<int>(domainInsertion.size());
 
-    // Pass 1: per-domain occupancy targets by demand-weighted
+    // Pass 2: per-domain occupancy targets by demand-weighted
     // water-filling, with demand approximated by each runner's L2
     // reference pressure (references per cycle at its current CPI).
     for (int d = 0; d < num_domains; ++d) {
@@ -180,25 +205,18 @@ Machine::recomputeRates()
             cores[fillRunners[k]].targetOcc = fillTargets[k];
     }
 
-    // Pass 2: miss ratios from current occupancies.
-    for (CoreId i = 0; i < cfg.numCores; ++i) {
-        auto &c = cores[i];
-        if (c.busy)
-            c.missRatio = c.params.curve.missRatioAt(c.occupancy);
-        else
-            c.missRatio = 0.0;
-    }
-
     // Pass 3: fixed-point solve of the coupled CPI / memory-latency
     // system. More aggregate miss bandwidth raises the effective miss
     // latency, which slows every core down, which lowers bandwidth:
-    // a contraction that converges in a few iterations.
+    // a contraction that converges in a few iterations. An iteration
+    // that moves no effCpi would be repeated bit for bit by every
+    // later one, so the solve stops there.
     for (CoreId i = 0; i < cfg.numCores; ++i) {
         auto &c = cores[i];
         if (c.busy && c.effCpi <= 0.0)
             c.effCpi = c.params.baseCpi;
+        solveEntryCpi[i] = c.effCpi;
     }
-    double lat = memLatency;
     for (int it = 0; it < CpiSolveIterations; ++it) {
         double miss_bw = 0.0;
         for (CoreId i = 0; i < cfg.numCores; ++i) {
@@ -209,21 +227,30 @@ Machine::recomputeRates()
                 c.params.refsPerIns / std::max(c.effCpi, 1e-9);
             miss_bw += refs_per_cycle * c.missRatio * CacheLineBytes;
         }
-        lat = memory.latencyAt(miss_bw);
+        const double lat = memory.latencyAt(miss_bw);
+        bool moved = false;
         for (CoreId i = 0; i < cfg.numCores; ++i) {
             auto &c = cores[i];
             if (!c.busy)
                 continue;
-            c.effCpi = c.params.baseCpi +
-                       c.params.refsPerIns *
-                           ((1.0 - c.missRatio) *
-                                L2HitLatencyCycles +
-                            c.missRatio * lat);
+            const double cpi = c.params.baseCpi +
+                               c.params.refsPerIns *
+                                   ((1.0 - c.missRatio) *
+                                        L2HitLatencyCycles +
+                                    c.missRatio * lat);
+            moved = moved || cpi != c.effCpi;
+            c.effCpi = cpi;
         }
+        if (!moved)
+            break;
     }
-    memLatency = lat;
+    ratesCurrent = true;
+    for (CoreId i = 0; i < cfg.numCores; ++i)
+        if (cores[i].busy && cores[i].effCpi != solveEntryCpi[i])
+            ratesCurrent = false;
 
-    // Pass 4: derived fill rates and co-runner pressure.
+    // Pass 4: derived fill rates and co-runner pressure. Each core's
+    // pressure sums its domain's other cores in ascending order.
     for (CoreId i = 0; i < cfg.numCores; ++i) {
         auto &c = cores[i];
         if (!c.busy) {
@@ -235,13 +262,16 @@ Machine::recomputeRates()
         c.fillBytesPerCycle = c.params.refsPerIns * c.insPerCycle *
                               c.missRatio * CacheLineBytes;
     }
-    for (CoreId i = 0; i < cfg.numCores; ++i) {
-        auto &c = cores[i];
-        c.coPressure = 0.0;
-        for (CoreId j = 0; j < cfg.numCores; ++j) {
-            if (j == i || domainOf(j) != domainOf(i))
-                continue;
-            c.coPressure += cores[j].fillBytesPerCycle;
+    for (int d = 0; d < num_domains; ++d) {
+        const CoreId first = d * cfg.coresPerL2Domain;
+        const CoreId end =
+            std::min(first + cfg.coresPerL2Domain, cfg.numCores);
+        for (CoreId i = first; i < end; ++i) {
+            double pressure = 0.0;
+            for (CoreId j = first; j < end; ++j)
+                if (j != i)
+                    pressure += cores[j].fillBytesPerCycle;
+            cores[i].coPressure = pressure;
         }
     }
 }
@@ -310,6 +340,7 @@ Machine::boundaryFired(CoreId core)
                            c.fixedQueue.empty();
     if (completed) {
         c.busy = false;
+        ratesCurrent = false;
         recomputeRates();
         if (client)
             client->onWorkComplete(core);
@@ -365,6 +396,8 @@ Machine::setWork(CoreId core, const WorkParams &params,
     c.params = params;
     c.insRemaining = std::max(instructions, 0.0);
     c.effCpi = params.baseCpi; // seed for the fixed-point solve
+    c.missRatioStale = true;
+    ratesCurrent = false;
     recomputeRates();
     scheduleBoundaries();
 }
@@ -376,6 +409,7 @@ Machine::clearWork(CoreId core)
     auto &c = cores[core];
     c.busy = false;
     c.insRemaining = 0.0;
+    ratesCurrent = false;
     recomputeRates();
     scheduleBoundaries();
 }

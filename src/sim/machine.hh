@@ -7,7 +7,8 @@
  * piecewise-constant-rate windows: between any two events every core
  * executes at a fixed effective CPI computed from the co-runner set;
  * any state change (work assignment, segment completion, fixed-work
- * injection) resynchronizes all cores and re-derives the rates.
+ * injection) resynchronizes all cores and re-derives the rates, unless
+ * nothing the rates depend on moved since they were last derived.
  *
  * Work comes in two forms:
  *  - regular work: a number of user instructions executing under a
@@ -188,6 +189,8 @@ class Machine
         double effCpi = 1.0;
         double insPerCycle = 0.0;
         double missRatio = 0.0;
+        double missRatioOcc = 0.0; ///< Occupancy missRatio was taken at.
+        bool missRatioStale = true; ///< Params changed since, or idle.
         double fillBytesPerCycle = 0.0;
         double targetOcc = 0.0;
         double coPressure = 0.0;
@@ -203,7 +206,11 @@ class Machine
     /** Advance one core by dt cycles of wall time. */
     void advanceCore(CoreState &c, int domain, double dt);
 
-    /** Re-derive all per-core rates from the current co-runner set. */
+    /**
+     * Re-derive all per-core rates from the current co-runner set;
+     * returns after the miss ratios when ratesCurrent holds and no
+     * busy core's ratio moved.
+     */
     void recomputeRates();
 
     /** (Re)schedule boundary and timer events per current rates. */
@@ -233,8 +240,16 @@ class Machine
     std::vector<CoreId> fillRunners;
     std::vector<double> fillWeights, fillWsets, fillTargets;
     std::vector<std::uint8_t> fillCapped;
+    std::vector<double> solveEntryCpi; ///< effCpi entering the solve.
     MemoryModel memory;
-    double memLatency;
+
+    /**
+     * The last recomputeRates left every busy core's effCpi as it
+     * found it, and neither the busy set nor a busy core's params
+     * changed since: the rates are what a new call would compute,
+     * unless a busy core's miss ratio moved.
+     */
+    bool ratesCurrent = false;
 
     Tick lastSync = 0;
 };

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace rbv::stats {
@@ -224,10 +225,13 @@ class EwmaMeanVar
 
 /**
  * Exact quantiles over a sliding window of the last `capacity`
- * observations. A ring buffer holds the window; quantile() selects
- * with nth_element on a scratch copy. Memory is bounded by the
- * window size and results are deterministic (no sketch error), which
- * keeps serve checkpoints byte-identical across runs.
+ * observations. A ring buffer holds the window in arrival order and a
+ * sorted copy beside it holds the same values in ascending order:
+ * add() shifts the one range between the evicted value's slot and the
+ * new value's slot, and quantile() is an index read. Memory is bounded
+ * by the window size and results are deterministic (no sketch error),
+ * which keeps serve checkpoints byte-identical across runs. Values
+ * must not be NaN.
  */
 class SlidingQuantile
 {
@@ -236,18 +240,33 @@ class SlidingQuantile
         : cap(capacity_ ? capacity_ : 1)
     {
         ring.reserve(cap);
+        sorted.reserve(cap);
     }
 
     void
     add(double x)
     {
+        ++total;
         if (ring.size() < cap) {
             ring.push_back(x);
-        } else {
-            ring[head] = x;
-            head = (head + 1) % cap;
+            sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), x),
+                          x);
+            return;
         }
-        ++total;
+        const double old = std::exchange(ring[head], x);
+        head = (head + 1) % cap;
+        // Equal values are interchangeable, so any slot holding `old`
+        // can take the shift.
+        const auto slot = std::lower_bound(sorted.begin(), sorted.end(), old);
+        if (x > old) {
+            const auto end = std::lower_bound(slot + 1, sorted.end(), x);
+            std::move(slot + 1, end, slot);
+            *(end - 1) = x;
+        } else {
+            const auto begin = std::upper_bound(sorted.begin(), slot, x);
+            std::move_backward(begin, slot, slot + 1);
+            *begin = x;
+        }
     }
 
     /** Observations currently in the window. */
@@ -263,30 +282,22 @@ class SlidingQuantile
     double
     quantile(double q) const
     {
-        if (ring.empty())
+        if (sorted.empty())
             return 0.0;
-        scratch = ring;
-        double clamped = q;
-        if (clamped < 0.0)
-            clamped = 0.0;
-        if (clamped > 1.0)
-            clamped = 1.0;
-        std::size_t idx = static_cast<std::size_t>(
-            clamped * static_cast<double>(scratch.size() - 1));
-        std::nth_element(scratch.begin(),
-                         scratch.begin() + static_cast<std::ptrdiff_t>(idx),
-                         scratch.end());
-        return scratch[idx];
+        const auto idx = static_cast<std::size_t>(
+            std::clamp(q, 0.0, 1.0) *
+            static_cast<double>(sorted.size() - 1));
+        return sorted[idx];
     }
 
     double median() const { return quantile(0.5); }
 
   private:
     std::size_t cap;
-    std::vector<double> ring;
+    std::vector<double> ring;   ///< The window in arrival order.
+    std::vector<double> sorted; ///< The same values, ascending.
     std::size_t head = 0;
     std::size_t total = 0;
-    mutable std::vector<double> scratch;
 };
 
 } // namespace rbv::stats

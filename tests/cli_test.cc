@@ -228,6 +228,17 @@ TEST(CliDeath, CountsOfZeroOrAboveIntMaxExitTwo)
     expectBadValue("--runs", "-1", runs);
 }
 
+TEST(CliDeath, CountsOutsideTheirRangeExitTwo)
+{
+    const auto window = [](const Cli &c) {
+        (void)c.getU64("window", 512, 4, 65536);
+    };
+    expectBadValue("--window", "3", window);
+    expectBadValue("--window", "65537", window);
+    expectBadValue("--window", "18446744073709551615", window);
+    expectBadValue("--window", "-4", window);
+}
+
 TEST(CliDeath, TimeAndRateValuesWithoutATickCountExitTwo)
 {
     const auto deadline = [](const Cli &c) {
@@ -268,6 +279,13 @@ TEST(Cli, WellFormedNumbersStillParse)
     const Cli count_cli(3, const_cast<char **>(counts));
     EXPECT_EQ(count_cli.getCount("runs", 1), 2147483647);
     EXPECT_EQ(count_cli.getCount("requests", 40), 40);
+
+    const char *windows[] = {"prog", "--window", "4", "--cap",
+                             "65536"};
+    const Cli window_cli(5, const_cast<char **>(windows));
+    EXPECT_EQ(window_cli.getU64("window", 512, 4, 65536), 4u);
+    EXPECT_EQ(window_cli.getU64("cap", 512, 4, 65536), 65536u);
+    EXPECT_EQ(window_cli.getU64("absent", 512, 4, 65536), 512u);
 }
 
 TEST(CliDeath, ClusterFlagTypoIsRejected)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/obs.hh"
 #include "sim/machine.hh"
 
 using namespace rbv::sim;
@@ -66,6 +67,32 @@ struct Rig
         return mc;
     }
 };
+
+/** Water fills run under @p session so far. */
+std::uint64_t
+waterFills(const rbv::obs::Session &session)
+{
+    return session.mergedMetrics().counters[static_cast<std::size_t>(
+        rbv::obs::Counter::SimWaterFills)];
+}
+
+/**
+ * Re-derive the rates at the current tick until a call is a no-op. A
+ * zero-cycle fixed-work bundle moves no input of the rate model, so
+ * once the CPI solve leaves every effective CPI as it found it, the
+ * next bundle runs no water fill. False if that never happens.
+ */
+bool
+settleRates(Rig &rig, const rbv::obs::Session &session)
+{
+    for (int i = 0; i < 100; ++i) {
+        const std::uint64_t before = waterFills(session);
+        rig.machine.pushFixedWork(0, FixedWork{});
+        if (waterFills(session) == before)
+            return true;
+    }
+    return false;
+}
 
 } // namespace
 
@@ -315,3 +342,61 @@ TEST(Machine, BackToBackSegments)
     EXPECT_NEAR(snap.cycles, 3000.0, 4.0);
 }
 
+
+TEST(Machine, EveryRateInputChangeIsSeenAtTheSameTick)
+{
+    // Settled rates are reused only while no input moves; each call
+    // below moves one at the tick the rates settled at.
+    rbv::obs::Session session;
+    Rig rig;
+    WorkParams mine = memParams(3.0, 0.04, 0.08);
+    const WorkParams other = memParams(3.0, 0.04, 0.08);
+    rig.machine.setWork(0, mine, 1e9);
+    rig.machine.setWork(1, other, 1e9);
+    rig.eq.runUntil(2'000'000);
+    auto expect_misses_by_hand = [&] {
+        EXPECT_EQ(rig.machine.currentMissesPerIns(0),
+                  mine.refsPerIns *
+                      mine.curve.missRatioAt(rig.machine.occupancy(0)));
+        if (rig.machine.busy(1)) {
+            EXPECT_EQ(rig.machine.currentMissesPerIns(1),
+                      other.refsPerIns * other.curve.missRatioAt(
+                                             rig.machine.occupancy(1)));
+        } else {
+            EXPECT_EQ(rig.machine.currentMissesPerIns(1), 0.0);
+        }
+    };
+
+    // A new footprint on a busy core.
+    ASSERT_TRUE(settleRates(rig, session));
+    rig.machine.setOccupancy(0, 0.5 * MiB);
+    expect_misses_by_hand();
+
+    // New work with a new miss curve at an unchanged footprint.
+    ASSERT_TRUE(settleRates(rig, session));
+    mine.curve.baseMissRatio = 0.12;
+    rig.machine.setWork(0, mine, 1e9);
+    expect_misses_by_hand();
+
+    // A co-runner leaves.
+    ASSERT_TRUE(settleRates(rig, session));
+    rig.machine.clearWork(1);
+    expect_misses_by_hand();
+}
+
+TEST(Machine, DepartedCoRunnerEvictsNothing)
+{
+    // Core 0 holds twice its working set, so only co-runner insertions
+    // can shrink its footprint. Once core 1 stops at the tick the rates
+    // settled at, none are left.
+    rbv::obs::Session session;
+    Rig rig;
+    rig.machine.setWork(0, memParams(1.0, 0.04, 0.08), 1e9);
+    rig.machine.setWork(1, memParams(3.0, 0.04, 0.08), 1e9);
+    rig.eq.runUntil(2'000'000);
+    rig.machine.setOccupancy(0, 2.0 * MiB);
+    ASSERT_TRUE(settleRates(rig, session));
+    rig.machine.clearWork(1);
+    rig.eq.runUntil(4'000'000);
+    EXPECT_EQ(rig.machine.occupancy(0), 2.0 * MiB);
+}

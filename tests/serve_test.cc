@@ -81,6 +81,50 @@ TEST(SlidingQuantile, ExactOverTheWindowAndEvictsOldest)
     EXPECT_EQ(q.count(), 5u);
 }
 
+TEST(SlidingQuantile, MatchesNthElementOverTheWindow)
+{
+    // Integer values in [-8, 8] give many ties and zeros; one value in
+    // four is drawn from a continuous range instead. Each stream wraps
+    // its window five times.
+    const double qs[] = {-1.0, 0.0, 0.01, 0.5, 0.99, 1.0, 2.0};
+    for (const std::size_t cap : {1, 2, 3, 128, 1024, 8192}) {
+        SCOPED_TRACE(cap);
+        stats::SlidingQuantile q(cap);
+        stats::Rng rng(cap);
+        std::vector<double> stream;
+        // A reference selection costs O(cap), so large windows are
+        // checked every few adds.
+        const std::size_t stride = std::max<std::size_t>(1, cap / 64);
+        for (std::size_t n = 1; n <= 5 * cap + 7; ++n) {
+            const double x =
+                rng.uniformInt(4) == 0
+                    ? rng.uniform(-8.0, 8.0)
+                    : static_cast<double>(rng.uniformInt(17)) - 8.0;
+            q.add(x);
+            stream.push_back(x);
+            if (n % stride != 0 && n != cap)
+                continue;
+            const std::size_t size = std::min(n, cap);
+            ASSERT_EQ(q.size(), size);
+            ASSERT_EQ(q.count(), n);
+            ASSERT_EQ(q.capacity(), cap);
+            for (const double p : qs) {
+                std::vector<double> window(stream.end() - size,
+                                           stream.end());
+                const auto idx = static_cast<std::size_t>(
+                    std::clamp(p, 0.0, 1.0) *
+                    static_cast<double>(size - 1));
+                std::nth_element(window.begin(),
+                                 window.begin() +
+                                     static_cast<std::ptrdiff_t>(idx),
+                                 window.end());
+                ASSERT_EQ(q.quantile(p), window[idx])
+                    << "q=" << p << " after " << n << " adds";
+            }
+        }
+    }
+}
+
 // ------------------------------------------- streaming signatures
 
 TEST(StreamingSignatureBank, FillsToCapacityThenStaysBounded)
