@@ -387,16 +387,25 @@ TEST(Machine, EveryRateInputChangeIsSeenAtTheSameTick)
 TEST(Machine, DepartedCoRunnerEvictsNothing)
 {
     // Core 0 holds twice its working set, so only co-runner insertions
-    // can shrink its footprint. Once core 1 stops at the tick the rates
-    // settled at, none are left.
-    rbv::obs::Session session;
-    Rig rig;
-    rig.machine.setWork(0, memParams(1.0, 0.04, 0.08), 1e9);
-    rig.machine.setWork(1, memParams(3.0, 0.04, 0.08), 1e9);
-    rig.eq.runUntil(2'000'000);
-    rig.machine.setOccupancy(0, 2.0 * MiB);
-    ASSERT_TRUE(settleRates(rig, session));
-    rig.machine.clearWork(1);
-    rig.eq.runUntil(4'000'000);
-    EXPECT_EQ(rig.machine.occupancy(0), 2.0 * MiB);
+    // can shrink its footprint, and its miss ratio stays at the base
+    // rate while they do. Once core 1 leaves, cleared at the tick the
+    // rates settled at or done with its work, none are left.
+    for (const bool completes : {false, true}) {
+        SCOPED_TRACE(completes ? "completes" : "cleared");
+        rbv::obs::Session session;
+        Rig rig;
+        rig.machine.setWork(0, memParams(1.0, 0.04, 0.08), 1e9);
+        rig.machine.setWork(1, memParams(1.0, 0.04, 0.08),
+                            completes ? 1e6 : 1e9);
+        rig.machine.setOccupancy(0, 2.0 * MiB);
+        rig.machine.setOccupancy(1, 2.0 * MiB);
+        ASSERT_TRUE(settleRates(rig, session));
+        if (!completes)
+            rig.machine.clearWork(1);
+        rig.eq.runUntil(50'000'000);
+        ASSERT_FALSE(rig.machine.busy(1));
+        const double held = rig.machine.occupancy(0);
+        rig.eq.runUntil(100'000'000);
+        EXPECT_EQ(rig.machine.occupancy(0), held);
+    }
 }
