@@ -31,6 +31,8 @@ counterName(Counter c)
         return "sim.events_cancelled";
       case Counter::SimEventsRescheduled:
         return "sim.events_rescheduled";
+      case Counter::SimEventsParked:
+        return "sim.events_parked";
       case Counter::SimWaterFills:
         return "sim.water_fills";
       case Counter::OsSyscalls:

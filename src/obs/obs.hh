@@ -69,6 +69,7 @@ enum class Counter : std::uint16_t
     SimEventsFired,
     SimEventsCancelled,
     SimEventsRescheduled,
+    SimEventsParked,
     SimWaterFills,
     OsSyscalls,
     OsContextSwitches,

@@ -5,6 +5,7 @@
 
 #include "sim/event_queue.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/check.hh"
@@ -26,6 +27,22 @@ EventQueue::schedule(Tick when, Callback cb)
     RBV_CHECK(when >= curTick,
               "event scheduled into the past: when=" << when
                   << " now=" << curTick);
+    return add(when, 0, std::move(cb));
+}
+
+EventId
+EventQueue::schedulePeriodic(Tick first, Tick period, Callback cb)
+{
+    RBV_CHECK(first >= curTick,
+              "event scheduled into the past: when=" << first
+                  << " now=" << curTick);
+    RBV_CHECK(period > 0, "periodic event with period 0");
+    return add(first, period, std::move(cb));
+}
+
+EventId
+EventQueue::add(Tick when, Tick period, Callback cb)
+{
     std::uint32_t s;
     if (freeSlots.empty()) {
         RBV_CHECK(slots.size() <= SlotMask,
@@ -39,9 +56,9 @@ EventQueue::schedule(Tick when, Callback cb)
     Slot &slot = slots[s];
     slot.when = when;
     slot.seq = nextSeq++;
+    slot.periodTicks = period;
     slot.cb = std::move(cb);
-    heap.push_back(s);
-    siftUp(heap.size() - 1);
+    heapInsert(s);
     RBV_COUNT(SimEventsScheduled, 1);
     return (slot.gen << SlotBits) | s;
 }
@@ -76,6 +93,7 @@ EventQueue::reschedule(EventId id, Tick when)
     if (s == NoSlot)
         return false;
     Slot &slot = slots[s];
+    RBV_CHECK(slot.periodTicks == 0, "periodic event rescheduled");
     // The fresh sequence number is larger than the old one, so the
     // new key is earlier only if the tick is.
     const bool earlier = when < slot.when;
@@ -87,6 +105,44 @@ EventQueue::reschedule(EventId id, Tick when)
         siftDown(slot.heapPos);
     RBV_COUNT(SimEventsRescheduled, 1);
     return true;
+}
+
+bool
+EventQueue::park(EventId id)
+{
+    const std::uint32_t s = liveSlot(id);
+    if (s == NoSlot)
+        return false;
+    Slot &slot = slots[s];
+    RBV_CHECK(slot.periodTicks > 0, "one-shot event parked");
+    if (!slot.parked) {
+        heapRemove(s);
+        slot.parked = true;
+        parkedInsert(s);
+    }
+    return true;
+}
+
+bool
+EventQueue::unpark(EventId id)
+{
+    const std::uint32_t s = liveSlot(id);
+    if (s == NoSlot)
+        return false;
+    Slot &slot = slots[s];
+    if (slot.parked) {
+        parkedRemove(s);
+        slot.parked = false;
+        heapInsert(s);
+    }
+    return true;
+}
+
+bool
+EventQueue::parked(EventId id) const
+{
+    const std::uint32_t s = liveSlot(id);
+    return s != NoSlot && slots[s].parked;
 }
 
 void
@@ -122,11 +178,17 @@ EventQueue::siftDown(std::size_t pos)
     place(pos, s);
 }
 
-EventQueue::Callback
-EventQueue::release(std::uint32_t s)
+void
+EventQueue::heapInsert(std::uint32_t s)
 {
-    Slot &slot = slots[s];
-    const std::size_t pos = slot.heapPos;
+    heap.push_back(s);
+    siftUp(heap.size() - 1);
+}
+
+void
+EventQueue::heapRemove(std::uint32_t s)
+{
+    const std::size_t pos = slots[s].heapPos;
     const std::uint32_t last = heap.back();
     heap.pop_back();
     if (pos < heap.size()) {
@@ -137,6 +199,52 @@ EventQueue::release(std::uint32_t s)
         else
             siftDown(pos);
     }
+}
+
+void
+EventQueue::parkedInsert(std::uint32_t s)
+{
+    // A re-armed key is usually the latest, so the scan starts at the
+    // back.
+    std::size_t pos = parkedSlots.size();
+    parkedSlots.push_back(s);
+    for (; pos > 0 && before(s, parkedSlots[pos - 1]); --pos)
+        parkedSlots[pos] = parkedSlots[pos - 1];
+    parkedSlots[pos] = s;
+}
+
+void
+EventQueue::parkedRemove(std::uint32_t s)
+{
+    parkedSlots.erase(
+        std::find(parkedSlots.begin(), parkedSlots.end(), s));
+}
+
+void
+EventQueue::rearm(std::uint32_t s)
+{
+    Slot &slot = slots[s];
+    slot.when += slot.periodTicks;
+    slot.seq = nextSeq++;
+    // The new key is later than the old one.
+    if (slot.parked) {
+        parkedRemove(s);
+        parkedInsert(s);
+    } else {
+        siftDown(slot.heapPos);
+    }
+}
+
+EventQueue::Callback
+EventQueue::release(std::uint32_t s)
+{
+    Slot &slot = slots[s];
+    if (slot.parked) {
+        parkedRemove(s);
+        slot.parked = false;
+    } else {
+        heapRemove(s);
+    }
     ++slot.gen;
     freeSlots.push_back(s);
     Callback cb;
@@ -144,21 +252,55 @@ EventQueue::release(std::uint32_t s)
     return cb;
 }
 
-bool
-EventQueue::runOne()
+std::uint32_t
+EventQueue::next() const
 {
-    if (heap.empty())
-        return false;
-    const std::uint32_t s = heap.front();
+    if (parkedSlots.empty())
+        return heap.empty() ? NoSlot : heap.front();
+    const std::uint32_t p = parkedSlots.front();
+    return heap.empty() || before(p, heap.front()) ? p : heap.front();
+}
+
+void
+EventQueue::take(std::uint32_t s)
+{
     const Tick when = slots[s].when;
     RBV_CHECK(when >= curTick,
               "event time regressed: firing at " << when
                   << " with now=" << curTick);
-    const Callback cb = release(s);
     curTick = when;
+    if (slots[s].parked) {
+        rearm(s);
+        RBV_COUNT(SimEventsParked, 1);
+        return;
+    }
     ++fired;
     RBV_COUNT(SimEventsFired, 1);
+    if (slots[s].periodTicks == 0) {
+        const Callback cb = release(s);
+        cb();
+        return;
+    }
+    // A periodic event stays in the heap, the earliest key there,
+    // while its callback runs. The callback runs from a local, since
+    // events it schedules may grow the slot vector.
+    const std::uint64_t gen = slots[s].gen;
+    Callback cb = std::move(slots[s].cb);
     cb();
+    if (slots[s].gen != gen)
+        return; // cancelled by its own callback
+    slots[s].cb = std::move(cb);
+    rearm(s);
+    RBV_COUNT(SimEventsScheduled, 1);
+}
+
+bool
+EventQueue::runOne()
+{
+    const std::uint32_t s = next();
+    if (s == NoSlot)
+        return false;
+    take(s);
     return true;
 }
 
@@ -170,12 +312,15 @@ EventQueue::runUntil(Tick limit)
                                 << curTick);
     RBV_PROF_SCOPE(EventQueuePump);
     stopRequested = false;
-    while (!stopRequested && !heap.empty()) {
-        if (slots[heap.front()].when > limit) {
+    while (!stopRequested) {
+        const std::uint32_t s = next();
+        if (s == NoSlot)
+            break;
+        if (slots[s].when > limit) {
             curTick = limit;
             break;
         }
-        runOne();
+        take(s);
     }
 }
 

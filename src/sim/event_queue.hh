@@ -15,11 +15,23 @@
  * number: the key cancel() plus schedule() would give, so a re-keyed
  * event fires after every event already pending at its new tick.
  *
+ * A periodic event re-arms itself once its callback returns: its tick
+ * moves on by one period and it draws a fresh sequence number, the
+ * key a callback ending in scheduleIn(period) would give. An owner
+ * whose callback would change nothing can park the event. A parked
+ * event leaves the heap for a short side list kept in key order, and
+ * its turns still come in key order: each one re-keys it by one
+ * period and draws the next sequence number, with no callback and no
+ * heap operation. unpark() puts it back into the heap under its
+ * current key, so a parked event keeps the tick and the same-tick
+ * order an unparked one would have. Parked events count as pending.
+ *
  * An EventId is a slot index tagged with the slot's generation, which
- * moves on each time the slot's event fires or is cancelled. A stale
- * id therefore never matches a later event in the same slot. The
- * generation has 40 bits; a million-request serve run reuses each of
- * its slots about two million times.
+ * moves on each time the slot's one-shot event fires or its event is
+ * cancelled, so a periodic event keeps its id across its turns. A
+ * stale id therefore never matches a later event in the same slot.
+ * The generation has 40 bits; a million-request serve run reuses each
+ * of its slots about two million times.
  */
 
 #ifndef RBV_SIM_EVENT_QUEUE_HH
@@ -40,7 +52,8 @@ using EventId = std::uint64_t;
 constexpr EventId InvalidEventId = 0;
 
 /**
- * Time-ordered event queue with cancellation and re-keying.
+ * Time-ordered event queue with cancellation, re-keying and parked
+ * periodic events.
  */
 class EventQueue
 {
@@ -64,30 +77,68 @@ class EventQueue
     }
 
     /**
+     * Schedule a periodic event: its callback runs at @p first (>=
+     * now) and then every @p period (> 0) ticks until it is
+     * cancelled. Each re-arm draws its sequence number after the
+     * callback returns, and the event stays pending meanwhile.
+     * @return A handle usable with cancel(), park() and unpark().
+     */
+    EventId schedulePeriodic(Tick first, Tick period, Callback cb);
+
+    /**
      * Cancel a pending event and destroy its callback. Cancelling an
      * already fired or already cancelled event, or InvalidEventId, is
-     * a harmless no-op.
+     * a harmless no-op. A periodic event may be cancelled while
+     * parked or from inside its own callback, which ends it there.
      * @return True if the event was pending.
      */
     bool cancel(EventId id);
 
     /**
-     * Move a pending event to an absolute tick (>= now), keeping its
-     * id and callback. It is ordered as if cancelled and scheduled
-     * anew: after every event already pending at @p when.
+     * Move a pending one-shot event to an absolute tick (>= now),
+     * keeping its id and callback. It is ordered as if cancelled and
+     * scheduled anew: after every event already pending at @p when.
+     * A periodic event's ticks are set by its period, so moving one
+     * is a checked error.
      * @return False, with no effect, if the event is not pending
      *         (fired, cancelled, or InvalidEventId).
      */
     bool reschedule(EventId id, Tick when);
 
-    /** True if no pending events remain. */
-    bool empty() const { return heap.empty(); }
-
-    /** Number of pending events. */
-    std::size_t size() const { return heap.size(); }
+    /**
+     * Park a pending periodic event: until unpark(), each of its
+     * turns re-keys it as its re-arm would, and runs no callback.
+     * Parking from inside its own callback takes effect with the
+     * re-arm; parking a parked event changes nothing. Parking a
+     * one-shot event is a checked error.
+     * @return False, with no effect, if the event is not pending.
+     */
+    bool park(EventId id);
 
     /**
-     * Run the next event, advancing time to it.
+     * Return a parked event to the heap under its current key, so it
+     * fires at the turn it would have had if never parked. Unparking
+     * an event that is not parked changes nothing.
+     * @return False, with no effect, if the event is not pending.
+     */
+    bool unpark(EventId id);
+
+    /** True if @p id is a pending, parked periodic event. */
+    bool parked(EventId id) const;
+
+    /** True if no pending events remain, parked ones included. */
+    bool empty() const { return heap.empty() && parkedSlots.empty(); }
+
+    /** Number of pending events, parked ones included. */
+    std::size_t
+    size() const
+    {
+        return heap.size() + parkedSlots.size();
+    }
+
+    /**
+     * Take the next event's turn, advancing time to it: fire it, or
+     * re-key it if it is parked.
      * @return False if the queue was empty.
      */
     bool runOne();
@@ -104,7 +155,10 @@ class EventQueue
     /** Ask runUntil() to stop after the current event. */
     void requestStop() { stopRequested = true; }
 
-    /** Total number of events fired so far (for diagnostics). */
+    /**
+     * Total number of events fired so far (for diagnostics); a parked
+     * turn fires nothing.
+     */
     std::uint64_t firedCount() const { return fired; }
 
   private:
@@ -114,13 +168,26 @@ class EventQueue
         std::uint64_t seq = 0;
         /** Generation of the slot's pending or next event. */
         std::uint64_t gen = 1;
-        /** Index into heap while pending. */
+        /** Re-arm interval of a periodic event; 0 for a one-shot. */
+        Tick periodTicks = 0;
+        /** Index into heap while pending and not parked. */
         std::uint32_t heapPos = 0;
+        /** In parkedSlots instead of the heap. */
+        bool parked = false;
         Callback cb;
     };
 
+    /** Take a free slot for a new event and put it in the heap. */
+    EventId add(Tick when, Tick period, Callback cb);
+
     /** Slot of the pending event @p id, or NoSlot if it is not. */
     std::uint32_t liveSlot(EventId id) const;
+
+    /** Slot of the next event to take its turn, or NoSlot. */
+    std::uint32_t next() const;
+
+    /** Take slot @p s's turn; it is next(). */
+    void take(std::uint32_t s);
 
     /** True if slot @p a fires before slot @p b. */
     bool
@@ -142,9 +209,27 @@ class EventQueue
     void siftUp(std::size_t pos);
     void siftDown(std::size_t pos);
 
+    /** Put slot @p s into the heap. */
+    void heapInsert(std::uint32_t s);
+
+    /** Take slot @p s out of the heap. */
+    void heapRemove(std::uint32_t s);
+
+    /** Put slot @p s into parkedSlots at its key's place. */
+    void parkedInsert(std::uint32_t s);
+
+    /** Take slot @p s out of parkedSlots. */
+    void parkedRemove(std::uint32_t s);
+
     /**
-     * Unlink slot @p s from the heap, retire its id and free the
-     * slot for reuse.
+     * Move periodic slot @p s on by one period with a fresh sequence
+     * number, where it is: in the heap or in parkedSlots.
+     */
+    void rearm(std::uint32_t s);
+
+    /**
+     * Unlink slot @p s from the heap or parkedSlots, retire its id
+     * and free the slot for reuse.
      * @return The slot's callback.
      */
     Callback release(std::uint32_t s);
@@ -154,6 +239,8 @@ class EventQueue
     std::vector<Slot> slots;
     std::vector<std::uint32_t> freeSlots;
     std::vector<std::uint32_t> heap;
+    /** Parked periodic events, in key order; a handful at most. */
+    std::vector<std::uint32_t> parkedSlots;
     Tick curTick = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t fired = 0;

@@ -48,9 +48,9 @@ Machine::Machine(const MachineConfig &cfg, EventQueue &eq,
     solveEntryCpi.resize(cfg.numCores);
 
     if (cfg.modelRefreshIntervalCycles > 0) {
-        eq.scheduleIn(cfg.modelRefreshIntervalCycles, [this] {
-            refreshFired();
-        });
+        refreshEv = eq.schedulePeriodic(
+            eq.now() + cfg.modelRefreshIntervalCycles,
+            cfg.modelRefreshIntervalCycles, [this] { refreshFired(); });
     }
 }
 
@@ -380,7 +380,27 @@ Machine::refreshFired()
     resync();
     recomputeRates();
     scheduleBoundaries();
-    eq.scheduleIn(cfg.modelRefreshIntervalCycles, [this] { refreshFired(); });
+    // A quiescent machine's refresh resyncs only idle cores, returns
+    // from recomputeRates after the miss ratios and re-keys nothing,
+    // and only wake() ends quiescence.
+    if (quiescent())
+        eq.park(refreshEv);
+}
+
+bool
+Machine::quiescent() const
+{
+    for (const auto &c : cores)
+        if (c.boundaryEv != InvalidEventId || c.timerEv != InvalidEventId)
+            return false;
+    return true;
+}
+
+void
+Machine::wake()
+{
+    if (eq.parked(refreshEv) && !quiescent())
+        eq.unpark(refreshEv);
 }
 
 void
@@ -400,6 +420,7 @@ Machine::setWork(CoreId core, const WorkParams &params,
     ratesCurrent = false;
     recomputeRates();
     scheduleBoundaries();
+    wake();
 }
 
 void
@@ -412,6 +433,7 @@ Machine::clearWork(CoreId core)
     ratesCurrent = false;
     recomputeRates();
     scheduleBoundaries();
+    wake();
 }
 
 double
@@ -436,6 +458,7 @@ Machine::pushFixedWork(CoreId core, const FixedWork &work)
                                     work.l2Misses);
     recomputeRates();
     scheduleBoundaries();
+    wake();
 }
 
 double
@@ -458,6 +481,7 @@ Machine::setOccupancy(CoreId core, double bytes)
         std::clamp(bytes, 0.0, cfg.l2CapacityBytes);
     recomputeRates();
     scheduleBoundaries();
+    wake();
 }
 
 double
@@ -484,6 +508,7 @@ Machine::armCycleTimer(CoreId core, double cycles,
     c.timerRemaining = std::max(cycles, 0.0);
     c.timerCb = std::move(cb);
     scheduleBoundaries();
+    wake();
 }
 
 } // namespace rbv::sim

@@ -23,6 +23,12 @@
  * timer per core fires a callback after a given number of non-halt
  * cycles, which is how the paper generates periodic sampling
  * interrupts from counter overflow.
+ *
+ * The model refresh tick is a periodic event. A refresh that finds
+ * the machine quiescent, with no boundary or timer event pending on
+ * any core, parks it: until work arrives, every later refresh would
+ * change nothing, and the parked tick keeps its place in the event
+ * order. The calls that can end quiescence unpark it.
  */
 
 #ifndef RBV_SIM_MACHINE_HH
@@ -54,7 +60,8 @@ struct MachineConfig
 
     /**
      * Interval of the model refresh tick that bounds the error of the
-     * piecewise-constant-rate approximation; 0 disables it.
+     * piecewise-constant-rate approximation; 0 disables it. The tick
+     * runs only while the machine has work (see Machine).
      */
     Tick modelRefreshIntervalCycles = usToCycles(50.0);
 };
@@ -228,6 +235,16 @@ class Machine
     /** Refresh tick: resync and re-derive rates. */
     void refreshFired();
 
+    /**
+     * No core has a pending boundary or timer event. Right after
+     * scheduleBoundaries, that leaves no core busy, no fixed work,
+     * no armed timer that has run down, and current rates.
+     */
+    bool quiescent() const;
+
+    /** Unpark the refresh tick once the machine is not quiescent. */
+    void wake();
+
     MachineConfig cfg;
     EventQueue &eq;
     CoreClient *client;
@@ -250,6 +267,8 @@ class Machine
      * unless a busy core's miss ratio moved.
      */
     bool ratesCurrent = false;
+
+    EventId refreshEv = InvalidEventId;
 
     Tick lastSync = 0;
 };
