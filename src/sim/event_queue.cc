@@ -13,14 +13,6 @@
 
 namespace rbv::sim {
 
-namespace {
-
-/** Low bits of an EventId: the slot index. The rest: its generation. */
-constexpr unsigned SlotBits = 24;
-constexpr std::uint64_t SlotMask = (std::uint64_t{1} << SlotBits) - 1;
-
-} // namespace
-
 EventId
 EventQueue::schedule(Tick when, Callback cb)
 {
@@ -61,15 +53,6 @@ EventQueue::add(Tick when, Tick period, Callback cb)
     heapInsert(s);
     RBV_COUNT(SimEventsScheduled, 1);
     return (slot.gen << SlotBits) | s;
-}
-
-std::uint32_t
-EventQueue::liveSlot(EventId id) const
-{
-    const std::uint64_t s = id & SlotMask;
-    if (s >= slots.size() || slots[s].gen != id >> SlotBits)
-        return NoSlot;
-    return static_cast<std::uint32_t>(s);
 }
 
 bool
@@ -136,13 +119,6 @@ EventQueue::unpark(EventId id)
         heapInsert(s);
     }
     return true;
-}
-
-bool
-EventQueue::parked(EventId id) const
-{
-    const std::uint32_t s = liveSlot(id);
-    return s != NoSlot && slots[s].parked;
 }
 
 void
@@ -281,9 +257,9 @@ EventQueue::take(std::uint32_t s)
         cb();
         return;
     }
-    // A periodic event stays in the heap, the earliest key there,
-    // while its callback runs. The callback runs from a local, since
-    // events it schedules may grow the slot vector.
+    // A periodic event stays pending under its old key while its
+    // callback runs. The callback runs from a local, since events it
+    // schedules may grow the slot vector.
     const std::uint64_t gen = slots[s].gen;
     Callback cb = std::move(slots[s].cb);
     cb();

@@ -124,7 +124,12 @@ class EventQueue
     bool unpark(EventId id);
 
     /** True if @p id is a pending, parked periodic event. */
-    bool parked(EventId id) const;
+    bool
+    parked(EventId id) const
+    {
+        const std::uint32_t s = liveSlot(id);
+        return s != NoSlot && slots[s].parked;
+    }
 
     /** True if no pending events remain, parked ones included. */
     bool empty() const { return heap.empty() && parkedSlots.empty(); }
@@ -181,7 +186,14 @@ class EventQueue
     EventId add(Tick when, Tick period, Callback cb);
 
     /** Slot of the pending event @p id, or NoSlot if it is not. */
-    std::uint32_t liveSlot(EventId id) const;
+    std::uint32_t
+    liveSlot(EventId id) const
+    {
+        const std::uint64_t s = id & SlotMask;
+        if (s >= slots.size() || slots[s].gen != id >> SlotBits)
+            return NoSlot;
+        return static_cast<std::uint32_t>(s);
+    }
 
     /** Slot of the next event to take its turn, or NoSlot. */
     std::uint32_t next() const;
@@ -235,6 +247,11 @@ class EventQueue
     Callback release(std::uint32_t s);
 
     static constexpr std::uint32_t NoSlot = ~std::uint32_t{0};
+
+    /** Low bits of an EventId: the slot index. The rest: its generation. */
+    static constexpr unsigned SlotBits = 24;
+    static constexpr std::uint64_t SlotMask =
+        (std::uint64_t{1} << SlotBits) - 1;
 
     std::vector<Slot> slots;
     std::vector<std::uint32_t> freeSlots;

@@ -236,9 +236,9 @@ class Machine
     void refreshFired();
 
     /**
-     * No core has a pending boundary or timer event. Right after
-     * scheduleBoundaries, that leaves no core busy, no fixed work,
-     * no armed timer that has run down, and current rates.
+     * No core has a pending boundary or timer event. Read right after
+     * scheduleBoundaries, it also means that no core is busy, no
+     * fixed work is queued and no armed timer has run down.
      */
     bool quiescent() const;
 

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
+#include "obs/obs.hh"
 #include "sim/event_queue.hh"
 #include "stats/rng.hh"
 
@@ -259,6 +262,188 @@ TEST(EventQueue, DeadIdsStayDeadAfterTheirSlotIsReused)
     EXPECT_EQ(eq.now(), 40u);
 }
 
+// ---------------------------------------------- periodic and parked
+
+namespace {
+
+/** A log of (name, tick) pairs, one per callback. */
+struct FireLog
+{
+    EventQueue &eq;
+    std::vector<std::pair<char, Tick>> fired;
+
+    EventQueue::Callback
+    at(char name)
+    {
+        return [this, name] { fired.emplace_back(name, eq.now()); };
+    }
+};
+
+using Fired = std::vector<std::pair<char, Tick>>;
+
+} // namespace
+
+TEST(EventQueue, PeriodicEventRearmsAfterItsCallback)
+{
+    // P's re-arm draws its sequence number after the callback, so an
+    // event the callback schedules for P's next tick fires before it.
+    EventQueue eq;
+    FireLog log{eq, {}};
+    eq.schedulePeriodic(10, 10, [&] {
+        log.fired.emplace_back('P', eq.now());
+        if (eq.now() == 10)
+            eq.schedule(20, log.at('E'));
+    });
+    eq.runUntil(35);
+    EXPECT_EQ(log.fired,
+              (Fired{{'P', 10}, {'E', 20}, {'P', 20}, {'P', 30}}));
+    EXPECT_EQ(eq.size(), 1u);
+    EXPECT_EQ(eq.firedCount(), 4u);
+}
+
+TEST(EventQueue, ParkedTurnsRunNoCallbackAndCountAsPending)
+{
+    rbv::obs::Session session;
+    EventQueue eq;
+    FireLog log{eq, {}};
+    const EventId p = eq.schedulePeriodic(10, 10, log.at('P'));
+    eq.runUntil(10);
+    EXPECT_TRUE(eq.park(p));
+    EXPECT_TRUE(eq.parked(p));
+    EXPECT_TRUE(eq.park(p)); // parking a parked event changes nothing
+    EXPECT_EQ(eq.size(), 1u);
+    EXPECT_FALSE(eq.empty());
+    eq.runUntil(55);
+    EXPECT_EQ(eq.now(), 55u);
+    ASSERT_TRUE(eq.runOne()); // the parked turn at 60
+    EXPECT_EQ(eq.now(), 60u);
+    EXPECT_EQ(log.fired, (Fired{{'P', 10}}));
+    EXPECT_EQ(eq.firedCount(), 1u);
+
+    // Its turns at 20..60 re-keyed it without firing or scheduling.
+    const auto &counters = session.mergedMetrics().counters;
+    auto count = [&](rbv::obs::Counter c) {
+        return counters[static_cast<std::size_t>(c)];
+    };
+    EXPECT_EQ(count(rbv::obs::Counter::SimEventsParked), 5u);
+    EXPECT_EQ(count(rbv::obs::Counter::SimEventsFired), 1u);
+    EXPECT_EQ(count(rbv::obs::Counter::SimEventsScheduled), 2u);
+
+    EXPECT_TRUE(eq.unpark(p));
+    EXPECT_FALSE(eq.parked(p));
+    EXPECT_TRUE(eq.unpark(p)); // unparking an unparked event too
+    eq.runUntil(80);
+    EXPECT_EQ(log.fired, (Fired{{'P', 10}, {'P', 70}, {'P', 80}}));
+}
+
+TEST(EventQueue, UnparkedEventPrecedesWhatCameAfterItsPark)
+{
+    // E is scheduled for P's next tick after P parked: P's key is the
+    // older one, and unpark() keeps it.
+    EventQueue eq;
+    FireLog log{eq, {}};
+    const EventId p = eq.schedulePeriodic(10, 10, log.at('P'));
+    EXPECT_TRUE(eq.park(p));
+    eq.runUntil(5);
+    eq.schedule(10, log.at('E'));
+    EXPECT_TRUE(eq.unpark(p));
+    eq.runUntil(10);
+    EXPECT_EQ(log.fired, (Fired{{'P', 10}, {'E', 10}}));
+}
+
+TEST(EventQueue, ParkedTurnDrawsItsSequenceNumberInOrder)
+{
+    // E is scheduled for tick 20 before P's parked turn at 10, which
+    // draws P's key for tick 20: E fires first.
+    EventQueue eq;
+    FireLog log{eq, {}};
+    const EventId p = eq.schedulePeriodic(10, 10, log.at('P'));
+    EXPECT_TRUE(eq.park(p));
+    eq.schedule(20, log.at('E'));
+    eq.runUntil(15);
+    EXPECT_TRUE(log.fired.empty());
+    EXPECT_TRUE(eq.unpark(p));
+    eq.runUntil(20);
+    EXPECT_EQ(log.fired, (Fired{{'E', 20}, {'P', 20}}));
+}
+
+TEST(EventQueue, PeriodicEventParksAndUnparksFromItsOwnCallback)
+{
+    EventQueue eq;
+    FireLog log{eq, {}};
+    EventId p = InvalidEventId;
+    p = eq.schedulePeriodic(10, 10, [&] {
+        log.fired.emplace_back('P', eq.now());
+        EXPECT_TRUE(eq.park(p));
+        if (eq.now() == 20) {
+            EXPECT_TRUE(eq.unpark(p));
+        }
+    });
+    eq.runUntil(10);
+    EXPECT_TRUE(eq.parked(p));
+    EXPECT_TRUE(eq.unpark(p));
+    eq.runUntil(60);
+    EXPECT_EQ(log.fired, (Fired{{'P', 10}, {'P', 20}, {'P', 30}}));
+    EXPECT_TRUE(eq.parked(p));
+    EXPECT_EQ(eq.size(), 1u);
+}
+
+TEST(EventQueue, PeriodicCallbackMayGrowTheSlotVector)
+{
+    // The callback is small enough for std::function to hold inline,
+    // in the slot itself; it keeps its state across the growth.
+    struct Context
+    {
+        EventQueue *eq;
+        std::vector<int> seen;
+    } ctx{nullptr, {}};
+    EventQueue eq;
+    ctx.eq = &eq;
+    eq.schedulePeriodic(10, 10, [c = &ctx, n = 0]() mutable {
+        if (n == 0) {
+            for (int i = 0; i < 1000; ++i)
+                c->eq->schedule(1000, [] {});
+        }
+        ++n;
+        c->seen.push_back(n);
+    });
+    eq.runUntil(30);
+    EXPECT_EQ(ctx.seen, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(eq.size(), 1001u);
+}
+
+TEST(EventQueue, CancelEndsAPeriodicEventWhereverItIs)
+{
+    EventQueue eq;
+    FireLog log{eq, {}};
+
+    // In the heap.
+    const EventId a = eq.schedulePeriodic(10, 10, log.at('A'));
+    // Parked.
+    const EventId b = eq.schedulePeriodic(10, 10, log.at('B'));
+    EXPECT_TRUE(eq.park(b));
+    // From inside its own callback, on its second turn.
+    EventId c = InvalidEventId;
+    c = eq.schedulePeriodic(10, 10, [&] {
+        log.fired.emplace_back('C', eq.now());
+        if (eq.now() == 20) {
+            EXPECT_TRUE(eq.cancel(c));
+        }
+    });
+    eq.runUntil(10);
+    EXPECT_EQ(eq.size(), 3u);
+    EXPECT_TRUE(eq.cancel(a));
+    EXPECT_TRUE(eq.cancel(b));
+    EXPECT_FALSE(eq.cancel(b));
+    EXPECT_FALSE(eq.park(b));
+    EXPECT_FALSE(eq.unpark(b));
+    EXPECT_FALSE(eq.parked(b));
+    eq.runUntil(100);
+    EXPECT_EQ(log.fired, (Fired{{'A', 10}, {'C', 10}, {'C', 20}}));
+    EXPECT_TRUE(eq.empty());
+    EXPECT_FALSE(eq.cancel(c));
+}
+
 // ------------------------------------------------ differential model
 
 namespace {
@@ -268,7 +453,10 @@ namespace {
  * random steps. The model is an ordered set of (tick, sequence)
  * keys; every step, including those issued from inside callbacks,
  * must agree with it on firing order, now(), size() and every
- * return value.
+ * return value. A periodic event is one more key: when it reaches
+ * the front parked, it re-keys to (tick + period, next sequence)
+ * without a callback; unparked, it fires and re-keys after the
+ * callback's own steps.
  */
 class QueueModelCheck
 {
@@ -279,21 +467,31 @@ class QueueModelCheck
     step()
     {
         const std::uint64_t pick = rng.uniformInt(100);
-        if (pick < 30)
+        if (pick < 26)
             schedule();
-        else if (pick < 45)
+        else if (pick < 30)
+            schedulePeriodic();
+        else if (pick < 43)
             cancel();
-        else if (pick < 70)
+        else if (pick < 63)
             reschedule();
+        else if (pick < 67)
+            park();
+        else if (pick < 71)
+            unpark();
         else if (pick < 85)
             runOne();
         else
             runUntil();
         EXPECT_EQ(eq.size(), model.size());
+        EXPECT_EQ(eq.empty(), model.empty());
         EXPECT_EQ(eq.now(), now);
+        const Handle h = randomPeriodic();
+        EXPECT_EQ(eq.parked(h.id), parkedLabels.count(h.label) > 0);
     }
 
     std::uint64_t fired = 0;
+    std::uint64_t parkedTurns = 0;
 
   private:
     struct Handle
@@ -320,7 +518,7 @@ class QueueModelCheck
             handles[rng.uniformInt(handles.size())] = {id, label};
     }
 
-    /** A recent handle, live or dead, or the invalid id. */
+    /** A recent one-shot handle, live or dead, or the invalid id. */
     Handle
     randomHandle()
     {
@@ -328,6 +526,17 @@ class QueueModelCheck
             return {InvalidEventId, -1};
         return handles[rng.uniformInt(handles.size())];
     }
+
+    /** A periodic handle, live or dead, or the invalid id. */
+    Handle
+    randomPeriodic()
+    {
+        if (periodics.empty() || rng.uniformInt(20) == 0)
+            return {InvalidEventId, -1};
+        return periodics[rng.uniformInt(periodics.size())];
+    }
+
+    bool pending(int label) const { return keyOf.count(label) > 0; }
 
     void
     schedule()
@@ -347,15 +556,47 @@ class QueueModelCheck
     }
 
     void
+    schedulePeriodic()
+    {
+        // At most 4 live at once; 8 handles keep room for dead ones.
+        const auto live = std::count_if(
+            periodics.begin(), periodics.end(),
+            [&](const Handle &h) { return pending(h.label); });
+        if (model.size() >= 64 || live >= 4)
+            return;
+        const Tick when = randomTick();
+        const Tick period = 1 + rng.uniformInt(32);
+        const int label = nextLabel++;
+        const EventId id = eq.schedulePeriodic(when, period, [this, label] {
+            onFire(label);
+        });
+        ASSERT_NE(id, InvalidEventId);
+        const Key key{when, nextSeq++};
+        model.emplace(key, label);
+        keyOf.emplace(label, key);
+        periodOf.emplace(label, period);
+        const Handle h{id, label};
+        const auto dead = std::find_if(
+            periodics.begin(), periodics.end(),
+            [&](const Handle &p) { return !pending(p.label); });
+        if (periodics.size() < 8)
+            periodics.push_back(h);
+        else
+            *dead = h;
+    }
+
+    void
     cancel()
     {
-        const Handle h = randomHandle();
+        const Handle h =
+            rng.uniformInt(4) == 0 ? randomPeriodic() : randomHandle();
         const auto it = keyOf.find(h.label);
-        const bool pending = it != keyOf.end();
-        EXPECT_EQ(eq.cancel(h.id), pending);
-        if (pending) {
+        const bool live = it != keyOf.end();
+        EXPECT_EQ(eq.cancel(h.id), live);
+        if (live) {
             model.erase(it->second);
             keyOf.erase(it);
+            parkedLabels.erase(h.label);
         }
     }
 
@@ -365,9 +606,9 @@ class QueueModelCheck
         const Handle h = randomHandle();
         const Tick when = randomTick();
         const auto it = keyOf.find(h.label);
-        const bool pending = it != keyOf.end();
-        EXPECT_EQ(eq.reschedule(h.id, when), pending);
-        if (pending) {
+        const bool live = it != keyOf.end();
+        EXPECT_EQ(eq.reschedule(h.id, when), live);
+        if (live) {
             model.erase(it->second);
             it->second = Key{when, nextSeq++};
             model.emplace(it->second, h.label);
@@ -375,12 +616,66 @@ class QueueModelCheck
     }
 
     void
+    park()
+    {
+        const Handle h = randomPeriodic();
+        const bool live = pending(h.label);
+        EXPECT_EQ(eq.park(h.id), live);
+        if (live)
+            parkedLabels.insert(h.label);
+    }
+
+    void
+    unpark()
+    {
+        const Handle h = randomPeriodic();
+        const bool live = pending(h.label);
+        EXPECT_EQ(eq.unpark(h.id), live);
+        parkedLabels.erase(h.label);
+    }
+
+    /** Move periodic @p label on by one period, with the next key. */
+    void
+    rearm(int label)
+    {
+        auto it = keyOf.find(label);
+        model.erase(it->second);
+        it->second = Key{it->second.first + periodOf.at(label), nextSeq++};
+        model.emplace(it->second, label);
+    }
+
+    /**
+     * Take the turns of parked events that come first, up to tick
+     * @p limit: the queue takes them without a callback.
+     */
+    void
+    takeParkedTurns(Tick limit)
+    {
+        while (!model.empty()) {
+            const auto first = model.begin();
+            if (parkedLabels.count(first->second) == 0 ||
+                first->first.first > limit)
+                return;
+            now = first->first.first;
+            rearm(first->second);
+            ++parkedTurns;
+        }
+    }
+
+    void
     runOne()
     {
         const bool any = !model.empty();
+        const bool parkedTurn =
+            any && parkedLabels.count(model.begin()->second) > 0;
         const std::uint64_t before = fired;
+        if (parkedTurn) {
+            now = model.begin()->first.first;
+            rearm(model.begin()->second);
+            ++parkedTurns;
+        }
         EXPECT_EQ(eq.runOne(), any);
-        EXPECT_EQ(fired - before, any ? 1u : 0u);
+        EXPECT_EQ(fired - before, any && !parkedTurn ? 1u : 0u);
     }
 
     void
@@ -392,6 +687,7 @@ class QueueModelCheck
         eq.runUntil(limit);
         inRunUntil = false;
         if (!stopped && !model.empty()) {
+            takeParkedTurns(limit);
             EXPECT_GT(model.begin()->first.first, limit);
             now = limit;
         }
@@ -402,42 +698,60 @@ class QueueModelCheck
     onFire(int label)
     {
         ++fired;
+        takeParkedTurns(eq.now());
         ASSERT_FALSE(model.empty());
         EXPECT_FALSE(inRunUntil && stopped)
             << "event " << label << " fired after a stop request";
         const auto first = model.begin();
         EXPECT_EQ(first->second, label);
+        EXPECT_EQ(parkedLabels.count(label), 0u);
         now = first->first.first;
         EXPECT_EQ(eq.now(), now);
         if (inRunUntil) {
             EXPECT_LE(now, limit);
         }
-        keyOf.erase(first->second);
-        model.erase(first);
+        // A periodic event stays pending while its callback runs.
+        const bool periodic = periodOf.count(label) > 0;
+        if (!periodic) {
+            keyOf.erase(first->second);
+            model.erase(first);
+        }
         EXPECT_EQ(eq.size(), model.size());
 
         // Steps issued from inside the callback.
         const std::uint64_t nested = rng.uniformInt(4);
         for (std::uint64_t k = 0; k < nested; ++k) {
-            const std::uint64_t pick = rng.uniformInt(3);
+            const std::uint64_t pick = rng.uniformInt(6);
             if (pick == 0)
                 schedule();
             else if (pick == 1)
                 cancel();
-            else
+            else if (pick == 2)
                 reschedule();
+            else if (pick == 3)
+                park();
+            else if (pick == 4)
+                unpark();
+            else
+                schedulePeriodic();
         }
         if (rng.uniformInt(16) == 0) {
             eq.requestStop();
             stopped = true;
         }
+        // The queue re-arms it once the callback returns.
+        if (periodic && pending(label))
+            rearm(label);
     }
 
     rbv::stats::Rng rng;
     EventQueue eq;
     std::map<Key, int> model;
     std::map<int, Key> keyOf;
+    std::map<int, Tick> periodOf;
+    std::set<int> parkedLabels;
     std::vector<Handle> handles;
+    std::vector<Handle> periodics;
     std::uint64_t nextSeq = 0;
     int nextLabel = 0;
     Tick now = 0;
@@ -458,5 +772,6 @@ TEST(EventQueue, MatchesAnOrderedSetModelOverRandomSteps)
                 FAIL() << "seed " << seed << " diverged at step " << i;
         }
         EXPECT_GT(check.fired, 10000u) << "seed " << seed;
+        EXPECT_GT(check.parkedTurns, 1000u) << "seed " << seed;
     }
 }

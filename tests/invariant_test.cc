@@ -241,6 +241,20 @@ TEST(CheckTripDeath, RescheduleIntoThePastAborts)
     EXPECT_TRUE(eq.reschedule(later, 100));
 }
 
+TEST(CheckTripDeath, MovingAPeriodicOrParkingAOneShotEventAborts)
+{
+    sim::EventQueue eq;
+    const sim::EventId periodic = eq.schedulePeriodic(10, 10, [] {});
+    const sim::EventId once = eq.schedule(10, [] {});
+    EXPECT_DEATH(eq.reschedule(periodic, 20),
+                 "RBV_CHECK failed.*periodic event rescheduled");
+    EXPECT_DEATH(eq.park(once), "RBV_CHECK failed.*one-shot event parked");
+    EXPECT_DEATH(eq.schedulePeriodic(10, 0, [] {}),
+                 "RBV_CHECK failed.*period 0");
+    EXPECT_TRUE(eq.reschedule(once, 20));
+    EXPECT_TRUE(eq.park(periodic));
+}
+
 TEST(CheckTripDeath, RunUntilBackwardsAborts)
 {
     sim::EventQueue eq;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "obs/obs.hh"
 #include "sim/machine.hh"
 
@@ -408,4 +410,87 @@ TEST(Machine, DepartedCoRunnerEvictsNothing)
         rig.eq.runUntil(100'000'000);
         EXPECT_EQ(rig.machine.occupancy(0), held);
     }
+}
+
+// ------------------------------------------------ parked refresh tick
+
+namespace {
+
+constexpr Tick Refresh = usToCycles(50.0);
+
+/** Events fired from now through tick @p until. */
+std::uint64_t
+firedUntil(Rig &rig, Tick until)
+{
+    const std::uint64_t before = rig.eq.firedCount();
+    rig.eq.runUntil(until);
+    return rig.eq.firedCount() - before;
+}
+
+} // namespace
+
+TEST(Machine, RefreshParksOnceTheLastWorkRetires)
+{
+    Rig rig(4, Refresh);
+    rig.machine.setWork(0, memParams(1.0), 2e6);
+    rig.machine.pushFixedWork(1, FixedWork{3.0 * Refresh, 0.0, 0.0, 0.0});
+    while (rig.client.completions.empty())
+        ASSERT_TRUE(rig.eq.runOne());
+    const Tick retired = rig.eq.now();
+    // One more refresh finds the machine quiescent and parks.
+    EXPECT_EQ(firedUntil(rig, retired + Refresh), 1u);
+    EXPECT_EQ(firedUntil(rig, retired + 101 * Refresh), 0u);
+}
+
+TEST(Machine, WorkWakesTheRefreshAtItsNextGridTick)
+{
+    // Each call lands at an off-grid tick of an idle machine whose
+    // refresh parked at the first grid tick. The refresh runs again at
+    // the first grid tick after the call, and parks again once no
+    // boundary or timer event is pending.
+    struct Wake
+    {
+        const char *what;
+        std::function<void(Machine &)> call;
+        std::uint64_t beforeGrid; ///< Machine events before the tick.
+        std::uint64_t later;      ///< Events over the next 100 ticks.
+    };
+    const Wake wakes[] = {
+        {"setWork",
+         [](Machine &m) { m.setWork(0, cpuParams(), 1e12); }, 0, 100},
+        // The fixed work drains after 3 ticks, and the fourth parks.
+        {"pushFixedWork",
+         [](Machine &m) {
+             m.pushFixedWork(1, FixedWork{3.0 * Refresh, 0.0, 0.0, 0.0});
+         },
+         0, 4},
+        // The timer has run down: it fires at once.
+        {"armCycleTimer",
+         [](Machine &m) { m.armCycleTimer(2, 0.0, [] {}); }, 1, 0},
+    };
+    for (const Wake &w : wakes) {
+        SCOPED_TRACE(w.what);
+        Rig rig(4, Refresh);
+        EXPECT_EQ(firedUntil(rig, 10 * Refresh), 1u);
+        rig.eq.runUntil(10 * Refresh + Refresh / 3);
+        w.call(rig.machine);
+        EXPECT_EQ(firedUntil(rig, 11 * Refresh - 1), w.beforeGrid);
+        EXPECT_EQ(firedUntil(rig, 11 * Refresh), 1u);
+        EXPECT_EQ(firedUntil(rig, 111 * Refresh), w.later);
+    }
+}
+
+TEST(Machine, CallsThatLeaveTheMachineIdleKeepTheRefreshParked)
+{
+    Rig rig(4, Refresh);
+    EXPECT_EQ(firedUntil(rig, 10 * Refresh + Refresh / 3), 1u);
+    rig.machine.pushFixedWork(0, FixedWork{0.0, 10.0, 1.0, 0.0});
+    rig.machine.setOccupancy(1, MiB);
+    rig.machine.clearWork(2);
+    rig.machine.setWork(3, cpuParams(), 0.0);
+    // A timer on an idle core stalls: no event until the core runs.
+    rig.machine.armCycleTimer(3, 5000.0, [] {});
+    EXPECT_EQ(firedUntil(rig, 110 * Refresh), 0u);
+    EXPECT_DOUBLE_EQ(rig.machine.counters(0).snapshot().instructions,
+                     10.0);
 }
