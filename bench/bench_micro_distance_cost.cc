@@ -283,18 +283,35 @@ emitTrajectory(const std::string &path)
         return 1;
     }
 
-    // Dispatch equivalence: every kernel behind dtwDistance must
-    // agree bitwise on the same inputs (the AVX2 path must not
-    // silently diverge on hosts that have it).
+    // Dispatch equivalence: every kernel behind dtwDistance and
+    // dtwDistanceEarlyAbandon must agree bitwise on the same inputs
+    // (the AVX2 path must not silently diverge on hosts that have
+    // it), the abandoning forms at a cutoff that abandons and at one
+    // that does not.
+    const double ea_cutoff = dtw_ref * 0.5;
     {
+        constexpr double Inf = std::numeric_limits<double>::infinity();
         DistanceScratch &scr = threadDistanceScratch();
-        const double d_scalar = core::detail::dtwDiagScalar(
-            x.data(), x.size(), y.data(), y.size(), 1.0, scr);
-        if (d_scalar != dtw_ref ||
-            (core::detail::dtwAvx2Available() &&
-             core::detail::dtwDiagAvx2(x.data(), x.size(), y.data(),
-                                       y.size(), 1.0,
-                                       scr) != dtw_ref)) {
+        const bool avx2 = core::detail::dtwAvx2Available();
+        bool same = true;
+        for (const double cutoff : {Inf, ea_cutoff, dtw_ref * 1.5}) {
+            const double want =
+                cutoff == Inf
+                    ? dtw_ref
+                    : ref::dtwDistanceEarlyAbandon(x, y, 1.0, cutoff);
+            same = same && (want == Inf) == (cutoff == ea_cutoff);
+            same = same && core::detail::dtwDiagScalar(
+                               x.data(), x.size(), y.data(), y.size(),
+                               1.0, cutoff, scr) == want;
+            same = same && (!avx2 || core::detail::dtwDiagAvx2(
+                                         x.data(), x.size(), y.data(),
+                                         y.size(), 1.0, cutoff,
+                                         scr) == want);
+            same = same && (cutoff == Inf ||
+                            dtwDistanceEarlyAbandon(x, y, 1.0,
+                                                    cutoff) == want);
+        }
+        if (!same) {
             std::cerr << "FATAL: diag kernel dispatch diverges\n";
             return 1;
         }
@@ -305,7 +322,6 @@ emitTrajectory(const std::string &path)
             ref::dtwDistance(x, y, 1.0)); });
     const double dtw_ns = nsPerOp(
         [&] { benchmark::DoNotOptimize(dtwDistance(x, y, 1.0)); });
-    const double ea_cutoff = dtw_ref * 0.5;
     const double dtw_ea_ns = nsPerOp([&] {
         benchmark::DoNotOptimize(
             dtwDistanceEarlyAbandon(x, y, 1.0, ea_cutoff));

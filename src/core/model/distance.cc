@@ -60,33 +60,40 @@ min3(double a, double b, double c)
 }
 
 /**
- * Rolling-row DTW recurrence over flat scratch rows. Identical
- * arithmetic (operation-for-operation) to the historical rolling
- * vector version, so results are bit-identical; only the storage
- * changed. Requires m >= 1 and n >= 1. Retained as the short-series
- * kernel and as the dispatch-equivalence witness for the
- * anti-diagonal kernels in dtw_simd.cc.
+ * Rolling-row DTW recurrence over flat scratch rows, the kernel for
+ * short series. Requires m >= 1 and n >= 1. Every warp path visits
+ * at least one cell per row, so once a whole row sits at or above
+ * @p cutoff the final value must too, and the kernel returns +inf;
+ * dtwDistance passes cutoff = +inf.
  */
 double
 dtwRolling(const double *x, std::size_t m, const double *y,
-           std::size_t n, double async_penalty,
+           std::size_t n, double async_penalty, double cutoff,
            DistanceScratch &scratch)
 {
     auto [prev, cur] = scratch.dtwRowPair(n);
 
-    prev[0] = std::abs(x[0] - y[0]); // initial pointer position
-    for (std::size_t j = 1; j < n; ++j)
+    double row_min = prev[0] = std::abs(x[0] - y[0]);
+    for (std::size_t j = 1; j < n; ++j) {
         prev[j] = prev[j - 1] + std::abs(x[0] - y[j]) + async_penalty;
+        row_min = std::min(row_min, prev[j]);
+    }
+    if (row_min >= cutoff)
+        return Inf;
 
     for (std::size_t i = 1; i < m; ++i) {
         const double xi = x[i];
-        cur[0] = prev[0] + std::abs(xi - y[0]) + async_penalty;
+        row_min = cur[0] =
+            prev[0] + std::abs(xi - y[0]) + async_penalty;
         for (std::size_t j = 1; j < n; ++j) {
             const double best = min3(prev[j - 1],
                                      prev[j] + async_penalty,
                                      cur[j - 1] + async_penalty);
             cur[j] = best + std::abs(xi - y[j]);
+            row_min = std::min(row_min, cur[j]);
         }
+        if (row_min >= cutoff)
+            return Inf;
         std::swap(prev, cur);
     }
     return prev[n - 1];
@@ -100,22 +107,23 @@ dtwRolling(const double *x, std::size_t m, const double *y,
 constexpr std::size_t DiagKernelMinLen = 16;
 
 /**
- * Full DTW with runtime kernel dispatch. All three kernels compute
- * the identical operand set per cell (see dtw_simd.hh), so which one
+ * DTW with runtime kernel dispatch, abandoning at @p cutoff (+inf:
+ * never). The kernels compute the identical value per cell and test
+ * the same rows in the same order (see dtw_simd.hh), so which one
  * runs is invisible in the result bits — only in the wall clock.
  */
 double
-dtwFull(const double *x, std::size_t m, const double *y, std::size_t n,
-        double async_penalty, DistanceScratch &scratch)
+dtwKernel(const double *x, std::size_t m, const double *y,
+          std::size_t n, double async_penalty, double cutoff,
+          DistanceScratch &scratch)
 {
-    if (std::min(m, n) >= DiagKernelMinLen) {
-        if (detail::dtwAvx2Available())
-            return detail::dtwDiagAvx2(x, m, y, n, async_penalty,
-                                       scratch);
-        return detail::dtwDiagScalar(x, m, y, n, async_penalty,
-                                     scratch);
-    }
-    return dtwRolling(x, m, y, n, async_penalty, scratch);
+    if (std::min(m, n) < DiagKernelMinLen)
+        return dtwRolling(x, m, y, n, async_penalty, cutoff, scratch);
+    if (detail::dtwAvx2Available())
+        return detail::dtwDiagAvx2(x, m, y, n, async_penalty, cutoff,
+                                   scratch);
+    return detail::dtwDiagScalar(x, m, y, n, async_penalty, cutoff,
+                                 scratch);
 }
 
 } // namespace
@@ -130,8 +138,8 @@ dtwDistance(const MetricSeries &x, const MetricSeries &y,
         // Degenerate: all steps are asynchronous.
         return static_cast<double>(m + n) * async_penalty;
     }
-    const double d = dtwFull(x.data(), m, y.data(), n, async_penalty,
-                             threadDistanceScratch());
+    const double d = dtwKernel(x.data(), m, y.data(), n, async_penalty,
+                               Inf, threadDistanceScratch());
     RBV_DCHECK(std::isfinite(d),
                "dtwDistance produced a non-finite value");
     return d;
@@ -145,41 +153,11 @@ dtwDistanceEarlyAbandon(const MetricSeries &x, const MetricSeries &y,
     const std::size_t m = x.size(), n = y.size();
     if (m == 0 || n == 0)
         return static_cast<double>(m + n) * async_penalty;
-
-    auto [prev, cur] = threadDistanceScratch().dtwRowPair(n);
-    const double *xs = x.data(), *ys = y.data();
-
-    // Every warp path visits at least one cell per row, so once a
-    // whole row sits at or above the cutoff the final value must too.
-    double row_min = prev[0] = std::abs(xs[0] - ys[0]);
-    for (std::size_t j = 1; j < n; ++j) {
-        prev[j] =
-            prev[j - 1] + std::abs(xs[0] - ys[j]) + async_penalty;
-        row_min = std::min(row_min, prev[j]);
-    }
-    if (row_min >= cutoff) {
+    const double d = dtwKernel(x.data(), m, y.data(), n, async_penalty,
+                               cutoff, threadDistanceScratch());
+    if (d == Inf)
         RBV_COUNT(ModelDtwEarlyAbandons, 1);
-        return Inf;
-    }
-
-    for (std::size_t i = 1; i < m; ++i) {
-        const double xi = xs[i];
-        row_min = cur[0] =
-            prev[0] + std::abs(xi - ys[0]) + async_penalty;
-        for (std::size_t j = 1; j < n; ++j) {
-            const double best = min3(prev[j - 1],
-                                     prev[j] + async_penalty,
-                                     cur[j - 1] + async_penalty);
-            cur[j] = best + std::abs(xi - ys[j]);
-            row_min = std::min(row_min, cur[j]);
-        }
-        if (row_min >= cutoff) {
-            RBV_COUNT(ModelDtwEarlyAbandons, 1);
-            return Inf;
-        }
-        std::swap(prev, cur);
-    }
-    return prev[n - 1];
+    return d;
 }
 
 double

@@ -68,6 +68,43 @@ dtwDistance(const MetricSeries &x, const MetricSeries &y,
 }
 
 double
+dtwDistanceEarlyAbandon(const MetricSeries &x, const MetricSeries &y,
+                        double async_penalty, double cutoff)
+{
+    const std::size_t m = x.size(), n = y.size();
+    if (m == 0 || n == 0)
+        return static_cast<double>(m + n) * async_penalty;
+
+    constexpr double Inf = std::numeric_limits<double>::infinity();
+
+    std::vector<double> prev(n), cur(n);
+
+    double row_min = prev[0] = std::abs(x[0] - y[0]);
+    for (std::size_t j = 1; j < n; ++j) {
+        prev[j] = prev[j - 1] + std::abs(x[0] - y[j]) + async_penalty;
+        row_min = std::min(row_min, prev[j]);
+    }
+    if (row_min >= cutoff)
+        return Inf;
+
+    for (std::size_t i = 1; i < m; ++i) {
+        row_min = cur[0] =
+            prev[0] + std::abs(x[i] - y[0]) + async_penalty;
+        for (std::size_t j = 1; j < n; ++j) {
+            const double best =
+                std::min(std::min(prev[j - 1], prev[j] + async_penalty),
+                         cur[j - 1] + async_penalty);
+            cur[j] = best + std::abs(x[i] - y[j]);
+            row_min = std::min(row_min, cur[j]);
+        }
+        if (row_min >= cutoff)
+            return Inf;
+        std::swap(prev, cur);
+    }
+    return prev[n - 1];
+}
+
+double
 levenshteinDistance(const std::vector<os::Sys> &a,
                     const std::vector<os::Sys> &b, std::size_t max_len)
 {

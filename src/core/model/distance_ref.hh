@@ -8,9 +8,9 @@
  * distance matrix build. They are kept compiled and exported for two
  * consumers:
  *
- *  - the golden-equivalence suite (tests/distance_perf_test.cc),
- *    which requires the optimized kernels to match these to the last
- *    bit on randomized inputs;
+ *  - the golden-equivalence suites (tests/distance_perf_test.cc,
+ *    tests/distance_cascade_test.cc), which require the optimized
+ *    kernels to match these to the last bit on randomized inputs;
  *  - bench_micro_distance_cost, whose before/after table and
  *    --json-out trajectory report the measured speedup against
  *    exactly this code.
@@ -33,6 +33,16 @@ namespace rbv::core::ref {
 /** Textbook rolling-row DTW; allocates two rows per call. */
 double dtwDistance(const MetricSeries &x, const MetricSeries &y,
                    double async_penalty = 0.0);
+
+/**
+ * Rolling-row early-abandoning DTW; allocates two rows per call.
+ * Returns +inf at the first DP row whose minimum is >= @p cutoff,
+ * else the exact DTW value: the decision every fast kernel must
+ * make.
+ */
+double dtwDistanceEarlyAbandon(const MetricSeries &x,
+                               const MetricSeries &y,
+                               double async_penalty, double cutoff);
 
 /** Subsample-by-copy plus full-DP Levenshtein. */
 double levenshteinDistance(const std::vector<os::Sys> &a,

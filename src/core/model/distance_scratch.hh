@@ -15,8 +15,10 @@
  *  - One arena per thread, obtained via threadDistanceScratch().
  *    Arenas are never shared, so the kernels stay safe under the
  *    parallel DistanceMatrix build and the experiment engine.
- *  - Buffers grow monotonically (reserve-like semantics) and are
- *    fully overwritten by each kernel before use; no kernel result
+ *  - Buffers grow monotonically (reserve-like semantics). Each
+ *    kernel writes every element its result depends on before
+ *    reading it (the anti-diagonal kernels' padding lanes may read
+ *    leftovers, but no cell reads those lanes); no kernel result
  *    ever depends on leftover contents, so reuse cannot perturb
  *    determinism.
  *  - The arena is an implementation detail of the kernels in
@@ -56,8 +58,14 @@ struct DistanceScratch
     /** Three anti-diagonal wavefront rows (3 * rowLen, dtw_simd). */
     std::vector<double> diagRows;
 
-    /** Reversed copy of y for the anti-diagonal kernels. */
+    /** Padded copy of x for the anti-diagonal kernels. */
+    std::vector<double> xStage;
+
+    /** Padded reversed copy of y for the anti-diagonal kernels. */
     std::vector<double> yRevStage;
+
+    /** Running DP row minima of the early-abandoning wavefront. */
+    std::vector<double> rowMins;
 
     /** Query-side prefix-sum staging for the signature-bank prune. */
     std::vector<double> sigPrefix;
@@ -82,18 +90,25 @@ struct DistanceScratch
     double *
     diagTriple(std::size_t row_len)
     {
-        if (diagRows.size() < 3 * row_len)
-            diagRows.resize(3 * row_len);
-        return diagRows.data();
+        return grown(diagRows, 3 * row_len);
     }
 
+    /** Staging buffer for the first series (@p n doubles). */
+    double *xStageBuf(std::size_t n) { return grown(xStage, n); }
+
     /** Staging buffer for the reversed second series. */
-    double *
-    yRevBuf(std::size_t n)
+    double *yRevBuf(std::size_t n) { return grown(yRevStage, n); }
+
+    /** One running minimum per DP row. */
+    double *rowMinBuf(std::size_t n) { return grown(rowMins, n); }
+
+  private:
+    static double *
+    grown(std::vector<double> &v, std::size_t n)
     {
-        if (yRevStage.size() < n)
-            yRevStage.resize(n);
-        return yRevStage.data();
+        if (v.size() < n)
+            v.resize(n);
+        return v.data();
     }
 };
 

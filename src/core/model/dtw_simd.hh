@@ -10,19 +10,28 @@
  * exposes both instruction-level parallelism and clean SIMD lanes.
  *
  * Exactness contract (the repo's iron rule, docs/PERFORMANCE.md):
- * every kernel here computes, per cell, exactly the operand set of
- * the reference recurrence
+ * every kernel here computes, per cell, the value of the reference
+ * recurrence
  *
- *     cell(i,j) = |x_i - y_j|
- *               + min3(cell(i-1,j-1), cell(i-1,j)+p, cell(i,j-1)+p)
+ *     cell(i,j) = min3(cell(i-1,j-1), cell(i-1,j)+p, cell(i,j-1)+p)
+ *               + |x_i - y_j|
  *
- * in the same association order. The recurrence contains no
- * multiplications, so no FMA contraction can perturb rounding, and
- * min over nonnegative finite doubles is order-exact — the cell DAG
- * fixes every intermediate bit regardless of evaluation order.
- * Results are therefore bit-identical to rbv::core::ref::dtwDistance
- * on every path (AVX2, portable), which the golden and property
- * suites assert on randomized inputs.
+ * to the last bit. The interior evaluates the min as
+ * min(diag, min(up, left) + p): adding p rounds monotonically, so
+ * fl(min(b, c) + p) == min(fl(b + p), fl(c + p)), and min over
+ * cells that are never NaN and never -0 is order-exact. The
+ * recurrence contains no multiplications, so no FMA contraction can
+ * perturb rounding. Results are therefore bit-identical to
+ * rbv::core::ref::dtwDistance on every path (AVX2, portable), which
+ * the golden and property suites assert on randomized inputs.
+ *
+ * Each kernel also has an early-abandoning form, selected by a
+ * cutoff below +inf: it keeps a running minimum per DP row, tests
+ * each row as soon as the wavefront completes it (row r after
+ * diagonal r + n - 1), and returns +inf at the first row whose
+ * minimum is >= cutoff. Rows complete in order 0..m-1, the order the
+ * rolling-row kernel tests them, so both make the same decision and
+ * the result is bit-identical to rbv::core::ref::dtwDistanceEarlyAbandon.
  *
  * Dispatch is decided per call from the CPU feature set (GCC's
  * cpu_supports builtin reads a libgcc-initialized model block; no
@@ -43,11 +52,13 @@ namespace detail {
 
 /**
  * Portable anti-diagonal DTW. Requires m >= 1 and n >= 1; DP storage
- * comes from @p scratch (three wavefront rows plus a reversed copy
- * of y so every lane load is contiguous).
+ * comes from @p scratch (three wavefront rows, padded copies of x
+ * and of the reversed y so every lane load is contiguous, and the
+ * row minima of the abandoning form). With @p cutoff below +inf it
+ * returns +inf once a complete DP row's minimum is >= cutoff.
  */
 double dtwDiagScalar(const double *x, std::size_t m, const double *y,
-                     std::size_t n, double async_penalty,
+                     std::size_t n, double async_penalty, double cutoff,
                      DistanceScratch &scratch);
 
 /**
@@ -56,7 +67,7 @@ double dtwDiagScalar(const double *x, std::size_t m, const double *y,
  * On non-x86 builds this symbol exists but must not be called.
  */
 double dtwDiagAvx2(const double *x, std::size_t m, const double *y,
-                   std::size_t n, double async_penalty,
+                   std::size_t n, double async_penalty, double cutoff,
                    DistanceScratch &scratch);
 
 /** True when the host CPU can run the AVX2 kernel. */

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "core/model/cascade.hh"
@@ -25,6 +27,8 @@ using namespace rbv;
 using namespace rbv::core;
 
 namespace {
+
+constexpr double Inf = std::numeric_limits<double>::infinity();
 
 MetricSeries
 randomSeries(std::size_t n, stats::Rng &rng)
@@ -193,7 +197,7 @@ TEST(DiagKernel, ScalarBitIdenticalToReference)
         const double p = 0.5 * static_cast<double>(trial % 4);
         const double want = ref::dtwDistance(x, y, p);
         const double got = detail::dtwDiagScalar(x.data(), m, y.data(),
-                                                 n, p, scr);
+                                                 n, p, Inf, scr);
         ASSERT_EQ(want, got) << "m=" << m << " n=" << n << " p=" << p;
     }
 }
@@ -213,9 +217,9 @@ TEST(DiagKernel, Avx2BitIdenticalToScalarWhenAvailable)
         const auto y = randomSeries(n, rng);
         const double p = 0.5 * static_cast<double>(trial % 4);
         const double s = detail::dtwDiagScalar(x.data(), m, y.data(),
-                                               n, p, scr);
+                                               n, p, Inf, scr);
         const double v = detail::dtwDiagAvx2(x.data(), m, y.data(), n,
-                                             p, scr);
+                                             p, Inf, scr);
         ASSERT_EQ(s, v) << "m=" << m << " n=" << n << " p=" << p;
         ASSERT_EQ(s, ref::dtwDistance(x, y, p));
     }
@@ -292,7 +296,6 @@ TEST(Cascade, AtMostFalseImpliesExactAtLeastCutoff)
 TEST(Cascade, PruneGateSoundWithAndWithoutFirstEnvelope)
 {
     constexpr std::size_t N = 20;
-    constexpr double Inf = std::numeric_limits<double>::infinity();
     std::vector<MetricSeries> series;
     for (std::size_t i = 0; i < N; ++i)
         series.push_back(classSeries(36 + i % 12, i % 4, i + 11));
@@ -419,6 +422,69 @@ TEST(EarlyAbandon, FiniteResultIsExactInfMeansAtLeastCutoff)
         else
             ASSERT_EQ(got, exact);
     }
+}
+
+TEST(EarlyAbandon, DecisionMatchesRollingReferenceBitwise)
+{
+    // The abandon decision itself, not only its soundness: the
+    // dispatcher and both wavefront kernels, called directly so the
+    // portable one runs on AVX2 hosts too, must return exactly what
+    // the rolling-row reference returns, +inf included. Lengths span
+    // the dispatch threshold with every m mod 4 (the wavefront's
+    // inner loop runs whole groups of 4 lanes); integer values make
+    // ties common; cutoffs sit on the exact value and one ulp either
+    // side, where a row tested before it completes or a row minimum
+    // polluted by overrun lanes flips the decision.
+    const auto bits = [](double v) {
+        return std::bit_cast<std::uint64_t>(v);
+    };
+    stats::Rng rng(1010);
+    DistanceScratch &scr = threadDistanceScratch();
+    const bool avx2 = detail::dtwAvx2Available();
+    const std::size_t lens[] = {1,  2,  3,  4,  5,  14, 15, 16,
+                                17, 18, 19, 20, 37, 38, 39, 40};
+    int abandoned = 0, kept = 0;
+    for (const std::size_t m : lens) {
+        for (const std::size_t n : lens) {
+            MetricSeries x(m), y(n);
+            for (double &v : x)
+                v = static_cast<double>(rng.uniformInt(4));
+            for (double &v : y)
+                v = static_cast<double>(rng.uniformInt(4));
+            for (const double p : {0.0, 0.5, 1.7}) {
+                const double exact = ref::dtwDistance(x, y, p);
+                for (const double cutoff :
+                     {exact, std::nextafter(exact, -Inf),
+                      std::nextafter(exact, Inf), 0.0, Inf}) {
+                    const double want =
+                        ref::dtwDistanceEarlyAbandon(x, y, p, cutoff);
+                    (want == Inf ? abandoned : kept) += 1;
+                    const auto where = [&] {
+                        return testing::Message()
+                               << "m=" << m << " n=" << n << " p=" << p
+                               << " cutoff=" << cutoff;
+                    };
+                    ASSERT_EQ(bits(want), bits(dtwDistanceEarlyAbandon(
+                                              x, y, p, cutoff)))
+                        << where();
+                    ASSERT_EQ(bits(want),
+                              bits(detail::dtwDiagScalar(
+                                  x.data(), m, y.data(), n, p, cutoff,
+                                  scr)))
+                        << where();
+                    if (avx2) {
+                        ASSERT_EQ(bits(want),
+                                  bits(detail::dtwDiagAvx2(
+                                      x.data(), m, y.data(), n, p,
+                                      cutoff, scr)))
+                            << where();
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(abandoned, 0);
+    EXPECT_GT(kept, 0);
 }
 
 // ------------------------------------------------- parallel byte-ident

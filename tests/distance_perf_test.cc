@@ -100,6 +100,7 @@ TEST(DistanceGolden, EarlyAbandonSoundAndExactWhenFinite)
             const double cutoff = exact * frac + 0.01;
             const double got =
                 dtwDistanceEarlyAbandon(x, y, p, cutoff);
+            EXPECT_EQ(got, ref::dtwDistanceEarlyAbandon(x, y, p, cutoff));
             if (got == Inf) {
                 // Abandoning promises the exact value is >= cutoff.
                 EXPECT_GE(exact, cutoff);
