@@ -8,9 +8,12 @@
  * the BENCH_cluster.json perf-trajectory baseline; without the flag
  * it prints the same numbers as text. The simulation metrics
  * (goodput, percentiles, retry counts) are fully deterministic; only
- * the host wall-clock column varies between machines.
+ * the host wall-clock column varies between machines. Each plan runs
+ * Repeats times back to back: its wall time is the median, and the
+ * bench exits 1 if two runs' results differ.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -32,6 +35,9 @@ namespace {
 constexpr const char *kTopology = "lb:1:20,app:2:80,db:2:140";
 constexpr std::uint64_t kSeed = 1;
 constexpr double kQps = 4000.0;
+
+/** Back-to-back runs per plan; a plan runs ~50 ms at 4000 requests. */
+constexpr int Repeats = 5;
 
 struct PlanCase
 {
@@ -59,7 +65,28 @@ struct CaseRun
     double wallSec = 0.0;       ///< Host time of the run.
 };
 
-/** The cluster run of one canned case; its report is not printed. */
+/** Every result field of two runs of one plan is equal. */
+bool
+sameResult(const exp::ClusterResult &a, const exp::ClusterResult &b)
+{
+    return a.injected == b.injected && a.completed == b.completed &&
+           a.failed == b.failed && a.unresolved == b.unresolved &&
+           a.p50LatencyUs == b.p50LatencyUs &&
+           a.p99LatencyUs == b.p99LatencyUs &&
+           a.rpc.attempts == b.rpc.attempts &&
+           a.rpc.timeouts == b.rpc.timeouts &&
+           a.rpc.retries == b.rpc.retries &&
+           a.rpc.hedges == b.rpc.hedges &&
+           a.rpc.failovers == b.rpc.failovers &&
+           a.rpc.lateReplies == b.rpc.lateReplies &&
+           a.rpc.noReplica == b.rpc.noReplica &&
+           a.injections == b.injections;
+}
+
+/**
+ * Repeats cluster runs of one canned case; their reports are not
+ * printed. Exits 1 when two runs' results differ.
+ */
 CaseRun
 runCase(const PlanCase &pc, std::size_t requests)
 {
@@ -80,13 +107,26 @@ runCase(const PlanCase &pc, std::size_t requests)
     cfg.qps = kQps;
     cfg.requests = requests;
 
-    std::ostringstream report;
-    const auto t0 = std::chrono::steady_clock::now();
     CaseRun run;
-    run.res = exp::runCluster(cfg, report);
-    run.wallSec = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+    double walls[Repeats];
+    for (int k = 0; k < Repeats; ++k) {
+        std::ostringstream report;
+        const auto t0 = std::chrono::steady_clock::now();
+        const exp::ClusterResult res = exp::runCluster(cfg, report);
+        walls[k] = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+        if (k == 0) {
+            run.res = res;
+        } else if (!sameResult(res, run.res)) {
+            std::cerr << "bench_cluster_resilience: run " << k + 1
+                      << " of " << pc.name
+                      << " differs from its first run\n";
+            std::exit(1);
+        }
+    }
+    std::nth_element(walls, walls + Repeats / 2, walls + Repeats);
+    run.wallSec = walls[Repeats / 2];
     const auto n = static_cast<double>(requests);
     run.goodput = static_cast<double>(run.res.completed) / n;
     run.amplification =
