@@ -54,7 +54,7 @@ constexpr double Inf = std::numeric_limits<double>::infinity();
 constexpr std::size_t Pad = 3;
 
 /**
- * The one wavefront driver: stages x, yr and the three rows, seeds
+ * The one wavefront loop: stages x, yr and the three rows, seeds
  * diagonal 0, computes each later diagonal's boundary cells and runs
  * Inner over its interior. Inner computes cells [lo, hi] (and up to
  * Pad more) of diagonal d into cur from prev1/prev2, folding them
