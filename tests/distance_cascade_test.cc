@@ -13,6 +13,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "core/model/cascade.hh"
 #include "core/model/distance.hh"
@@ -21,6 +25,7 @@
 #include "core/model/dtw_simd.hh"
 #include "core/model/kmedoids.hh"
 #include "core/model/signature.hh"
+#include "obs/obs.hh"
 #include "stats/rng.hh"
 
 using namespace rbv;
@@ -400,6 +405,155 @@ TEST(Cascade, KMedoidsCascadeBitIdenticalToKMedoids)
                 << "p=" << p << " k=" << k;
         }
     }
+}
+
+// ------------------------------------- k-medoids on sets above the rule
+
+namespace {
+
+/**
+ * The sets below have at least this many DP cells in one seeding round
+ * (the sum of their squared lengths): the size from which
+ * kMedoidsCascade runs seeding, assignment and re-election on the
+ * worker pool.
+ */
+constexpr std::size_t ForkMinCells = std::size_t{1} << 19;
+
+std::size_t
+seedingCells(const std::vector<MetricSeries> &series)
+{
+    std::size_t cells = 0;
+    for (const MetricSeries &s : series)
+        cells += s.size() * s.size();
+    return cells;
+}
+
+/** One kMedoidsCascade call: its result, tallies and model.* counters. */
+struct CascadeRun
+{
+    Clustering cl;
+    CascadeStats stats;
+    std::map<std::string, std::uint64_t> modelCounters; ///< Nonzero only.
+};
+
+CascadeRun
+runCascade(const std::vector<MetricSeries> &series, double p,
+           std::size_t k)
+{
+    std::vector<const MetricSeries *> items;
+    for (const MetricSeries &s : series)
+        items.push_back(&s);
+    CascadeRun run;
+    const obs::Session session;
+    DistanceCascade dc(items.data(), items.size(), p);
+    stats::Rng rng(33);
+    run.cl = kMedoidsCascade(dc, k, rng);
+    run.stats = dc.stats();
+    const obs::MergedMetrics m = session.mergedMetrics();
+    for (std::size_t c = 0; c < obs::NumCounters; ++c) {
+        const std::string name =
+            obs::counterName(static_cast<obs::Counter>(c));
+        if (name.rfind("model.", 0) == 0 && m.counters[c] != 0)
+            run.modelCounters[name] = m.counters[c];
+    }
+    return run;
+}
+
+/** kMedoids over the full matrix of @p series, seeded as runCascade. */
+Clustering
+matrixClustering(const std::vector<MetricSeries> &series, double p,
+                 std::size_t k)
+{
+    const auto dm = DistanceMatrix::build(
+        series.size(),
+        [&](std::size_t i, std::size_t j) {
+            return dtwDistance(series[i], series[j], p);
+        },
+        1);
+    stats::Rng rng(33);
+    return kMedoids(dm, k, rng);
+}
+
+/** Tallies and counters a call made before k-medoids used the pool. */
+struct PinnedRun
+{
+    double p;
+    std::size_t k;
+    CascadeStats stats;
+};
+
+void
+expectPinned(const CascadeRun &run, const PinnedRun &want)
+{
+    const CascadeStats &s = run.stats;
+    EXPECT_EQ(s.lookups, want.stats.lookups);
+    EXPECT_EQ(s.memoHits, want.stats.memoHits);
+    EXPECT_EQ(s.kimPrunes, want.stats.kimPrunes);
+    EXPECT_EQ(s.keoghPrunes, want.stats.keoghPrunes);
+    EXPECT_EQ(s.dpRuns, want.stats.dpRuns);
+    EXPECT_EQ(s.eaAbandons, want.stats.eaAbandons);
+    // The cascade counts each stage in its tallies and in the obs
+    // counters; pool threads' counters fold into the caller's.
+    std::map<std::string, std::uint64_t> counters;
+    const auto put = [&](const char *name, std::uint64_t v) {
+        if (v != 0)
+            counters[name] = v;
+    };
+    put("model.cascade_dp_runs", want.stats.dpRuns);
+    put("model.dtw_early_abandons", want.stats.eaAbandons);
+    put("model.lb_kim_prunes", want.stats.kimPrunes);
+    put("model.lb_keogh_prunes", want.stats.keoghPrunes);
+    EXPECT_EQ(run.modelCounters, counters);
+}
+
+} // namespace
+
+TEST(CascadeAboveForkRule, ClassSetMatchesMatrixAndPinnedTallies)
+{
+    std::vector<MetricSeries> series;
+    for (std::size_t i = 0; i < 64; ++i)
+        series.push_back(classSeries(96 + (7 * i) % 48, i % 4, 500 + i));
+    ASSERT_GE(seedingCells(series), ForkMinCells);
+
+    const PinnedRun pinned[] = {
+        {0.0, 4, {2637, 1572, 33, 0, 921, 251}},
+        {0.0, 10, {3358, 1604, 162, 0, 1439, 639}},
+        {1.0, 4, {2607, 1548, 29, 202, 715, 50}},
+        {1.0, 10, {3242, 1494, 451, 325, 830, 52}},
+    };
+    for (const PinnedRun &want : pinned) {
+        SCOPED_TRACE(testing::Message()
+                     << "p=" << want.p << " k=" << want.k);
+        const CascadeRun run = runCascade(series, want.p, want.k);
+        const Clustering plain = matrixClustering(series, want.p, want.k);
+        EXPECT_EQ(run.cl.medoids, plain.medoids);
+        EXPECT_EQ(run.cl.assignment, plain.assignment);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(run.cl.totalCost),
+                  std::bit_cast<std::uint64_t>(plain.totalCost));
+        expectPinned(run, want);
+    }
+}
+
+TEST(CascadeAboveForkRule, IdenticalSeriesSeedDuplicateMedoids)
+{
+    // Every distance is 0, so max-min seeding picks item 0 again and
+    // again after its random first medoid: duplicate medoids, and
+    // clusters with no member.
+    const std::vector<MetricSeries> series(40, classSeries(128, 2, 77));
+    ASSERT_GE(seedingCells(series), ForkMinCells);
+
+    const PinnedRun want = {1.0, 4, {680, 586, 0, 0, 77, 0}};
+    const CascadeRun run = runCascade(series, want.p, want.k);
+    const Clustering plain = matrixClustering(series, want.p, want.k);
+    EXPECT_EQ(run.cl.medoids, plain.medoids);
+    EXPECT_EQ(run.cl.assignment, plain.assignment);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(run.cl.totalCost),
+              std::bit_cast<std::uint64_t>(plain.totalCost));
+    EXPECT_NE(std::set<std::size_t>(run.cl.medoids.begin(),
+                                    run.cl.medoids.end())
+                  .size(),
+              run.cl.medoids.size());
+    expectPinned(run, want);
 }
 
 // ---------------------------------------------------- early abandoning
