@@ -34,6 +34,16 @@ cornerCost(const MetricSeries &x, const MetricSeries &y)
                : c0;
 }
 
+/** DP cells of one seeding round: the sum of squared lengths. */
+std::size_t
+seedingCells(const MetricSeries *const *items, std::size_t n)
+{
+    std::size_t cells = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        cells += items[i]->size() * items[i]->size();
+    return cells;
+}
+
 } // namespace
 
 void
@@ -187,7 +197,8 @@ DistanceCascade::DistanceCascade(const MetricSeries *const *items_,
     : items(items_), count(n), asyncPenalty(async_penalty),
       envelopes(buildEnvelopes(items_, n)),
       memo(n < 2 ? 0 : n * (n - 1) / 2,
-           std::numeric_limits<double>::quiet_NaN())
+           std::numeric_limits<double>::quiet_NaN()),
+      forks(seedingCells(items_, n) >= CascadeForkCells)
 {
 }
 
@@ -206,34 +217,35 @@ DistanceCascade::memoAt(std::size_t i, std::size_t j) const
 }
 
 double
-DistanceCascade::exact(std::size_t i, std::size_t j)
+DistanceCascade::exactInto(std::size_t i, std::size_t j,
+                           CascadeStats &t)
 {
-    ++tallies.lookups;
+    ++t.lookups;
     if (i == j)
         return 0.0;
     double &cell = memo[packedIndex(i, j)];
     if (std::isnan(cell)) {
-        ++tallies.dpRuns;
+        ++t.dpRuns;
         RBV_COUNT(ModelCascadeDpRuns, 1);
         cell = dtwDistance(*items[i], *items[j], asyncPenalty);
     } else {
-        ++tallies.memoHits;
+        ++t.memoHits;
     }
     return cell;
 }
 
 bool
-DistanceCascade::atMost(std::size_t i, std::size_t j, double cutoff,
-                        double &d)
+DistanceCascade::atMostInto(std::size_t i, std::size_t j,
+                            double cutoff, double &d, CascadeStats &t)
 {
-    ++tallies.lookups;
+    ++t.lookups;
     if (i == j) {
         d = 0.0;
         return true;
     }
     double &cell = memo[packedIndex(i, j)];
     if (!std::isnan(cell)) {
-        ++tallies.memoHits;
+        ++t.memoHits;
         if (cell >= cutoff)
             return false;
         d = cell;
@@ -244,22 +256,22 @@ DistanceCascade::atMost(std::size_t i, std::size_t j, double cutoff,
     switch (pruneGate(*items[i], *items[j], &envelopes[i],
                       envelopes[j], asyncPenalty, cutoff, raw)) {
       case PruneStage::Kim:
-        ++tallies.kimPrunes;
+        ++t.kimPrunes;
         return false;
       case PruneStage::Keogh:
-        ++tallies.keoghPrunes;
+        ++t.keoghPrunes;
         return false;
       case PruneStage::Abandoned:
         // Provably >= cutoff, but not an exact value: leave the memo
         // cell unknown so a later query with a looser cutoff still
         // gets the exact distance.
-        ++tallies.dpRuns;
-        ++tallies.eaAbandons;
+        ++t.dpRuns;
+        ++t.eaAbandons;
         return false;
       case PruneStage::Exact:
         break;
     }
-    ++tallies.dpRuns;
+    ++t.dpRuns;
     cell = raw; // finite early-abandon result == the exact DP value
     if (raw >= cutoff)
         return false;

@@ -153,7 +153,28 @@ struct CascadeStats
     std::uint64_t keoghPrunes = 0;  ///< Rejected by LB_Keogh.
     std::uint64_t dpRuns = 0;       ///< Reached the exact DP.
     std::uint64_t eaAbandons = 0;   ///< DP abandoned mid-flight.
+
+    CascadeStats &
+    operator+=(const CascadeStats &o)
+    {
+        lookups += o.lookups;
+        memoHits += o.memoHits;
+        kimPrunes += o.kimPrunes;
+        keoghPrunes += o.keoghPrunes;
+        dpRuns += o.dpRuns;
+        eaAbandons += o.eaAbandons;
+        return *this;
+    }
 };
+
+/**
+ * DistanceCascade::forEach() runs on the worker pool when the set's
+ * squared lengths sum to at least this many DP cells: about one
+ * k-medoids seeding round, which runs one DP per item against the
+ * newest medoid. Below it a round takes about as long as forking and
+ * joining the pool, so the bodies run on the calling thread.
+ */
+inline constexpr std::size_t CascadeForkCells = std::size_t{1} << 19;
 
 /**
  * Memoizing cascade oracle over a fixed set of series: per-series
@@ -179,7 +200,10 @@ class DistanceCascade
      * Exact dtwDistance(items[i], items[j]), memoized. Bit-identical
      * to calling the kernel directly.
      */
-    double exact(std::size_t i, std::size_t j);
+    double exact(std::size_t i, std::size_t j)
+    {
+        return exactInto(i, j, tallies);
+    }
 
     /**
      * Bounded query: when the cascade proves
@@ -190,8 +214,11 @@ class DistanceCascade
      * bit-identical distance; @p d may still be >= cutoff (the
      * cascade is sound, not complete).
      */
-    bool atMost(std::size_t i, std::size_t j, double cutoff,
-                double &d);
+    bool
+    atMost(std::size_t i, std::size_t j, double cutoff, double &d)
+    {
+        return atMostInto(i, j, cutoff, d, tallies);
+    }
 
     /**
      * O(1) lower bound: the memoized exact value when known, LB_Kim
@@ -202,7 +229,72 @@ class DistanceCascade
 
     const CascadeStats &stats() const { return tallies; }
 
+    /** The cascade's queries, tallied into one forEach() body's own. */
+    class Query
+    {
+      public:
+        Query(DistanceCascade &cascade, CascadeStats &own)
+            : dc(cascade), tallies(own)
+        {
+        }
+
+        double
+        exact(std::size_t i, std::size_t j)
+        {
+            return dc.exactInto(i, j, tallies);
+        }
+
+        bool
+        atMost(std::size_t i, std::size_t j, double cutoff, double &d)
+        {
+            return dc.atMostInto(i, j, cutoff, d, tallies);
+        }
+
+        double
+        cheapLowerBound(std::size_t i, std::size_t j) const
+        {
+            return dc.cheapLowerBound(i, j);
+        }
+
+      private:
+        DistanceCascade &dc;
+        CascadeStats &tallies;
+    };
+
+    /**
+     * body(query, i) for every i < @p n: on the calling thread, or on
+     * the worker pool (detail::parallelFor, every hardware thread)
+     * when the set reaches CascadeForkCells. The caller guarantees
+     * that no two bodies query the same pair and that each writes only
+     * its own state, so every query decides as it would in a serial
+     * loop. Each forked body tallies into its own CascadeStats, folded
+     * into stats() after the join.
+     */
+    template <typename Body>
+    void
+    forEach(std::size_t n, Body &&body)
+    {
+        if (!forks) {
+            Query q(*this, tallies);
+            for (std::size_t i = 0; i < n; ++i)
+                body(q, i);
+            return;
+        }
+        std::vector<CascadeStats> shards(n);
+        detail::parallelFor(n, 0, [&](std::size_t i) {
+            CascadeStats own;
+            Query q(*this, own);
+            body(q, i);
+            shards[i] = own;
+        });
+        for (const CascadeStats &s : shards)
+            tallies += s;
+    }
+
   private:
+    double exactInto(std::size_t i, std::size_t j, CascadeStats &t);
+    bool atMostInto(std::size_t i, std::size_t j, double cutoff,
+                    double &d, CascadeStats &t);
     double memoAt(std::size_t i, std::size_t j) const;
     std::size_t packedIndex(std::size_t i, std::size_t j) const;
 
@@ -212,6 +304,7 @@ class DistanceCascade
     std::vector<SeriesEnvelope> envelopes;
     std::vector<double> memo; ///< NaN = unknown, packed upper tri.
     CascadeStats tallies;
+    bool forks; ///< The set reaches CascadeForkCells.
 };
 
 /**

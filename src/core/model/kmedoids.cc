@@ -97,7 +97,8 @@ namespace {
  * very partial sum the check before the next term would see, so it
  * drops the same candidates one term sooner (or after their last
  * term, when their full sum could not win the strict < anyway) and
- * elects the same medoid.
+ * elects the same medoid. Its queries are memory reads, too cheap to
+ * pay for a fork, so forEach runs serially.
  */
 struct MatrixOracle
 {
@@ -118,6 +119,14 @@ struct MatrixOracle
     cheapLowerBound(std::size_t i, std::size_t j) const
     {
         return dm.at(i, j);
+    }
+
+    template <typename Body>
+    void
+    forEach(std::size_t count, Body &&body) const
+    {
+        for (std::size_t i = 0; i < count; ++i)
+            body(*this, i);
     }
 };
 

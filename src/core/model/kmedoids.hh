@@ -26,7 +26,8 @@ namespace rbv::core {
 namespace detail {
 
 /**
- * Outlined worker pool behind DistanceMatrix::build: runs
+ * Outlined worker pool behind DistanceMatrix::build and
+ * DistanceCascade::forEach: runs
  * fn(0 .. count-1) on @p jobs threads (<= 0 uses the hardware
  * concurrency), indices claimed dynamically from an atomic cursor —
  * the same decomposition contract as exp::ParallelRunner. Every

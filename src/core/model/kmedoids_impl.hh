@@ -32,12 +32,18 @@ namespace rbv::core::detail {
  *  - atMost(i, j, cutoff, d): false only when it proves
  *    d(i, j) >= cutoff, leaving @p d untouched; otherwise true with
  *    the exact distance in @p d (which may still be >= cutoff);
- *  - cheapLowerBound(i, j): a value never above exact(i, j).
+ *  - cheapLowerBound(i, j): a value never above exact(i, j);
+ *  - forEach(count, body): body(q, i) for every i < count, where q
+ *    answers the three queries above. An oracle may run the bodies
+ *    concurrently, so no two bodies of one forEach touch the same
+ *    pair (i, j), and each writes only its own slots.
  *
  * Every decision is a strict-< comparison of exact distances, or of
  * sums accumulated in ascending member order, and an oracle only
  * skips work whose result could not win one — so every sound oracle
- * yields the same clustering, bit for bit.
+ * yields the same clustering, bit for bit. Each forked body queries
+ * only pairs no other body of its forEach touches, so it sees the
+ * oracle's state exactly as a serial ascending loop would show it.
  */
 template <typename Oracle>
 Clustering
@@ -55,13 +61,17 @@ kMedoidsOver(Oracle &dist, std::size_t k, stats::Rng &rng,
     // Greedy max-min seeding: random first medoid, then repeatedly
     // the item farthest from all chosen medoids. The max-min
     // comparison consumes every distance's value, so seeding asks for
-    // exact ones.
+    // exact ones. A round asks each item for one pair, its own with
+    // the newest medoid, so it forks over the items; the argmax runs
+    // after the join.
     std::vector<std::size_t> medoids;
     medoids.push_back(rng.uniformInt(n));
     std::vector<double> min_d(n, Inf);
     while (medoids.size() < k) {
-        for (std::size_t i = 0; i < n; ++i)
-            min_d[i] = std::min(min_d[i], dist.exact(i, medoids.back()));
+        const std::size_t newest = medoids.back();
+        dist.forEach(n, [&](auto &q, std::size_t i) {
+            min_d[i] = std::min(min_d[i], q.exact(i, newest));
+        });
         std::size_t far = 0;
         double far_d = -1.0;
         for (std::size_t i = 0; i < n; ++i) {
@@ -77,12 +87,12 @@ kMedoidsOver(Oracle &dist, std::size_t k, stats::Rng &rng,
     // skipping a candidate that atMost() proves >= best_d cannot
     // change it, and best_d (and with it totalCost) only ever holds
     // exact distances.
-    const auto assignOne = [&](std::size_t i, double &best_d) {
+    const auto assignOne = [&](auto &q, std::size_t i, double &best_d) {
         std::size_t best = 0;
         best_d = Inf;
         for (std::size_t c = 0; c < medoids.size(); ++c) {
             double d = 0.0;
-            if (dist.atMost(i, medoids[c], best_d, d) && d < best_d) {
+            if (q.atMost(i, medoids[c], best_d, d) && d < best_d) {
                 best_d = d;
                 best = c;
             }
@@ -90,13 +100,38 @@ kMedoidsOver(Oracle &dist, std::size_t k, stats::Rng &rng,
         return best;
     };
 
+    // One assignment pass. An item that is no medoid queries only its
+    // pairs with the medoids, which no other item queries, so those
+    // items fork. A medoid item queries pairs of two medoids, which
+    // another medoid item queries too, so the medoid items (a
+    // duplicate medoid once) run first, serially, in ascending order.
     std::vector<std::size_t> assign(n, 0);
-    std::vector<std::vector<std::size_t>> members(medoids.size());
-    for (std::size_t iter = 0; iter < max_iter; ++iter) {
+    std::vector<double> best_d(n, 0.0);
+    std::vector<char> is_medoid(n, 0);
+    std::vector<std::size_t> others;
+    others.reserve(n);
+    const auto assignAll = [&] {
+        for (const std::size_t m : medoids)
+            is_medoid[m] = 1;
+        others.clear();
         for (std::size_t i = 0; i < n; ++i) {
-            double best_d = 0.0;
-            assign[i] = assignOne(i, best_d);
+            if (is_medoid[i])
+                assign[i] = assignOne(dist, i, best_d[i]);
+            else
+                others.push_back(i);
         }
+        for (const std::size_t m : medoids)
+            is_medoid[m] = 0;
+        dist.forEach(others.size(), [&](auto &q, std::size_t o) {
+            const std::size_t i = others[o];
+            assign[i] = assignOne(q, i, best_d[i]);
+        });
+    };
+
+    std::vector<std::vector<std::size_t>> members(medoids.size());
+    std::vector<std::size_t> elected(medoids.size());
+    for (std::size_t iter = 0; iter < max_iter; ++iter) {
+        assignAll();
 
         // Medoid re-election over explicit per-cluster member lists,
         // O(sum |c|^2), summing in ascending item order. A candidate
@@ -104,47 +139,44 @@ kMedoidsOver(Oracle &dist, std::size_t k, stats::Rng &rng,
         // the next term reaches best_cost: the remaining terms are
         // nonnegative and the incumbent only falls to a strictly
         // smaller full sum, so the true winner is never dropped and
-        // best_cost only ever holds fully-summed values.
+        // best_cost only ever holds fully-summed values. Clusters are
+        // disjoint, so cluster c queries only pairs with both ends in
+        // c: re-election forks over the clusters.
         for (auto &m : members)
             m.clear();
         for (std::size_t i = 0; i < n; ++i)
             members[assign[i]].push_back(i);
 
-        bool changed = false;
-        for (std::size_t c = 0; c < medoids.size(); ++c) {
+        dist.forEach(medoids.size(), [&](auto &q, std::size_t c) {
             std::size_t best = medoids[c];
             double best_cost = Inf;
             for (const std::size_t i : members[c]) {
                 double cost = 0.0;
                 bool viable = true;
                 for (const std::size_t j : members[c]) {
-                    if (cost + dist.cheapLowerBound(i, j) >= best_cost) {
+                    if (cost + q.cheapLowerBound(i, j) >= best_cost) {
                         viable = false;
                         break;
                     }
-                    cost += dist.exact(i, j);
+                    cost += q.exact(i, j);
                 }
                 if (viable && cost < best_cost) {
                     best_cost = cost;
                     best = i;
                 }
             }
-            if (best != medoids[c]) {
-                medoids[c] = best;
-                changed = true;
-            }
-        }
-        if (!changed)
+            elected[c] = best;
+        });
+        if (elected == medoids)
             break;
+        medoids = elected;
     }
 
-    // Final assignment and cost.
+    // Final assignment, and the cost summed in ascending item order.
+    assignAll();
     double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        double best_d = 0.0;
-        assign[i] = assignOne(i, best_d);
-        total += best_d;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        total += best_d[i];
 
     cl.medoids = std::move(medoids);
     cl.assignment = std::move(assign);
