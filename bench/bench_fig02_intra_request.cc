@@ -61,7 +61,8 @@ main(int argc, char **argv)
                                "jobs", "quiet"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const std::size_t max_rows = cli.getU64("rows", 24);
+    const auto max_rows =
+        static_cast<std::size_t>(cli.getCount("rows", 24));
 
     banner("Figure 2", "Intra-request behavior variation examples",
            "significant metric variation over the course of request "

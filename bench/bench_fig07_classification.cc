@@ -62,7 +62,7 @@ main(int argc, char **argv)
                   {"seed", "requests", "k", "jobs", "quiet"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const std::size_t k = cli.getU64("k", 10);
+    const auto k = static_cast<std::size_t>(cli.getCount("k", 10));
 
     banner("Figure 7", "Request classification quality "
            "(divergence from centroid; lower is better)",

@@ -177,7 +177,7 @@ main(int argc, char **argv)
                                "diagnose", "diag-out"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const std::size_t rows = cli.getU64("rows", 16);
+    const auto rows = static_cast<std::size_t>(cli.getCount("rows", 16));
 
     fi::FaultPlan plan;
     if (cli.has("faults")) {

@@ -73,7 +73,8 @@ main(int argc, char **argv)
                   {"seed", "requests", "bank", "jobs", "quiet"});
     const ObsScope obs(cli);
     const std::uint64_t seed = cli.getU64("seed", 1);
-    const std::size_t bank_target = cli.getU64("bank", 500);
+    const auto bank_target =
+        static_cast<std::size_t>(cli.getCount("bank", 500));
     constexpr int ProgressPoints = 10;
 
     banner("Figure 10", "Online request signature identification",

@@ -69,7 +69,8 @@ class Cli
                          std::uint64_t lo, std::uint64_t hi) const;
 
     /**
-     * A count of runs or requests to do: a getU64 in [1, INT_MAX].
+     * A count of things to do or make (runs, requests, clusters, table
+     * rows, bank entries): a getU64 in [1, INT_MAX].
      */
     int getCount(const std::string &name, int def) const;
 
