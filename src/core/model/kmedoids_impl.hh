@@ -103,25 +103,22 @@ kMedoidsOver(Oracle &dist, std::size_t k, stats::Rng &rng,
     // One assignment pass. An item that is no medoid queries only its
     // pairs with the medoids, which no other item queries, so those
     // items fork. A medoid item queries pairs of two medoids, which
-    // another medoid item queries too, so the medoid items (a
-    // duplicate medoid once) run first, serially, in ascending order.
+    // another medoid item queries too, so the medoid items run first,
+    // serially, in ascending order (an item seeded as two medoids
+    // runs once).
     std::vector<std::size_t> assign(n, 0);
     std::vector<double> best_d(n, 0.0);
-    std::vector<char> is_medoid(n, 0);
     std::vector<std::size_t> others;
     others.reserve(n);
     const auto assignAll = [&] {
-        for (const std::size_t m : medoids)
-            is_medoid[m] = 1;
         others.clear();
         for (std::size_t i = 0; i < n; ++i) {
-            if (is_medoid[i])
+            if (std::find(medoids.begin(), medoids.end(), i) !=
+                medoids.end())
                 assign[i] = assignOne(dist, i, best_d[i]);
             else
                 others.push_back(i);
         }
-        for (const std::size_t m : medoids)
-            is_medoid[m] = 0;
         dist.forEach(others.size(), [&](auto &q, std::size_t o) {
             const std::size_t i = others[o];
             assign[i] = assignOne(q, i, best_d[i]);
