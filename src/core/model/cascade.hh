@@ -171,8 +171,9 @@ struct CascadeStats
  * DistanceCascade::forEach() runs on the worker pool when the set's
  * squared lengths sum to at least this many DP cells: about one
  * k-medoids seeding round, which runs one DP per item against the
- * newest medoid. Below it a round takes about as long as forking and
- * joining the pool, so the bodies run on the calling thread.
+ * newest medoid. Smaller sets run on the calling thread: there the
+ * ~11 forks of one k-medoids call can cost as much as they save
+ * (docs/PERFORMANCE.md, "k-medoids on the pool").
  */
 inline constexpr std::size_t CascadeForkCells = std::size_t{1} << 19;
 

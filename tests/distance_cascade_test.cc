@@ -411,14 +411,7 @@ TEST(Cascade, KMedoidsCascadeBitIdenticalToKMedoids)
 
 namespace {
 
-/**
- * The sets below have at least this many DP cells in one seeding round
- * (the sum of their squared lengths): the size from which
- * kMedoidsCascade runs seeding, assignment and re-election on the
- * worker pool.
- */
-constexpr std::size_t ForkMinCells = std::size_t{1} << 19;
-
+/** DP cells of one seeding round: the sum of squared lengths. */
 std::size_t
 seedingCells(const std::vector<MetricSeries> &series)
 {
@@ -474,7 +467,10 @@ matrixClustering(const std::vector<MetricSeries> &series, double p,
     return kMedoids(dm, k, rng);
 }
 
-/** Tallies and counters a call made before k-medoids used the pool. */
+/**
+ * The tallies one call makes in the serial k-medoids loop, which the
+ * forked loop must repeat; its model.* counters equal them.
+ */
 struct PinnedRun
 {
     double p;
@@ -513,7 +509,7 @@ TEST(CascadeAboveForkRule, ClassSetMatchesMatrixAndPinnedTallies)
     std::vector<MetricSeries> series;
     for (std::size_t i = 0; i < 64; ++i)
         series.push_back(classSeries(96 + (7 * i) % 48, i % 4, 500 + i));
-    ASSERT_GE(seedingCells(series), ForkMinCells);
+    ASSERT_GE(seedingCells(series), CascadeForkCells);
 
     const PinnedRun pinned[] = {
         {0.0, 4, {2637, 1572, 33, 0, 921, 251}},
@@ -540,7 +536,7 @@ TEST(CascadeAboveForkRule, IdenticalSeriesSeedDuplicateMedoids)
     // again after its random first medoid: duplicate medoids, and
     // clusters with no member.
     const std::vector<MetricSeries> series(40, classSeries(128, 2, 77));
-    ASSERT_GE(seedingCells(series), ForkMinCells);
+    ASSERT_GE(seedingCells(series), CascadeForkCells);
 
     const PinnedRun want = {1.0, 4, {680, 586, 0, 0, 77, 0}};
     const CascadeRun run = runCascade(series, want.p, want.k);
