@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "obs/obs.hh"
 #include "sim/machine.hh"
@@ -493,4 +495,77 @@ TEST(Machine, CallsThatLeaveTheMachineIdleKeepTheRefreshParked)
     EXPECT_EQ(firedUntil(rig, 110 * Refresh), 0u);
     EXPECT_DOUBLE_EQ(rig.machine.counters(0).snapshot().instructions,
                      10.0);
+}
+
+// ------------------------------------------- same-tick order in a turn
+
+namespace {
+
+using Fired = std::vector<std::pair<char, Tick>>;
+
+/** A client that logs each completion as 'C' into a firing log. */
+struct LogClient : CoreClient
+{
+    EventQueue &eq;
+    Fired &fired;
+
+    LogClient(EventQueue &q, Fired &log) : eq(q), fired(log) {}
+
+    void
+    onWorkComplete(CoreId) override
+    {
+        fired.emplace_back('C', eq.now());
+    }
+};
+
+constexpr Tick T0 = 100;
+
+} // namespace
+
+TEST(Machine, BoundaryTakesItsSameTickPlaceFromTheTurnsLastPass)
+{
+    // One turn: core 0's boundary lands at T0 + 1000, A is scheduled
+    // for that tick, a zero bundle on core 1 runs a pass that re-keys
+    // the boundary, and B is scheduled for that tick. The boundary
+    // holds the key of the last pass: after A, before B.
+    EventQueue eq;
+    Fired fired;
+    LogClient client(eq, fired);
+    Machine m(Rig::makeConfig(4, 0), eq, &client);
+    auto log = [&](char name) {
+        return [&, name] { fired.emplace_back(name, eq.now()); };
+    };
+    eq.schedule(T0, [&] {
+        m.setWork(0, cpuParams(), 1000.0);
+        eq.scheduleIn(1000, log('A'));
+        m.pushFixedWork(1, FixedWork{});
+        eq.scheduleIn(1000, log('B'));
+    });
+    eq.runUntil(10 * T0 + 1000);
+    EXPECT_EQ(fired, (Fired{{'A', T0 + 1000},
+                            {'C', T0 + 1000},
+                            {'B', T0 + 1000}}));
+}
+
+TEST(Machine, TimerTakesItsSameTickPlaceFromTheTurnsLastPass)
+{
+    // As above, with core 0's cycle timer in place of its boundary.
+    EventQueue eq;
+    Fired fired;
+    LogClient client(eq, fired);
+    Machine m(Rig::makeConfig(4, 0), eq, &client);
+    auto log = [&](char name) {
+        return [&, name] { fired.emplace_back(name, eq.now()); };
+    };
+    m.setWork(0, cpuParams(), 1e9);
+    eq.schedule(T0, [&] {
+        m.armCycleTimer(0, 1000.0, log('T'));
+        eq.scheduleIn(1000, log('A'));
+        m.pushFixedWork(1, FixedWork{});
+        eq.scheduleIn(1000, log('B'));
+    });
+    eq.runUntil(10 * T0 + 1000);
+    EXPECT_EQ(fired, (Fired{{'A', T0 + 1000},
+                            {'T', T0 + 1000},
+                            {'B', T0 + 1000}}));
 }
