@@ -19,7 +19,18 @@ EventQueue::schedule(Tick when, Callback cb)
     RBV_CHECK(when >= curTick,
               "event scheduled into the past: when=" << when
                   << " now=" << curTick);
-    return add(when, 0, std::move(cb));
+    return add(when, 0, nextSeq++, std::move(cb));
+}
+
+EventId
+EventQueue::schedule(Tick when, std::uint64_t seq, Callback cb)
+{
+    RBV_CHECK(when >= curTick,
+              "event scheduled into the past: when=" << when
+                  << " now=" << curTick);
+    RBV_DCHECK(seq < nextSeq, "sequence number " << seq
+                                                 << " was not reserved");
+    return add(when, 0, seq, std::move(cb));
 }
 
 EventId
@@ -29,11 +40,11 @@ EventQueue::schedulePeriodic(Tick first, Tick period, Callback cb)
               "event scheduled into the past: when=" << first
                   << " now=" << curTick);
     RBV_CHECK(period > 0, "periodic event with period 0");
-    return add(first, period, std::move(cb));
+    return add(first, period, nextSeq++, std::move(cb));
 }
 
 EventId
-EventQueue::add(Tick when, Tick period, Callback cb)
+EventQueue::add(Tick when, Tick period, std::uint64_t seq, Callback cb)
 {
     std::uint32_t s;
     if (freeSlots.empty()) {
@@ -47,7 +58,7 @@ EventQueue::add(Tick when, Tick period, Callback cb)
     }
     Slot &slot = slots[s];
     slot.when = when;
-    slot.seq = nextSeq++;
+    slot.seq = seq;
     slot.periodTicks = period;
     slot.cb = std::move(cb);
     heapInsert(s);
@@ -75,19 +86,55 @@ EventQueue::reschedule(EventId id, Tick when)
     const std::uint32_t s = liveSlot(id);
     if (s == NoSlot)
         return false;
+    rekey(s, when, nextSeq++);
+    return true;
+}
+
+bool
+EventQueue::reschedule(EventId id, Tick when, std::uint64_t seq)
+{
+    RBV_CHECK(when >= curTick,
+              "event rescheduled into the past: when=" << when
+                  << " now=" << curTick);
+    const std::uint32_t s = liveSlot(id);
+    if (s == NoSlot)
+        return false;
+    RBV_DCHECK(seq > slots[s].seq && seq < nextSeq,
+               "sequence number " << seq << " was not reserved after "
+                                  << slots[s].seq);
+    rekey(s, when, seq);
+    return true;
+}
+
+void
+EventQueue::rekey(std::uint32_t s, Tick when, std::uint64_t seq)
+{
     Slot &slot = slots[s];
     RBV_CHECK(slot.periodTicks == 0, "periodic event rescheduled");
-    // The fresh sequence number is larger than the old one, so the
-    // new key is earlier only if the tick is.
+    // The new sequence number is larger than the old one, so the new
+    // key is earlier only if the tick is.
     const bool earlier = when < slot.when;
     slot.when = when;
-    slot.seq = nextSeq++;
+    slot.seq = seq;
     if (earlier)
         siftUp(slot.heapPos);
     else
         siftDown(slot.heapPos);
     RBV_COUNT(SimEventsRescheduled, 1);
-    return true;
+}
+
+void
+EventQueue::withdrawFlush(FlushOwner &owner)
+{
+    std::erase(deferred, &owner);
+}
+
+void
+EventQueue::runFlushes()
+{
+    for (std::size_t i = 0; i < deferred.size(); ++i)
+        deferred[i]->flush();
+    deferred.clear();
 }
 
 bool
@@ -273,6 +320,7 @@ EventQueue::take(std::uint32_t s)
 bool
 EventQueue::runOne()
 {
+    flushDeferred();
     const std::uint32_t s = next();
     if (s == NoSlot)
         return false;
@@ -289,6 +337,7 @@ EventQueue::runUntil(Tick limit)
     RBV_PROF_SCOPE(EventQueuePump);
     stopRequested = false;
     while (!stopRequested) {
+        flushDeferred();
         const std::uint32_t s = next();
         if (s == NoSlot)
             break;

@@ -26,6 +26,18 @@
  * current key, so a parked event keeps the tick and the same-tick
  * order an unparked one would have. Parked events count as pending.
  *
+ * An owner that changes its events many times in one turn can defer
+ * the work to the turn's end. Each change reserves the block of
+ * sequence numbers the owner's re-keying would draw and registers the
+ * owner for a flush, and the queue runs every registered owner's
+ * flush() once, before it takes its next turn and before size() or
+ * empty() answer. The flush keys the owner's events with schedule()
+ * and reschedule() under numbers from the block its last change
+ * reserved. Time does not move before a flush, numbers drawn before
+ * that reservation are smaller and numbers drawn after it larger, so
+ * every key, and every same-tick order, is the one re-keying at the
+ * last change would give.
+ *
  * An EventId is a slot index tagged with the slot's generation, which
  * moves on each time the slot's one-shot event fires or its event is
  * cancelled, so a periodic event keeps its id across its turns. A
@@ -60,6 +72,17 @@ class EventQueue
   public:
     using Callback = std::function<void()>;
 
+    /** An owner whose re-keying waits for the queue's flush. */
+    class FlushOwner
+    {
+      public:
+        /** Key the owner's events; runs once per deferFlush(). */
+        virtual void flush() = 0;
+
+      protected:
+        ~FlushOwner() = default;
+    };
+
     /** Current simulated time. */
     Tick now() const { return curTick; }
 
@@ -68,6 +91,12 @@ class EventQueue
      * @return A handle usable with cancel() and reschedule().
      */
     EventId schedule(Tick when, Callback cb);
+
+    /**
+     * schedule() under the reserved sequence number @p seq instead of
+     * the next one.
+     */
+    EventId schedule(Tick when, std::uint64_t seq, Callback cb);
 
     /** Schedule a callback after a relative delay. */
     EventId
@@ -106,6 +135,35 @@ class EventQueue
     bool reschedule(EventId id, Tick when);
 
     /**
+     * reschedule() under the reserved sequence number @p seq, which
+     * must be above the event's own.
+     */
+    bool reschedule(EventId id, Tick when, std::uint64_t seq);
+
+    /**
+     * Reserve @p n sequence numbers for keyed schedule() and
+     * reschedule() calls: every number drawn before is smaller, and
+     * every number drawn after is larger.
+     * @return The first of them.
+     */
+    std::uint64_t
+    reserveSeq(std::uint64_t n)
+    {
+        const std::uint64_t first = nextSeq;
+        nextSeq += n;
+        return first;
+    }
+
+    /**
+     * Run @p owner's flush() before the next turn, and before size()
+     * or empty() answer. An owner registers once per flush.
+     */
+    void deferFlush(FlushOwner &owner) { deferred.push_back(&owner); }
+
+    /** Drop @p owner's pending flush; it will not run. */
+    void withdrawFlush(FlushOwner &owner);
+
+    /**
      * Park a pending periodic event: until unpark(), each of its
      * turns re-keys it as its re-arm would, and runs no callback.
      * Parking from inside its own callback takes effect with the
@@ -131,29 +189,41 @@ class EventQueue
         return s != NoSlot && slots[s].parked;
     }
 
-    /** True if no pending events remain, parked ones included. */
-    bool empty() const { return heap.empty() && parkedSlots.empty(); }
-
-    /** Number of pending events, parked ones included. */
-    std::size_t
-    size() const
+    /**
+     * True if no pending events remain, parked ones included, once
+     * the pending flushes have run.
+     */
+    bool
+    empty()
     {
+        flushDeferred();
+        return heap.empty() && parkedSlots.empty();
+    }
+
+    /**
+     * Number of pending events, parked ones included, once the
+     * pending flushes have run.
+     */
+    std::size_t
+    size()
+    {
+        flushDeferred();
         return heap.size() + parkedSlots.size();
     }
 
     /**
-     * Take the next event's turn, advancing time to it: fire it, or
-     * re-key it if it is parked.
+     * Run the pending flushes, then take the next event's turn,
+     * advancing time to it: fire it, or re-key it if it is parked.
      * @return False if the queue was empty.
      */
     bool runOne();
 
     /**
      * Run events until the queue is empty, a stop is requested, or
-     * the next event lies beyond @p limit. In the first two cases
-     * time is left at the last fired event, which after a stop is the
-     * event that requested it; in the last case time is left at
-     * @p limit.
+     * the next event lies beyond @p limit, running the pending
+     * flushes before each step. In the first two cases time is left
+     * at the last fired event, which after a stop is the event that
+     * requested it; in the last case time is left at @p limit.
      */
     void runUntil(Tick limit);
 
@@ -183,7 +253,20 @@ class EventQueue
     };
 
     /** Take a free slot for a new event and put it in the heap. */
-    EventId add(Tick when, Tick period, Callback cb);
+    EventId add(Tick when, Tick period, std::uint64_t seq, Callback cb);
+
+    /** Give pending one-shot slot @p s a later sequence number. */
+    void rekey(std::uint32_t s, Tick when, std::uint64_t seq);
+
+    /** Run and clear the pending flushes. */
+    void
+    flushDeferred()
+    {
+        if (!deferred.empty())
+            runFlushes();
+    }
+
+    void runFlushes();
 
     /** Slot of the pending event @p id, or NoSlot if it is not. */
     std::uint32_t
@@ -258,6 +341,8 @@ class EventQueue
     std::vector<std::uint32_t> heap;
     /** Parked periodic events, in key order; a handful at most. */
     std::vector<std::uint32_t> parkedSlots;
+    /** Owners whose flush() runs before the next turn. */
+    std::vector<FlushOwner *> deferred;
     Tick curTick = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t fired = 0;

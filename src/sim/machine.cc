@@ -54,6 +54,12 @@ Machine::Machine(const MachineConfig &cfg, EventQueue &eq,
     }
 }
 
+Machine::~Machine()
+{
+    if (flushPending)
+        eq.withdrawFlush(*this);
+}
+
 double
 Machine::fixedCyclesPending(const CoreState &c)
 {
@@ -276,12 +282,38 @@ Machine::recomputeRates()
     }
 }
 
+std::uint64_t
+Machine::reservePass()
+{
+    // A pass draws at most a boundary and a timer number per core.
+    return eq.reserveSeq(2 * static_cast<std::uint64_t>(cfg.numCores));
+}
+
 void
 Machine::scheduleBoundaries()
 {
+    passSeq = reservePass();
+    if (!flushPending) {
+        flushPending = true;
+        eq.deferFlush(*this);
+    }
+}
+
+void
+Machine::flush()
+{
+    flushPending = false;
+    keyBoundaries(passSeq);
+    if (eq.parked(refreshEv) && !quiescent())
+        eq.unpark(refreshEv);
+}
+
+void
+Machine::keyBoundaries(std::uint64_t seq)
+{
     // Each core's boundary, then its timer: re-key a pending event,
     // schedule one if none is pending, and cancel one no longer
-    // wanted. Sequence numbers are drawn in the order cancelling and
+    // wanted. Sequence numbers are taken in the order cancelling and
     // rescheduling every event would draw them.
     for (CoreId i = 0; i < cfg.numCores; ++i) {
         auto &c = cores[i];
@@ -298,11 +330,12 @@ Machine::scheduleBoundaries()
         if (completion >= 0.0) {
             const Tick when =
                 eq.now() + static_cast<Tick>(std::ceil(completion));
-            if (!eq.reschedule(c.boundaryEv, when)) {
-                c.boundaryEv = eq.schedule(when, [this, i] {
+            if (!eq.reschedule(c.boundaryEv, when, seq)) {
+                c.boundaryEv = eq.schedule(when, seq, [this, i] {
                     boundaryFired(i);
                 });
             }
+            ++seq;
         } else if (c.boundaryEv != InvalidEventId) {
             eq.cancel(c.boundaryEv);
             c.boundaryEv = InvalidEventId;
@@ -317,11 +350,12 @@ Machine::scheduleBoundaries()
                              (c.busy && completion < 0.0))) {
             const Tick when =
                 eq.now() + static_cast<Tick>(std::ceil(c.timerRemaining));
-            if (!eq.reschedule(c.timerEv, when)) {
-                c.timerEv = eq.schedule(when, [this, i] {
+            if (!eq.reschedule(c.timerEv, when, seq)) {
+                c.timerEv = eq.schedule(when, seq, [this, i] {
                     timerFired(i);
                 });
             }
+            ++seq;
         } else if (c.timerEv != InvalidEventId) {
             eq.cancel(c.timerEv);
             c.timerEv = InvalidEventId;
@@ -379,10 +413,13 @@ Machine::refreshFired()
 {
     resync();
     recomputeRates();
-    scheduleBoundaries();
+    // quiescent() reads the pass's events, so the pass runs at once.
+    // The queue flushed before this turn, so no earlier pass waits.
+    RBV_DCHECK(!flushPending);
+    keyBoundaries(reservePass());
     // A quiescent machine's refresh resyncs only idle cores, returns
     // from recomputeRates after the miss ratios and re-keys nothing,
-    // and only wake() ends quiescence.
+    // and only a flush ends quiescence.
     if (quiescent())
         eq.park(refreshEv);
 }
@@ -394,13 +431,6 @@ Machine::quiescent() const
         if (c.boundaryEv != InvalidEventId || c.timerEv != InvalidEventId)
             return false;
     return true;
-}
-
-void
-Machine::wake()
-{
-    if (eq.parked(refreshEv) && !quiescent())
-        eq.unpark(refreshEv);
 }
 
 void
@@ -420,7 +450,6 @@ Machine::setWork(CoreId core, const WorkParams &params,
     ratesCurrent = false;
     recomputeRates();
     scheduleBoundaries();
-    wake();
 }
 
 void
@@ -433,7 +462,6 @@ Machine::clearWork(CoreId core)
     ratesCurrent = false;
     recomputeRates();
     scheduleBoundaries();
-    wake();
 }
 
 double
@@ -458,7 +486,6 @@ Machine::pushFixedWork(CoreId core, const FixedWork &work)
                                     work.l2Misses);
     recomputeRates();
     scheduleBoundaries();
-    wake();
 }
 
 double
@@ -481,7 +508,6 @@ Machine::setOccupancy(CoreId core, double bytes)
         std::clamp(bytes, 0.0, cfg.l2CapacityBytes);
     recomputeRates();
     scheduleBoundaries();
-    wake();
 }
 
 double
@@ -508,7 +534,6 @@ Machine::armCycleTimer(CoreId core, double cycles,
     c.timerRemaining = std::max(cycles, 0.0);
     c.timerCb = std::move(cb);
     scheduleBoundaries();
-    wake();
 }
 
 } // namespace rbv::sim

@@ -24,11 +24,21 @@
  * cycles, which is how the paper generates periodic sampling
  * interrupts from counter overflow.
  *
+ * Each state change ends in a boundary pass, which keys every core's
+ * completion boundary and cycle-timer event from the current state.
+ * One turn of the event queue can make many such changes, and only
+ * the last pass decides the keys, so a change only reserves the
+ * sequence numbers its pass would draw and registers the machine for
+ * the queue's flush (EventQueue::deferFlush). The flush runs the pass
+ * once, before the next turn, on the state the turn left, under the
+ * numbers of the last reservation: the keys, and so the event order,
+ * that running the pass at every change would give.
+ *
  * The model refresh tick is a periodic event. A refresh that finds
  * the machine quiescent, with no boundary or timer event pending on
  * any core, parks it: until work arrives, every later refresh would
  * change nothing, and the parked tick keeps its place in the event
- * order. The calls that can end quiescence unpark it.
+ * order. A flush that leaves the machine not quiescent unparks it.
  */
 
 #ifndef RBV_SIM_MACHINE_HH
@@ -104,11 +114,17 @@ class CoreClient
 /**
  * The multicore machine.
  */
-class Machine
+class Machine : private EventQueue::FlushOwner
 {
   public:
     Machine(const MachineConfig &cfg, EventQueue &eq,
             CoreClient *client = nullptr);
+
+    /** Withdraws a pending flush; the queue must outlive the call. */
+    ~Machine();
+
+    Machine(const Machine &) = delete;
+    Machine &operator=(const Machine &) = delete;
 
     /**
      * Late-bind the completion client (the kernel is typically
@@ -220,8 +236,23 @@ class Machine
      */
     void recomputeRates();
 
-    /** (Re)schedule boundary and timer events per current rates. */
+    /** Reserve the sequence numbers one boundary pass may draw. */
+    std::uint64_t reservePass();
+
+    /**
+     * Defer the boundary pass to the queue's flush: reserve the
+     * numbers it may draw, and register the machine once per turn.
+     */
     void scheduleBoundaries();
+
+    /**
+     * The boundary pass: (re)schedule boundary and timer events per
+     * current rates, keyed from @p seq on.
+     */
+    void keyBoundaries(std::uint64_t seq);
+
+    /** Run the deferred pass and unpark the refresh if it has work. */
+    void flush() override;
 
     /** Total fixed-work cycles pending on a core. */
     static double fixedCyclesPending(const CoreState &c);
@@ -237,13 +268,10 @@ class Machine
 
     /**
      * No core has a pending boundary or timer event. Read right after
-     * scheduleBoundaries, it also means that no core is busy, no
-     * fixed work is queued and no armed timer has run down.
+     * a pass, it also means that no core is busy, no fixed work is
+     * queued and no armed timer has run down.
      */
     bool quiescent() const;
-
-    /** Unpark the refresh tick once the machine is not quiescent. */
-    void wake();
 
     MachineConfig cfg;
     EventQueue &eq;
@@ -269,6 +297,12 @@ class Machine
     bool ratesCurrent = false;
 
     EventId refreshEv = InvalidEventId;
+
+    /** First of the numbers the last scheduleBoundaries reserved. */
+    std::uint64_t passSeq = 0;
+
+    /** Registered for the queue's next flush. */
+    bool flushPending = false;
 
     Tick lastSync = 0;
 };

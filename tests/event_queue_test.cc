@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <utility>
@@ -444,6 +446,121 @@ TEST(EventQueue, CancelEndsAPeriodicEventWhereverItIs)
     EXPECT_FALSE(eq.cancel(c));
 }
 
+// ------------------------------------- reserved numbers and flushes
+
+namespace {
+
+/** A flush owner that runs @c body at each flush. */
+struct TestOwner final : EventQueue::FlushOwner
+{
+    std::function<void()> body;
+    int flushes = 0;
+
+    void
+    flush() override
+    {
+        ++flushes;
+        if (body)
+            body();
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, KeyedEventOrdersByItsReservedNumber)
+{
+    // C takes number 0 and the reservation 1 and 2, then A draws 3.
+    // B is keyed with 2 and C re-keyed with 1, both after A went in.
+    EventQueue eq;
+    FireLog log{eq, {}};
+    const EventId c = eq.schedule(10, log.at('C'));
+    const std::uint64_t r = eq.reserveSeq(2);
+    EXPECT_EQ(r, 1u);
+    eq.schedule(10, log.at('A'));
+    eq.schedule(10, r + 1, log.at('B'));
+    EXPECT_TRUE(eq.reschedule(c, 10, r));
+    EXPECT_FALSE(eq.reschedule(InvalidEventId, 10, r));
+    eq.runUntil(10);
+    EXPECT_EQ(log.fired, (Fired{{'C', 10}, {'B', 10}, {'A', 10}}));
+}
+
+TEST(EventQueue, RunOneFlushesBeforeItChoosesATurn)
+{
+    // The flush moves E from tick 50 to tick 10, ahead of F at 20.
+    EventQueue eq;
+    FireLog log{eq, {}};
+    const EventId e = eq.schedule(50, log.at('E'));
+    eq.schedule(20, log.at('F'));
+    TestOwner owner;
+    const std::uint64_t r = eq.reserveSeq(1);
+    owner.body = [&] { EXPECT_TRUE(eq.reschedule(e, 10, r)); };
+    eq.deferFlush(owner);
+    ASSERT_TRUE(eq.runOne());
+    EXPECT_EQ(owner.flushes, 1);
+    EXPECT_EQ(log.fired, (Fired{{'E', 10}}));
+    // A flush runs once per registration.
+    ASSERT_TRUE(eq.runOne());
+    EXPECT_EQ(owner.flushes, 1);
+}
+
+TEST(EventQueue, RunUntilFlushesBeforeEachStep)
+{
+    // Each turn of E re-registers the owner, whose flush schedules
+    // the next E 5 ticks on. Only a flush before every step fires E
+    // at 5, 10 and 15; the fourth flush schedules E at 20.
+    EventQueue eq;
+    FireLog log{eq, {}};
+    TestOwner owner;
+    std::uint64_t r = 0;
+    Tick next = 5;
+    const EventQueue::Callback turn = [&] {
+        log.fired.emplace_back('E', eq.now());
+        next = eq.now() + 5;
+        r = eq.reserveSeq(1);
+        eq.deferFlush(owner);
+    };
+    EventId e = eq.schedule(100, turn);
+    owner.body = [&] {
+        if (!eq.reschedule(e, next, r))
+            e = eq.schedule(next, r, turn);
+    };
+    r = eq.reserveSeq(1);
+    eq.deferFlush(owner);
+    eq.runUntil(15);
+    EXPECT_EQ(log.fired, (Fired{{'E', 5}, {'E', 10}, {'E', 15}}));
+    EXPECT_EQ(owner.flushes, 4);
+    EXPECT_EQ(eq.now(), 15u);
+    EXPECT_EQ(eq.size(), 1u);
+}
+
+TEST(EventQueue, SizeAndEmptyFlushFirst)
+{
+    EventQueue eq;
+    TestOwner owner;
+    EventId e = InvalidEventId;
+    owner.body = [&] { e = eq.schedule(10, [] {}); };
+    eq.deferFlush(owner);
+    EXPECT_FALSE(eq.empty());
+    EXPECT_EQ(owner.flushes, 1);
+    owner.body = [&] { EXPECT_TRUE(eq.cancel(e)); };
+    eq.deferFlush(owner);
+    EXPECT_EQ(eq.size(), 0u);
+    EXPECT_EQ(owner.flushes, 2);
+}
+
+TEST(EventQueue, WithdrawnOwnerIsNotFlushed)
+{
+    EventQueue eq;
+    TestOwner kept;
+    TestOwner dropped;
+    eq.deferFlush(kept);
+    eq.deferFlush(dropped);
+    eq.withdrawFlush(dropped);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(kept.flushes, 1);
+    EXPECT_EQ(dropped.flushes, 0);
+}
+
 // ------------------------------------------------ differential model
 
 namespace {
@@ -456,7 +573,12 @@ namespace {
  * return value. A periodic event is one more key: when it reaches
  * the front parked, it re-keys to (tick + period, next sequence)
  * without a callback; unparked, it fires and re-keys after the
- * callback's own steps.
+ * callback's own steps. A reserved block is a gap in the counter, and
+ * a keyed event is one more key, under its reserved number. A flush
+ * owner with one event per slot, like a machine's boundaries, changes
+ * them at each touch: the model re-keys them there from the touch's
+ * reserved block, and the queue must give the same keys when it runs
+ * the owner's flush before a later turn or size() or empty().
  */
 class QueueModelCheck
 {
@@ -467,24 +589,36 @@ class QueueModelCheck
     step()
     {
         const std::uint64_t pick = rng.uniformInt(100);
-        if (pick < 26)
+        if (pick < 20)
             schedule();
-        else if (pick < 30)
+        else if (pick < 24)
+            scheduleKeyed();
+        else if (pick < 28)
             schedulePeriodic();
-        else if (pick < 43)
+        else if (pick < 39)
             cancel();
-        else if (pick < 63)
+        else if (pick < 54)
             reschedule();
-        else if (pick < 67)
+        else if (pick < 58)
+            rescheduleKeyed();
+        else if (pick < 61)
+            reserve();
+        else if (pick < 65)
+            touchOwner();
+        else if (pick < 69)
             park();
-        else if (pick < 71)
+        else if (pick < 73)
             unpark();
-        else if (pick < 85)
+        else if (pick < 86)
             runOne();
         else
             runUntil();
-        EXPECT_EQ(eq.size(), model.size());
-        EXPECT_EQ(eq.empty(), model.empty());
+        // size() and empty() flush first; a step that skips them can
+        // leave a flush pending for the next runOne() or runUntil().
+        if (rng.uniformInt(2) == 0) {
+            EXPECT_EQ(eq.size(), model.size());
+            EXPECT_EQ(eq.empty(), model.empty());
+        }
         EXPECT_EQ(eq.now(), now);
         const Handle h = randomPeriodic();
         EXPECT_EQ(eq.parked(h.id), parkedLabels.count(h.label) > 0);
@@ -492,6 +626,7 @@ class QueueModelCheck
 
     std::uint64_t fired = 0;
     std::uint64_t parkedTurns = 0;
+    std::uint64_t flushes = 0;
 
   private:
     struct Handle
@@ -538,6 +673,27 @@ class QueueModelCheck
 
     bool pending(int label) const { return keyOf.count(label) > 0; }
 
+    /** The owner's events: one per slot, labelled below -1. */
+    static constexpr int OwnerSlots = 3;
+
+    static int ownerLabel(int slot) { return -2 - slot; }
+
+    struct Owned
+    {
+        EventId id = InvalidEventId;
+        bool wanted = false;
+        Tick when = 0;
+    };
+
+    struct Owner final : EventQueue::FlushOwner
+    {
+        explicit Owner(QueueModelCheck &c) : check(c) {}
+
+        void flush() override { check.flushOwner(); }
+
+        QueueModelCheck &check;
+    };
+
     void
     schedule()
     {
@@ -553,6 +709,132 @@ class QueueModelCheck
         model.emplace(key, label);
         keyOf.emplace(label, key);
         remember(id, label);
+    }
+
+    /** Take a random unused reserved number, or none. */
+    bool
+    takeReserved(std::uint64_t above, std::uint64_t &seq)
+    {
+        std::vector<std::size_t> fits;
+        for (std::size_t i = 0; i < reservedPool.size(); ++i)
+            if (reservedPool[i] > above || above == NoFloor)
+                fits.push_back(i);
+        if (fits.empty())
+            return false;
+        const std::size_t at = fits[rng.uniformInt(fits.size())];
+        seq = reservedPool[at];
+        reservedPool[at] = reservedPool.back();
+        reservedPool.pop_back();
+        return true;
+    }
+
+    void
+    reserve()
+    {
+        const std::uint64_t n = rng.uniformInt(5);
+        EXPECT_EQ(eq.reserveSeq(n), nextSeq);
+        // The numbers left out of the pool stay unused.
+        for (std::uint64_t i = 0; i < n; ++i)
+            if (reservedPool.size() < 16 && rng.uniformInt(2) == 0)
+                reservedPool.push_back(nextSeq + i);
+        nextSeq += n;
+    }
+
+    void
+    scheduleKeyed()
+    {
+        std::uint64_t seq = 0;
+        if (model.size() >= 64 || !takeReserved(NoFloor, seq))
+            return;
+        const Tick when = randomTick();
+        const int label = nextLabel++;
+        const EventId id = eq.schedule(when, seq, [this, label] {
+            onFire(label);
+        });
+        ASSERT_NE(id, InvalidEventId);
+        const Key key{when, seq};
+        model.emplace(key, label);
+        keyOf.emplace(label, key);
+        remember(id, label);
+    }
+
+    void
+    rescheduleKeyed()
+    {
+        const Handle h = randomHandle();
+        const Tick when = randomTick();
+        const auto it = keyOf.find(h.label);
+        if (it == keyOf.end()) {
+            EXPECT_FALSE(eq.reschedule(h.id, when, nextSeq));
+            return;
+        }
+        std::uint64_t seq = 0;
+        if (!takeReserved(it->second.second, seq))
+            return;
+        EXPECT_TRUE(eq.reschedule(h.id, when, seq));
+        model.erase(it->second);
+        it->second = Key{when, seq};
+        model.emplace(it->second, h.label);
+    }
+
+    /**
+     * A change of the owner's state: each slot's event is re-keyed,
+     * scheduled or cancelled, as an eager pass would, under numbers
+     * from a fresh block; the queue sees it at the flush.
+     */
+    void
+    touchOwner()
+    {
+        const std::uint64_t first = eq.reserveSeq(OwnerSlots);
+        EXPECT_EQ(first, nextSeq);
+        nextSeq += OwnerSlots;
+        std::uint64_t seq = first;
+        for (int k = 0; k < OwnerSlots; ++k) {
+            Owned &o = owned[k];
+            o.wanted = rng.uniformInt(3) != 0;
+            o.when = randomTick();
+            const int label = ownerLabel(k);
+            const auto it = keyOf.find(label);
+            if (it != keyOf.end()) {
+                model.erase(it->second);
+                keyOf.erase(it);
+            }
+            if (o.wanted) {
+                const Key key{o.when, seq++};
+                model.emplace(key, label);
+                keyOf.emplace(label, key);
+            }
+        }
+        ownerSeq = first;
+        if (!ownerPending) {
+            ownerPending = true;
+            eq.deferFlush(owner);
+        }
+    }
+
+    /** The owner's flush: the last touch's pass, keyed from its block. */
+    void
+    flushOwner()
+    {
+        EXPECT_TRUE(ownerPending);
+        ownerPending = false;
+        ++flushes;
+        std::uint64_t seq = ownerSeq;
+        for (int k = 0; k < OwnerSlots; ++k) {
+            Owned &o = owned[k];
+            if (o.wanted) {
+                if (!eq.reschedule(o.id, o.when, seq)) {
+                    o.id = eq.schedule(o.when, seq, [this, k] {
+                        owned[k].id = InvalidEventId;
+                        onFire(ownerLabel(k));
+                    });
+                }
+                ++seq;
+            } else {
+                eq.cancel(o.id);
+                o.id = InvalidEventId;
+            }
+        }
     }
 
     void
@@ -721,7 +1003,7 @@ class QueueModelCheck
         // Steps issued from inside the callback.
         const std::uint64_t nested = rng.uniformInt(4);
         for (std::uint64_t k = 0; k < nested; ++k) {
-            const std::uint64_t pick = rng.uniformInt(6);
+            const std::uint64_t pick = rng.uniformInt(9);
             if (pick == 0)
                 schedule();
             else if (pick == 1)
@@ -732,8 +1014,14 @@ class QueueModelCheck
                 park();
             else if (pick == 4)
                 unpark();
-            else
+            else if (pick == 5)
                 schedulePeriodic();
+            else if (pick == 6)
+                scheduleKeyed();
+            else if (pick == 7)
+                rescheduleKeyed();
+            else
+                touchOwner();
         }
         if (rng.uniformInt(16) == 0) {
             eq.requestStop();
@@ -752,6 +1040,13 @@ class QueueModelCheck
     std::set<int> parkedLabels;
     std::vector<Handle> handles;
     std::vector<Handle> periodics;
+    /** Reserved numbers that no event has taken yet. */
+    std::vector<std::uint64_t> reservedPool;
+    static constexpr std::uint64_t NoFloor = ~std::uint64_t{0};
+    Owner owner{*this};
+    std::array<Owned, OwnerSlots> owned{};
+    std::uint64_t ownerSeq = 0;
+    bool ownerPending = false;
     std::uint64_t nextSeq = 0;
     int nextLabel = 0;
     Tick now = 0;
@@ -773,5 +1068,6 @@ TEST(EventQueue, MatchesAnOrderedSetModelOverRandomSteps)
         }
         EXPECT_GT(check.fired, 10000u) << "seed " << seed;
         EXPECT_GT(check.parkedTurns, 1000u) << "seed " << seed;
+        EXPECT_GT(check.flushes, 1000u) << "seed " << seed;
     }
 }

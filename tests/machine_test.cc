@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -568,4 +569,23 @@ TEST(Machine, TimerTakesItsSameTickPlaceFromTheTurnsLastPass)
     EXPECT_EQ(fired, (Fired{{'A', T0 + 1000},
                             {'T', T0 + 1000},
                             {'B', T0 + 1000}}));
+}
+
+TEST(Machine, AMachineDestroyedWithAFlushPendingIsNeverFlushed)
+{
+    // Both machines defer their boundary pass; one is destroyed before
+    // the queue flushes, and only the other's boundary is scheduled.
+    EventQueue eq;
+    TestClient client;
+    auto kept = std::make_unique<Machine>(Rig::makeConfig(4, 0), eq,
+                                          &client);
+    auto dropped = std::make_unique<Machine>(Rig::makeConfig(4, 0), eq,
+                                             &client);
+    kept->setWork(0, cpuParams(), 1000.0);
+    dropped->setWork(1, cpuParams(), 1000.0);
+    dropped.reset();
+    EXPECT_EQ(eq.size(), 1u);
+    eq.runUntil(1'000'000);
+    EXPECT_EQ(client.completions, (std::vector<CoreId>{0}));
+    EXPECT_TRUE(eq.empty());
 }
