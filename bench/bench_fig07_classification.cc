@@ -116,7 +116,7 @@ main(int argc, char **argv)
                 const double p =
                     m == core::Measure::Dtw ? 0.0 : penalty;
                 core::DistanceCascade dc(items.data(), items.size(),
-                                         p);
+                                         p, jobsFlag(cli));
                 stats::Rng crng(seed + 99);
                 cl = core::kMedoidsCascade(dc, k, crng);
             } else {

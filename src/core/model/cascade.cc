@@ -193,12 +193,13 @@ pruneGate(const MetricSeries &x, const MetricSeries &y,
 }
 
 DistanceCascade::DistanceCascade(const MetricSeries *const *items_,
-                                 std::size_t n, double async_penalty)
+                                 std::size_t n, double async_penalty,
+                                 int jobs_)
     : items(items_), count(n), asyncPenalty(async_penalty),
       envelopes(buildEnvelopes(items_, n)),
       memo(n < 2 ? 0 : n * (n - 1) / 2,
            std::numeric_limits<double>::quiet_NaN()),
-      forks(seedingCells(items_, n) >= CascadeForkCells)
+      forks(seedingCells(items_, n) >= CascadeForkCells), jobs(jobs_)
 {
 }
 

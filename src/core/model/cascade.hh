@@ -191,9 +191,12 @@ class DistanceCascade
      *                      outlive the cascade).
      * @param n             Number of series.
      * @param async_penalty Eq. 3 asynchrony penalty.
+     * @param jobs          Worker threads for forEach() on a set that
+     *                      reaches CascadeForkCells; <= 0 uses every
+     *                      hardware thread, 1 the calling thread.
      */
     DistanceCascade(const MetricSeries *const *items, std::size_t n,
-                    double async_penalty);
+                    double async_penalty, int jobs = 0);
 
     std::size_t size() const { return count; }
 
@@ -264,8 +267,8 @@ class DistanceCascade
 
     /**
      * body(query, i) for every i < @p n: on the calling thread, or on
-     * the worker pool (detail::parallelFor, every hardware thread)
-     * when the set reaches CascadeForkCells. The caller guarantees
+     * the worker pool (detail::parallelFor on the constructor's job
+     * count) when the set reaches CascadeForkCells. The caller guarantees
      * that no two bodies query the same pair and that each writes only
      * its own state, so every query decides as it would in a serial
      * loop. Each forked body tallies into its own CascadeStats, folded
@@ -282,7 +285,7 @@ class DistanceCascade
             return;
         }
         std::vector<CascadeStats> shards(n);
-        detail::parallelFor(n, 0, [&](std::size_t i) {
+        detail::parallelFor(n, jobs, [&](std::size_t i) {
             CascadeStats own;
             Query q(*this, own);
             body(q, i);
@@ -306,6 +309,7 @@ class DistanceCascade
     std::vector<double> memo; ///< NaN = unknown, packed upper tri.
     CascadeStats tallies;
     bool forks; ///< The set reaches CascadeForkCells.
+    int jobs;   ///< forEach()'s worker count; <= 0 for every thread.
 };
 
 /**

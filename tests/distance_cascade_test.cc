@@ -16,6 +16,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/model/cascade.hh"
@@ -550,6 +551,45 @@ TEST(CascadeAboveForkRule, IdenticalSeriesSeedDuplicateMedoids)
                   .size(),
               run.cl.medoids.size());
     expectPinned(run, want);
+}
+
+TEST(CascadeAboveForkRule, OneJobRunsOnTheCallingThreadWithTheSameResult)
+{
+    std::vector<MetricSeries> series;
+    for (std::size_t i = 0; i < 64; ++i)
+        series.push_back(classSeries(96 + (7 * i) % 48, i % 4, 500 + i));
+    ASSERT_GE(seedingCells(series), CascadeForkCells);
+    std::vector<const MetricSeries *> items;
+    for (const MetricSeries &s : series)
+        items.push_back(&s);
+
+    DistanceCascade one(items.data(), items.size(), 1.0, 1);
+    std::vector<std::thread::id> ran(items.size());
+    one.forEach(items.size(), [&](DistanceCascade::Query &, std::size_t i) {
+        ran[i] = std::this_thread::get_id();
+    });
+    for (const std::thread::id &id : ran)
+        EXPECT_EQ(id, std::this_thread::get_id());
+
+    for (const std::size_t k : {4, 10}) {
+        SCOPED_TRACE(testing::Message() << "k=" << k);
+        DistanceCascade serial(items.data(), items.size(), 1.0, 1);
+        stats::Rng serial_rng(33);
+        const Clustering got = kMedoidsCascade(serial, k, serial_rng);
+        const CascadeRun want = runCascade(series, 1.0, k);
+        EXPECT_EQ(got.medoids, want.cl.medoids);
+        EXPECT_EQ(got.assignment, want.cl.assignment);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.totalCost),
+                  std::bit_cast<std::uint64_t>(want.cl.totalCost));
+        const CascadeStats &s = serial.stats();
+        const CascadeStats &w = want.stats;
+        EXPECT_EQ(s.lookups, w.lookups);
+        EXPECT_EQ(s.memoHits, w.memoHits);
+        EXPECT_EQ(s.kimPrunes, w.kimPrunes);
+        EXPECT_EQ(s.keoghPrunes, w.keoghPrunes);
+        EXPECT_EQ(s.dpRuns, w.dpRuns);
+        EXPECT_EQ(s.eaAbandons, w.eaAbandons);
+    }
 }
 
 // ---------------------------------------------------- early abandoning
