@@ -111,9 +111,8 @@ EventQueue::rekey(std::uint32_t s, Tick when, std::uint64_t seq)
 {
     Slot &slot = slots[s];
     RBV_CHECK(slot.periodTicks == 0, "periodic event rescheduled");
-    // The new sequence number is larger than the old one, so the new
-    // key is earlier only if the tick is.
-    const bool earlier = when < slot.when;
+    const bool earlier =
+        when < slot.when || (when == slot.when && seq < slot.seq);
     slot.when = when;
     slot.seq = seq;
     if (earlier)

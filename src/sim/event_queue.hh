@@ -255,7 +255,7 @@ class EventQueue
     /** Take a free slot for a new event and put it in the heap. */
     EventId add(Tick when, Tick period, std::uint64_t seq, Callback cb);
 
-    /** Move pending one-shot slot @p s to (@p when, @p seq), a later seq. */
+    /** Move pending one-shot slot @p s to (@p when, @p seq). */
     void rekey(std::uint32_t s, Tick when, std::uint64_t seq);
 
     /** Run and clear the pending flushes. */

@@ -589,33 +589,34 @@ class QueueModelCheck
     step()
     {
         const std::uint64_t pick = rng.uniformInt(100);
-        if (pick < 20)
+        if (pick < 26)
             schedule();
-        else if (pick < 24)
-            scheduleKeyed();
-        else if (pick < 28)
+        else if (pick < 30)
             schedulePeriodic();
-        else if (pick < 39)
+        else if (pick < 43)
             cancel();
-        else if (pick < 54)
+        else if (pick < 63)
             reschedule();
-        else if (pick < 58)
-            rescheduleKeyed();
-        else if (pick < 61)
-            reserve();
-        else if (pick < 65)
-            touchOwner();
-        else if (pick < 69)
+        else if (pick < 67)
             park();
-        else if (pick < 73)
+        else if (pick < 71)
             unpark();
-        else if (pick < 86)
+        else if (pick < 74)
+            scheduleKeyed();
+        else if (pick < 77)
+            rescheduleKeyed();
+        else if (pick < 79)
+            reserve();
+        else if (pick < 83)
+            touchOwner();
+        else if (pick < 91)
             runOne();
         else
             runUntil();
-        // size() and empty() flush first; a step that skips them can
-        // leave a flush pending for the next runOne() or runUntil().
-        if (rng.uniformInt(2) == 0) {
+        // size() and empty() flush first, so while the owner's flush
+        // is pending they are checked on half the steps only: the
+        // others leave it for the next runOne() or runUntil().
+        if (!ownerPending || rng.uniformInt(2) == 0) {
             EXPECT_EQ(eq.size(), model.size());
             EXPECT_EQ(eq.empty(), model.empty());
         }
@@ -1003,7 +1004,7 @@ class QueueModelCheck
         // Steps issued from inside the callback.
         const std::uint64_t nested = rng.uniformInt(4);
         for (std::uint64_t k = 0; k < nested; ++k) {
-            const std::uint64_t pick = rng.uniformInt(9);
+            const std::uint64_t pick = rng.uniformInt(6);
             if (pick == 0)
                 schedule();
             else if (pick == 1)
@@ -1014,13 +1015,15 @@ class QueueModelCheck
                 park();
             else if (pick == 4)
                 unpark();
-            else if (pick == 5)
-                schedulePeriodic();
-            else if (pick == 6)
-                scheduleKeyed();
-            else if (pick == 7)
-                rescheduleKeyed();
             else
+                schedulePeriodic();
+            // The keyed steps ride along on half the nested steps.
+            const std::uint64_t keyed = rng.uniformInt(6);
+            if (keyed == 0)
+                scheduleKeyed();
+            else if (keyed == 1)
+                rescheduleKeyed();
+            else if (keyed == 2)
                 touchOwner();
         }
         if (rng.uniformInt(16) == 0) {
