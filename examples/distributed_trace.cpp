@@ -10,11 +10,12 @@
  * under its original global identity with per-node counter
  * accounting conserved.
  *
- * The report reads everything from the Topology: the one record of
- * the chosen request (`request`), each node's share of it
- * (`nodeTotals`: the node kernel's record, frozen when the request
- * resolved) and its cross-machine timeline, merged from one sampler
- * per node (`mergedTimeline`).
+ * The report reads everything from the Topology, inside the resolved
+ * callback, since a request's records retire when the callback
+ * returns: the one record of the request (`request`), each node's
+ * share of it (`nodeTotals`: the node kernel's record, frozen when
+ * the request resolved) and its cross-machine timeline, taken from
+ * one sampler per node (`takeMergedTimeline`).
  *
  * All output is simulation-deterministic: rerunning prints
  * byte-identical text.
@@ -24,6 +25,7 @@
 
 #include <iostream>
 #include <optional>
+#include <utility>
 
 #include "core/sampling/sampler.hh"
 #include "dist/faults.hh"
@@ -81,13 +83,46 @@ main(int argc, char **argv)
     for (auto &s : samplers)
         s->start();
 
+    std::vector<core::Sampler *> views;
+    for (auto &smp : samplers)
+        views.push_back(&*smp);
+
+    // Per-node accounting of a request that failed over: an even id
+    // arriving after the crash first targets dead frontend/0
+    // (replica = id % 2), times out, and retries on frontend/1 —
+    // same global id, counters conserved across the failover. The
+    // report keeps the largest such id, or id requests/2 if no
+    // failover happened. Every request's merged timeline is taken
+    // here, so no node-local id is reused with periods left behind.
+    struct Snapshot
+    {
+        GlobalRequestId gid = -1;
+        sim::Tick latency = 0;
+        std::vector<sim::CounterSnapshot> totals;
+        core::Timeline merged;
+    };
+    std::optional<Snapshot> failedOver;
+    std::optional<Snapshot> fallback;
     sim::EventQueue &eq = topo.eventQueue();
     std::size_t resolved = 0;
-    topo.setResolvedCallback(
-        [&](GlobalRequestId, bool) {
-            if (++resolved == static_cast<std::size_t>(requests))
-                eq.requestStop();
-        });
+    topo.setResolvedCallback([&](GlobalRequestId gid, bool) {
+        Snapshot snap;
+        snap.gid = gid;
+        const GlobalRequestInfo &info = topo.request(gid);
+        snap.latency = info.resolved - info.injected;
+        for (NodeId n = 0; n < topo.numNodes(); ++n)
+            snap.totals.push_back(topo.nodeTotals(gid, n));
+        snap.merged = topo.takeMergedTimeline(gid, views);
+        if (gid % 2 == 0 && snap.totals[0].instructions < 1.0 &&
+            snap.totals[1].instructions > 1.0) {
+            if (!failedOver || gid > failedOver->gid)
+                failedOver = std::move(snap);
+        } else if (gid == requests / 2) {
+            fallback = std::move(snap);
+        }
+        if (++resolved == static_cast<std::size_t>(requests))
+            eq.requestStop();
+    });
     stats::Rng arrivals(seed + 999);
     sim::Tick t = 0;
     for (int r = 0; r < requests; ++r) {
@@ -123,26 +158,17 @@ main(int argc, char **argv)
               << "), injections dropped " << session.log().size()
               << " deliveries on the dead node\n\n";
 
-    // Per-node accounting of a request that failed over: an even id
-    // arriving after the crash first targets dead frontend/0
-    // (replica = id % 2), times out, and retries on frontend/1 —
-    // same global id, counters conserved across the failover. A
-    // node's share reads zero until the request resolves.
-    GlobalRequestId pick = -1;
-    for (GlobalRequestId g = 0;
-         g < static_cast<GlobalRequestId>(requests); ++g) {
-        if (g % 2 == 0 && topo.nodeTotals(g, 0).instructions < 1.0 &&
-            topo.nodeTotals(g, 1).instructions > 1.0)
-            pick = g;
+    if (!failedOver && !fallback) {
+        std::cout << "request " << requests / 2 << " did not resolve\n";
+        return 0;
     }
-    if (pick < 0)
-        pick = requests / 2; // no failover happened; still report
-    const auto &info = topo.request(pick);
-    std::cout << "request " << pick
+    const Snapshot &pick = failedOver ? *failedOver : *fallback;
+    std::cout << "request " << pick.gid
               << " (failed over to the surviving replica):\n";
     stats::Table tacc({"node", "instructions", "cycles", "CPI"});
     for (NodeId n = 0; n < topo.numNodes(); ++n) {
-        const sim::CounterSnapshot c = topo.nodeTotals(pick, n);
+        const sim::CounterSnapshot &c =
+            pick.totals[static_cast<std::size_t>(n)];
         tacc.addRow({topo.nodeName(n),
                      stats::Table::fmt(c.instructions, 0),
                      stats::Table::fmt(c.cycles, 0),
@@ -152,18 +178,14 @@ main(int argc, char **argv)
     tacc.print(std::cout);
     std::cout << "end-to-end latency "
               << stats::Table::fmt(
-                     sim::cyclesToUs(static_cast<double>(
-                         info.resolved - info.injected)),
+                     sim::cyclesToUs(static_cast<double>(pick.latency)),
                      0)
               << " us\n\n";
 
     // The merged cross-machine timeline still works under failover:
     // the per-node samples of whichever replicas served the request
     // interleave into one wall-clock-ordered behavior record.
-    std::vector<const core::Sampler *> views;
-    for (const auto &smp : samplers)
-        views.push_back(&*smp);
-    const auto merged = topo.mergedTimeline(pick, views);
+    const core::Timeline &merged = pick.merged;
     std::cout << "merged timeline (" << merged.periods.size()
               << " periods across the serving nodes):\n";
     stats::Table tl({"wall (us)", "instructions", "CPI"});

@@ -7,6 +7,7 @@
 #include "dist/topology.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <sstream>
 
@@ -42,6 +43,22 @@ constexpr std::size_t HedgeWarmup = 16;
  * of simulated time.
  */
 constexpr double MaxKiloIns = 1e9;
+
+/**
+ * Whether @p field spells an unsigned decimal number, as the grammar
+ * asks: strtol and strtod would also skip leading whitespace and
+ * accept a sign, and strtod hex. It starts with a digit (or a point,
+ * when @p fraction) and holds no hex marker; the caller's full parse
+ * checks the rest.
+ */
+bool
+unsignedDecimal(const std::string &field, bool fraction)
+{
+    const char c = field.front();
+    return (std::isdigit(static_cast<unsigned char>(c)) ||
+            (fraction && c == '.')) &&
+           field.find_first_of("xX") == std::string::npos;
+}
 
 /** Split on @p sep, keeping empty fields ("a," is {"a", ""}). */
 std::vector<std::string>
@@ -150,7 +167,8 @@ TopologySpec::parse(const std::string &text, TopologySpec &out,
         tier.name = f[0];
         char *end = nullptr;
         const long replicas = std::strtol(f[1].c_str(), &end, 10);
-        if (*end != '\0' || replicas < 1 || replicas > 16) {
+        if (!unsignedDecimal(f[1], false) || *end != '\0' ||
+            replicas < 1 || replicas > 16) {
             error = "tier \"" + item +
                     "\": replicas must be an integer in [1, 16]";
             return false;
@@ -159,8 +177,9 @@ TopologySpec::parse(const std::string &text, TopologySpec &out,
         if (f.size() == 3) {
             tier.serviceKiloIns = std::strtod(f[2].c_str(), &end);
             // Negated so that NaN fails too.
-            if (*end != '\0' || !(tier.serviceKiloIns > 0.0 &&
-                                  tier.serviceKiloIns <= MaxKiloIns)) {
+            if (!unsignedDecimal(f[2], true) || *end != '\0' ||
+                !(tier.serviceKiloIns > 0.0 &&
+                  tier.serviceKiloIns <= MaxKiloIns)) {
                 error = "tier \"" + item +
                         "\": kilo-ins must be a number in (0, 1e9]";
                 return false;
@@ -263,8 +282,8 @@ GlobalRequestId
 Topology::inject()
 {
     RBV_CHECK(started, "inject() before start()");
-    const auto gid = static_cast<GlobalRequestId>(requests.size());
-    GlobalRequestInfo &info = requests.emplace_back();
+    const auto gid = static_cast<GlobalRequestId>(injectedCount());
+    GlobalRequestInfo &info = records.emplace_back().info;
     info.injected = eq.now();
     info.local.resize(nodes.size(), os::InvalidRequestId);
     sendAttempt(gid, 0, 0, false);
@@ -292,16 +311,20 @@ Topology::globalIdOf(NodeId node, os::RequestId local) const
 os::RequestId
 Topology::localIdOf(NodeId node, GlobalRequestId gid)
 {
-    RBV_CHECK(gid >= 0 &&
-                  static_cast<std::size_t>(gid) < requests.size(),
-              "localIdOf of unknown global request " << gid);
+    RBV_CHECK(live(gid),
+              "localIdOf of unknown or retired global request " << gid);
     RBV_CHECK(node >= 0 && node < numNodes(),
               "localIdOf on unknown node " << node);
     os::RequestId &local = record(gid).local[node];
-    if (local != os::InvalidRequestId)
-        return local;
+    if (local == os::InvalidRequestId)
+        local = registerLocal(node, gid);
+    return local;
+}
 
-    local = kernel(node).registerRequest();
+os::RequestId
+Topology::registerLocal(NodeId node, GlobalRequestId gid)
+{
+    const os::RequestId local = kernel(node).registerRequest();
     auto &ids = nodes[node].localToGlobal;
     const auto idx = static_cast<std::size_t>(local);
     if (ids.size() <= idx)
@@ -311,9 +334,9 @@ Topology::localIdOf(NodeId node, GlobalRequestId gid)
 }
 
 core::Timeline
-Topology::mergedTimeline(
+Topology::takeMergedTimeline(
     GlobalRequestId gid,
-    const std::vector<const core::Sampler *> &samplers) const
+    const std::vector<core::Sampler *> &samplers) const
 {
     core::Timeline merged;
     merged.request = gid;
@@ -325,7 +348,7 @@ Topology::mergedTimeline(
         const auto idx = static_cast<std::size_t>(n);
         if (idx >= samplers.size() || !samplers[idx])
             continue;
-        const core::Timeline &tl = samplers[idx]->timelineOf(local);
+        const core::Timeline tl = samplers[idx]->takeTimeline(local);
         merged.periods.insert(merged.periods.end(),
                               tl.periods.begin(), tl.periods.end());
     }
@@ -412,11 +435,9 @@ Topology::sendAttempt(GlobalRequestId gid, int tier, int attempt,
     m.bytes = 512.0;
     const NodeId node = rep.node;
     const os::ChannelId ingress = rep.ingress;
-    eq.scheduleIn(spec_.linkLatencyTicks,
-                  [this, node, ingress, m, gid]() mutable {
-                      m.request = localIdOf(node, gid);
-                      kernel(node).post(ingress, m);
-                  });
+    eq.scheduleIn(spec_.linkLatencyTicks, [this, node, ingress, m, gid] {
+        postAttempt(node, ingress, m, gid);
+    });
 
     // Every attempt carries a deadline: a lost message can only cost
     // a timeout, never a hang.
@@ -434,6 +455,27 @@ Topology::sendAttempt(GlobalRequestId gid, int tier, int attempt,
                 maybeHedge(token, attempt);
             });
     }
+}
+
+void
+Topology::postAttempt(NodeId node, os::ChannelId ingress, os::Message m,
+                      GlobalRequestId gid)
+{
+    os::Kernel &k = kernel(node);
+    if (live(gid)) {
+        m.request = localIdOf(node, gid);
+        k.post(ingress, m);
+        return;
+    }
+    // A hedge that arrives after its request resolved. The replica
+    // still registers it and runs the same work under the same
+    // registration sequence number; completed at once, the id is
+    // charged nothing, and the kernel releases it once the worker
+    // that takes the message has moved on.
+    m.request = registerLocal(node, gid);
+    k.completeRequest(m.request);
+    k.post(ingress, m);
+    k.deferRelease(m.request);
 }
 
 void
@@ -495,8 +537,10 @@ Topology::onReply(int tier, int replica, const os::Message &msg)
     if (rs.state != RequestState::InFlight)
         return;
     RBV_DCHECK(rs.tier == a.tier, "reply for a stale hop");
-    T.hopLatencyUs.add(
-        sim::cyclesToUs(static_cast<double>(eq.now() - a.sentAt)));
+    // The hedge trigger is the window's only reader.
+    if (policy.hedgeQuantile > 0.0)
+        T.hopLatencyUs.add(
+            sim::cyclesToUs(static_cast<double>(eq.now() - a.sentAt)));
 
     // First reply wins the hop: abandon any sibling attempts (their
     // deadline events and replies become no-ops).
@@ -531,6 +575,8 @@ Topology::scheduleRetryOrFail(GlobalRequestId gid, int tier)
     rs.hedged = false;
     const sim::Tick wait = policy.backoffTicks(seed, gid, next);
     eq.scheduleIn(wait, [this, gid, tier, next] {
+        if (!live(gid))
+            return;
         const GlobalRequestInfo &rs2 = record(gid);
         if (rs2.state != RequestState::InFlight || rs2.tier != tier ||
             rs2.attempt != next)
@@ -574,6 +620,23 @@ Topology::resolve(GlobalRequestId gid, bool ok)
     }
     if (resolvedCb)
         resolvedCb(gid, ok);
+    retire(gid);
+}
+
+void
+Topology::retire(GlobalRequestId gid)
+{
+    // After the callback nothing reads the node-local records, so
+    // each id goes to its kernel's deferred release.
+    Record &r = records[static_cast<std::size_t>(gid - firstGid)];
+    for (NodeId n = 0; n < numNodes(); ++n)
+        if (r.info.local[n] != os::InvalidRequestId)
+            kernel(n).deferRelease(r.info.local[n]);
+    r.retired = true;
+    while (!records.empty() && records.front().retired) {
+        records.pop_front();
+        ++firstGid;
+    }
 }
 
 std::vector<Topology::BreakerEvent>

@@ -21,6 +21,15 @@
  * freezes when the request resolves; the per-node sampled timelines
  * merge into one serialized cross-machine execution timeline.
  *
+ * Per-request state dies with its request. The record lives from
+ * inject() until the request resolves and the resolved callback
+ * returns; each node-local id then goes to its kernel's deferred
+ * release (os::Kernel::deferRelease), which reuses the id once no
+ * core, thread or message on that node can still reach it. A hedge
+ * that reaches its replica after the request resolved registers an
+ * id that is completed, charged nothing and released the same way.
+ * Only the completed requests' latencies grow with the run.
+ *
  * Failover preserves identity and accounting: a retried hop reuses
  * the same global request id, so the dead and the surviving replica
  * both account to one global request (the graceful-degradation
@@ -133,7 +142,8 @@ enum class RequestState : std::uint8_t
     Failed,
 };
 
-/** The topology's one record of a global request. */
+/** The topology's one record of a global request, live while the
+ *  request is in flight and through its resolved callback. */
 struct GlobalRequestInfo
 {
     sim::Tick injected = 0;
@@ -198,50 +208,72 @@ class Topology
         resolvedCb = std::move(cb);
     }
 
-    std::size_t injectedCount() const { return requests.size(); }
+    /** Requests injected so far (records retire; this does not). */
+    std::size_t injectedCount() const
+    {
+        return static_cast<std::size_t>(firstGid) + records.size();
+    }
     std::size_t completedCount() const { return completed_; }
     std::size_t failedCount() const { return failed_; }
     bool allResolved() const
     {
-        return completed_ + failed_ == requests.size();
+        return completed_ + failed_ == injectedCount();
     }
 
-    /** @name Global requests */
+    /**
+     * Records held: every in-flight request, plus the resolved ones
+     * injected after the oldest in-flight request (they leave from
+     * the front). Bounded by the requests injected during one
+     * worst-case request lifetime, not by the run length.
+     */
+    std::size_t heldRecords() const { return records.size(); }
+
+    /** @name Global requests
+     * request(), nodeTotals() and localIdOf() accept a global id from
+     * inject() until its resolved callback returns; after that the
+     * record is retired and they fail their RBV_CHECK, as an unknown
+     * id does.
+     */
     /// @{
     const GlobalRequestInfo &request(GlobalRequestId gid) const
     {
-        RBV_CHECK(gid >= 0 &&
-                      static_cast<std::size_t>(gid) < requests.size(),
-                  "unknown global request " << gid);
-        return requests[static_cast<std::size_t>(gid)];
+        RBV_CHECK(live(gid), "unknown or retired global request " << gid);
+        return records[static_cast<std::size_t>(gid - firstGid)].info;
     }
 
     /**
      * A node's share of a request: the node kernel's record of it
      * once that record is done (it freezes when the request
-     * resolves). Zero before then, on nodes the request never
-     * reached, and on a node a hedge reached only after it resolved.
+     * resolves). Zero before then and on nodes the request never
+     * reached. Read it in the resolved callback.
      */
     sim::CounterSnapshot nodeTotals(GlobalRequestId gid,
                                     NodeId node) const;
 
-    /** Translate a node-local request id to the global id. */
+    /**
+     * Translate a node-local request id to the global id, while the
+     * node-local id is live: a released id keeps its last global id
+     * until it is reused.
+     */
     GlobalRequestId globalIdOf(NodeId node, os::RequestId local) const;
 
     /** The node-local id of a global request (registering lazily). */
     os::RequestId localIdOf(NodeId node, GlobalRequestId gid);
 
     /**
-     * Merge the per-node sampled timelines of a global request into
-     * one wall-clock-ordered timeline (the serialized cross-machine
-     * request execution), given each node's sampler.
+     * Take the per-node sampled timelines of a global request and
+     * merge them into one wall-clock-ordered timeline (the serialized
+     * cross-machine request execution). Each node's timeline is moved
+     * out of its sampler, as a node-local id is reused once released:
+     * a caller with samplers takes every request's merged timeline
+     * in the resolved callback.
      *
      * @param samplers One sampler per node (index = NodeId); null
      *                 entries are skipped.
      */
-    core::Timeline mergedTimeline(
+    core::Timeline takeMergedTimeline(
         GlobalRequestId gid,
-        const std::vector<const core::Sampler *> &samplers) const;
+        const std::vector<core::Sampler *> &samplers) const;
     /// @}
 
     const RpcStats &rpcStats() const { return stats_; }
@@ -275,8 +307,8 @@ class Topology
         std::unique_ptr<os::Kernel> kernel;
 
         /**
-         * Global id by node-local id. Dense: the topology never
-         * recycles a node-local id, so a node's ids count up from 0.
+         * Global id by node-local id, overwritten when the kernel
+         * reuses an id: bounded by the node's request slots.
          */
         std::vector<GlobalRequestId> localToGlobal;
     };
@@ -305,11 +337,33 @@ class Topology
         sim::Tick sentAt = 0;
     };
 
+    /** A record slot; a retired one waits to leave the front. */
+    struct Record
+    {
+        GlobalRequestInfo info;
+        bool retired = false;
+    };
+
+    bool
+    live(GlobalRequestId gid) const
+    {
+        const auto idx = static_cast<std::size_t>(gid - firstGid);
+        return gid >= firstGid && idx < records.size() &&
+               !records[idx].retired;
+    }
+
     GlobalRequestInfo &
     record(GlobalRequestId gid)
     {
-        return requests[static_cast<std::size_t>(gid)];
+        return records[static_cast<std::size_t>(gid - firstGid)].info;
     }
+
+    /** Register a node-local id for @p gid on @p node. */
+    os::RequestId registerLocal(NodeId node, GlobalRequestId gid);
+
+    /** Deliver one attempt's message to its replica's ingress. */
+    void postAttempt(NodeId node, os::ChannelId ingress, os::Message m,
+                     GlobalRequestId gid);
 
     void sendAttempt(GlobalRequestId gid, int tier, int attempt,
                      bool hedge);
@@ -321,6 +375,9 @@ class Topology
     void resolve(GlobalRequestId gid, bool ok);
     void dropToken(GlobalRequestInfo &info, std::uint64_t token);
 
+    /** Release a resolved request's node-local ids and its record. */
+    void retire(GlobalRequestId gid);
+
     TopologySpec spec_;
     RpcPolicy policy;
     BreakerConfig breakerCfg;
@@ -331,12 +388,14 @@ class Topology
     std::vector<TierRt> tiers;
 
     /**
-     * One record per global request, indexed by global id. A deque,
-     * not a vector: request() hands out long-lived references while
-     * inject() keeps appending, and a vector reallocation would
-     * invalidate every one of them.
+     * The records from the oldest live request on, indexed by global
+     * id minus firstGid; the next global id is firstGid plus their
+     * count. A deque, not a vector: request() hands out references
+     * while inject() appends and retire() pops the front, and neither
+     * invalidates a reference to another record.
      */
-    std::deque<GlobalRequestInfo> requests;
+    std::deque<Record> records;
+    GlobalRequestId firstGid = 0;
     std::map<std::uint64_t, Attempt> attempts;
     std::uint64_t nextToken = 1;
 

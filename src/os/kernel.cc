@@ -88,18 +88,20 @@ Kernel::start()
 RequestId
 Kernel::registerRequest()
 {
-    RequestInfo info;
+    RequestId id;
     if (!freeSlots.empty()) {
-        info.id = freeSlots.back();
+        id = freeSlots.back();
         freeSlots.pop_back();
     } else {
-        info.id = static_cast<RequestId>(reqs.size());
+        id = static_cast<RequestId>(reqs.size());
         reqs.emplace_back();
     }
+    // Filled in place: a recycled slot was reset at its release and
+    // keeps its syscall buffer's capacity.
+    RequestInfo &info = reqs[static_cast<std::size_t>(id)];
+    info.id = id;
     info.seq = numRegistered;
     info.injected = now();
-    const RequestId id = info.id;
-    reqs[static_cast<std::size_t>(id)] = std::move(info);
     ++numRegistered;
     obs::simSpanBegin("os.request", "request", id,
                       sim::cyclesToUs(static_cast<double>(now())),
@@ -113,21 +115,59 @@ Kernel::releaseRequest(RequestId id)
     if (id == InvalidRequestId ||
         static_cast<std::size_t>(id) >= reqs.size())
         return false;
-    if (!reqs[static_cast<std::size_t>(id)].done)
+    RequestInfo &info = reqs[static_cast<std::size_t>(id)];
+    if (!info.done)
         return false;
-    // The id must be fully quiescent: a core with the request still
-    // in context would attribute counters into the reused slot, and
-    // a thread holding the id between the reply and its next recv
-    // would re-adopt it.
+    // The id must be unreachable: a core with the request still in
+    // context would attribute counters into the reused slot, a thread
+    // holding the id between the reply and its next recv would
+    // re-adopt it, and so would a worker that later takes a message
+    // still carrying it.
+    if (info.messages > 0)
+        return false;
     for (sim::CoreId c = 0; c < mach.numCores(); ++c)
         if (coreSched[c].request == id)
             return false;
     for (const auto &t : threads)
         if (t->state != ThreadState::Exited && t->request == id)
             return false;
-    reqs[static_cast<std::size_t>(id)] = RequestInfo{};
+    // Reset in place, keeping the syscall buffer's capacity, so a
+    // recycled slot allocates nothing.
+    std::vector<Sys> syscalls = std::move(info.syscalls);
+    syscalls.clear();
+    info = RequestInfo{};
+    info.syscalls = std::move(syscalls);
     freeSlots.push_back(id);
+    RBV_COUNT(OsRequestSlotsRecycled, 1);
     return true;
+}
+
+void
+Kernel::deferRelease(RequestId id)
+{
+    // The new id first, then every earlier refusal in order: ids held
+    // by a worker between its reply and its next recv, or carried by
+    // a message not yet taken, fall unreachable as traffic moves on.
+    if (!releaseRequest(id))
+        pendingRelease.push_back(id);
+    std::size_t kept = 0;
+    for (const RequestId pending : pendingRelease)
+        if (!releaseRequest(pending))
+            pendingRelease[kept++] = pending;
+    pendingRelease.resize(kept);
+}
+
+void
+Kernel::carry(const Message &msg, int delta)
+{
+    const auto idx = static_cast<std::size_t>(msg.request);
+    if (msg.request == InvalidRequestId || idx >= reqs.size())
+        return;
+    std::uint32_t &n = reqs[idx].messages;
+    RBV_DCHECK(delta > 0 || n > 0,
+               "message count of request " << msg.request
+                                           << " went negative");
+    n = static_cast<std::uint32_t>(static_cast<int>(n) + delta);
 }
 
 void
@@ -341,6 +381,7 @@ Kernel::runThread(sim::CoreId core, ThreadId tid)
             // (socket-hop propagation per [27]) and deliver.
             t.hasPendingMsg = false;
             const Message msg = t.pendingMsg;
+            carry(msg, -1);
             t.request = msg.request;
             setCoreRequest(core, msg.request);
             t.logic->onMessage(msg);
@@ -430,8 +471,12 @@ Kernel::handleSyscall(sim::CoreId core, ThreadId tid,
       case SysBehavior::ChannelRecv: {
         ChannelState &ch = channels[args.channel];
         if (!ch.queue.empty()) {
+            // The message moves from the queue to the thread; each
+            // place keeps its own count.
+            carry(ch.queue.front(), -1);
             t.pendingMsg = ch.queue.front();
             t.hasPendingMsg = true;
+            carry(t.pendingMsg, +1);
             ch.queue.pop_front();
             return true;
         }
@@ -465,10 +510,14 @@ Kernel::deliver(ChannelId chid, Message msg)
         }
         if (f.delayCycles > 0.0) {
             ++kstats.delayedDeliveries;
+            carry(msg, +1);
             eventQueue().scheduleIn(
                 std::max<sim::Tick>(
                     static_cast<sim::Tick>(f.delayCycles), 1),
-                [this, chid, msg] { deliverNow(chid, msg); });
+                [this, chid, msg] {
+                    carry(msg, -1);
+                    deliverNow(chid, msg);
+                });
             return;
         }
     }
@@ -489,10 +538,12 @@ Kernel::deliverNow(ChannelId chid, Message msg)
         Thread &t = thr(w);
         t.pendingMsg = msg;
         t.hasPendingMsg = true;
+        carry(msg, +1);
         wake(w);
         return;
     }
     ch.queue.push_back(msg);
+    carry(msg, +1);
 }
 
 void

@@ -12,6 +12,10 @@
  *    is executing across context switches and channel (socket) hops,
  *    per Shen et al. [27], with exact per-request counter totals and
  *    system call sequences as experiment ground truth;
+ *  - request-id lifetime: serving and the cluster hand each completed
+ *    id to one deferred release (deferRelease), which reuses its slot
+ *    only once no core, thread or message in the kernel can still
+ *    reach it, so long runs keep a bounded request table;
  *  - instrumentation hooks at syscall entry and request context
  *    switch, which the sampling subsystem (the paper's contribution)
  *    attaches to.
@@ -124,14 +128,26 @@ class Kernel : public sim::CoreClient
 
     /**
      * Recycle the record of a completed request. Returns false —
-     * and releases nothing — while the id is still referenced (in
-     * context on a core, or held by a thread between the reply and
-     * its next recv); callers retry later. On success the slot id
-     * is reused by a future registerRequest, which is what keeps a
-     * serving run's kernel state bounded. Batch runs never call
-     * this, so their id assignment is unchanged.
+     * and releases nothing — while anything in this kernel can still
+     * reach the id: a core with it in context, a thread holding it
+     * between its reply and its next recv, or a message carrying it
+     * (RequestInfo::messages). On success the slot is reset in place
+     * and its id is reused by a future registerRequest, which is
+     * what keeps a serving or cluster run's kernel state bounded.
+     * Batch runs never call this, so their id assignment is
+     * unchanged.
      */
     bool releaseRequest(RequestId id);
+
+    /**
+     * The deferred release that serving and the cluster share: try
+     * releaseRequest(id), queue the id if it is refused, then retry
+     * every queued id in order. A queued id waits until a later call
+     * finds it unreachable, so the queue stays bounded by the
+     * threads and messages that can hold an id. The order fixes
+     * which slot a future registerRequest reuses.
+     */
+    void deferRelease(RequestId id);
     /// @}
 
     /** @name Introspection */
@@ -144,8 +160,17 @@ class Kernel : public sim::CoreClient
     RequestId currentRequest(sim::CoreId core) const;
 
     const RequestInfo &request(RequestId id) const;
+    /** Request slots, live and free: bounded once ids recycle. */
     std::size_t numRequests() const { return reqs.size(); }
     std::size_t completedRequests() const { return numCompleted; }
+    std::size_t registeredRequests() const { return numRegistered; }
+    /** Slots registered and not yet released. */
+    std::size_t liveRequests() const
+    {
+        return reqs.size() - freeSlots.size();
+    }
+    /** Ids deferRelease queued because something still reaches them. */
+    std::size_t pendingReleases() const { return pendingRelease.size(); }
 
     const KernelStats &stats() const { return kstats; }
     SchedulerPolicy &policy() { return *sched; }
@@ -247,6 +272,12 @@ class Kernel : public sim::CoreClient
     /** Fault-free delivery core (also the delayed-delivery target). */
     void deliverNow(ChannelId ch, Message msg);
 
+    /**
+     * Count a message that starts (+1) or stops (-1) carrying its
+     * request id inside the kernel (RequestInfo::messages).
+     */
+    void carry(const Message &msg, int delta);
+
     /** Make a blocked thread runnable and place it on a runqueue. */
     void wake(ThreadId tid);
 
@@ -271,6 +302,7 @@ class Kernel : public sim::CoreClient
     std::vector<CoreSched> coreSched;
     std::vector<RequestInfo> reqs;
     std::vector<RequestId> freeSlots;
+    std::vector<RequestId> pendingRelease;
     std::vector<KernelHooks *> hooks;
     KernelFaults *faults = nullptr;
 

@@ -47,6 +47,14 @@ struct RequestInfo
     /** System calls issued while this request was in context. */
     std::vector<Sys> syscalls;
 
+    /**
+     * Messages inside the kernel that carry this id: queued on a
+     * channel, pending for a woken thread, or held back by an
+     * in-network delay. Each can still hand the id to a worker, so
+     * the id is not released while any remain.
+     */
+    std::uint32_t messages = 0;
+
     /** CPU cycles per instruction over the whole request. */
     double
     cpi() const

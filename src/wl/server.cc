@@ -155,24 +155,9 @@ OpenLoopDriver::onArrival()
 void
 OpenLoopDriver::afterReply(os::RequestId id)
 {
-    // Try the replying id first, then retry earlier deferred
-    // releases in order: ids pinned by a worker thread between its
-    // reply and its next recv fall quiescent as traffic moves on, so
-    // the pending list stays bounded by the thread count. The order
-    // fixes which slot a future registerRequest reuses.
-    if (kernel.releaseRequest(id))
-        RBV_COUNT(OsRequestSlotsRecycled, 1);
-    else
-        pendingRelease.push_back(id);
-    std::size_t kept = 0;
-    for (const os::RequestId pending : pendingRelease) {
-        if (kernel.releaseRequest(pending))
-            RBV_COUNT(OsRequestSlotsRecycled, 1);
-        else
-            pendingRelease[kept++] = pending;
-    }
-    pendingRelease.resize(kept);
-
+    // The replying worker still holds the id until its next recv, so
+    // the kernel usually queues it and releases it on a later reply.
+    kernel.deferRelease(id);
     maybeStop();
 }
 

@@ -133,12 +133,13 @@ class LoadDriver : public RequestDriver
 
 /**
  * Open-loop load driver: requests arrive on an ArrivalProcess
- * schedule, independent of completions. Completed kernel request
- * slots are recycled (Kernel::releaseRequest) as soon as they fall
- * quiescent, so memory stays flat over arbitrarily long serving
- * runs. Arrivals beyond a configurable outstanding cap are shed,
- * which both models server-side admission control and bounds memory
- * under overload.
+ * schedule, independent of completions. Each reply hands its kernel
+ * request slot to the kernel's deferred release
+ * (Kernel::deferRelease), which recycles it once nothing can reach
+ * it, so memory stays flat over arbitrarily long serving runs.
+ * Arrivals beyond a configurable outstanding cap are shed, which
+ * both models server-side admission control and bounds memory under
+ * overload.
  */
 class OpenLoopDriver : public RequestDriver
 {
@@ -175,7 +176,6 @@ class OpenLoopDriver : public RequestDriver
 
     Config cfg;
     ArrivalProcess arrival;
-    std::vector<os::RequestId> pendingRelease;
 
     std::size_t numArrivals = 0;
     std::size_t numShed = 0;

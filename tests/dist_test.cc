@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <functional>
+#include <map>
 #include <optional>
 #include <sstream>
 
@@ -16,6 +18,8 @@
 #include "dist/rpc.hh"
 #include "dist/topology.hh"
 #include "fi/plan.hh"
+#include "obs/obs.hh"
+#include "stats/rng.hh"
 
 using namespace rbv;
 using namespace rbv::dist;
@@ -39,6 +43,27 @@ twoTierSpec(sim::Tick latency)
     return spec;
 }
 
+/**
+ * A request as its resolved callback saw it. The record and the
+ * node-local records retire when the callback returns, so a test
+ * reads what it needs here.
+ */
+struct Resolved
+{
+    GlobalRequestInfo info;
+    std::vector<sim::CounterSnapshot> totals; ///< By node.
+};
+
+Resolved
+snapshot(const Topology &topo, GlobalRequestId gid)
+{
+    Resolved r;
+    r.info = topo.request(gid);
+    for (NodeId n = 0; n < topo.numNodes(); ++n)
+        r.totals.push_back(topo.nodeTotals(gid, n));
+    return r;
+}
+
 struct TwoTierRig
 {
     static constexpr NodeId front = 0;
@@ -47,6 +72,9 @@ struct TwoTierRig
     Topology topo;
     sim::EventQueue &eq;
     std::vector<GlobalRequestId> completed;
+    std::map<GlobalRequestId, Resolved> resolved;
+    /** Runs inside the resolved callback, while the record lives. */
+    std::function<void(GlobalRequestId)> onResolved;
 
     explicit TwoTierRig(sim::Tick latency = sim::usToCycles(100.0))
         : topo(twoTierSpec(latency), RpcPolicy{}, BreakerConfig{}, 1),
@@ -55,6 +83,9 @@ struct TwoTierRig
         topo.setResolvedCallback([this](GlobalRequestId gid, bool ok) {
             if (ok)
                 completed.push_back(gid);
+            resolved[gid] = snapshot(topo, gid);
+            if (onResolved)
+                onResolved(gid);
         });
         topo.start();
     }
@@ -70,7 +101,7 @@ TEST(Cluster, RequestCrossesMachinesAndCompletes)
 
     ASSERT_EQ(rig.completed.size(), 1u);
     EXPECT_EQ(rig.completed[0], gid);
-    EXPECT_EQ(rig.topo.request(gid).state, RequestState::Completed);
+    EXPECT_EQ(rig.resolved.at(gid).info.state, RequestState::Completed);
     EXPECT_EQ(rig.topo.rpcStats().attempts, 2u); // one per tier
 }
 
@@ -88,8 +119,9 @@ TEST(Cluster, PerNodeAccountingSplitsWork)
     rig.eq.runUntil(sim::msToCycles(50.0));
 
     ASSERT_EQ(rig.topo.numNodes(), 2);
-    const double front = rig.topo.nodeTotals(gid, rig.front).instructions;
-    const double back = rig.topo.nodeTotals(gid, rig.back).instructions;
+    const Resolved &r = rig.resolved.at(gid);
+    const double front = r.totals[rig.front].instructions;
+    const double back = r.totals[rig.back].instructions;
     // Front executed 50K +- 30% instructions, back 100K +- 30% (plus
     // kernel work on both).
     EXPECT_GT(front, 35000.0);
@@ -107,10 +139,10 @@ TEST(Cluster, NetworkLatencyDelaysCompletion)
     fast.eq.runUntil(sim::msToCycles(100.0));
     slow.eq.runUntil(sim::msToCycles(100.0));
 
-    const auto lat_fast = fast.topo.request(g1).resolved -
-                          fast.topo.request(g1).injected;
-    const auto lat_slow = slow.topo.request(g2).resolved -
-                          slow.topo.request(g2).injected;
+    const GlobalRequestInfo &f = fast.resolved.at(g1).info;
+    const GlobalRequestInfo &s = slow.resolved.at(g2).info;
+    const auto lat_fast = f.resolved - f.injected;
+    const auto lat_slow = s.resolved - s.injected;
     // Four link crossings, each 490 us longer.
     EXPECT_GT(lat_slow, lat_fast + sim::usToCycles(1900.0));
 }
@@ -118,13 +150,17 @@ TEST(Cluster, NetworkLatencyDelaysCompletion)
 TEST(Cluster, GlobalLocalIdTranslationRoundTrips)
 {
     TwoTierRig rig;
-    const auto gid = rig.topo.inject();
+    int checked = 0;
+    rig.onResolved = [&](GlobalRequestId gid) {
+        const os::RequestId lf = rig.topo.localIdOf(rig.front, gid);
+        const os::RequestId lb = rig.topo.localIdOf(rig.back, gid);
+        EXPECT_EQ(rig.topo.globalIdOf(rig.front, lf), gid);
+        EXPECT_EQ(rig.topo.globalIdOf(rig.back, lb), gid);
+        ++checked;
+    };
+    rig.topo.inject();
     rig.eq.runUntil(sim::msToCycles(50.0));
-
-    const os::RequestId lf = rig.topo.localIdOf(rig.front, gid);
-    const os::RequestId lb = rig.topo.localIdOf(rig.back, gid);
-    EXPECT_EQ(rig.topo.globalIdOf(rig.front, lf), gid);
-    EXPECT_EQ(rig.topo.globalIdOf(rig.back, lb), gid);
+    EXPECT_EQ(checked, 1);
     // Unknown local ids map to the invalid global id.
     EXPECT_EQ(rig.topo.globalIdOf(rig.front, 424242),
               InvalidGlobalRequestId);
@@ -140,9 +176,10 @@ TEST(Cluster, ManyRequestsAllTracked)
 
     EXPECT_EQ(rig.topo.completedCount(), 20u);
     for (const auto gid : gids) {
-        EXPECT_EQ(rig.topo.request(gid).state, RequestState::Completed);
-        EXPECT_GT(rig.topo.nodeTotals(gid, rig.front).instructions +
-                      rig.topo.nodeTotals(gid, rig.back).instructions,
+        const Resolved &r = rig.resolved.at(gid);
+        EXPECT_EQ(r.info.state, RequestState::Completed);
+        EXPECT_GT(r.totals[rig.front].instructions +
+                      r.totals[rig.back].instructions,
                   105000.0);
     }
 }
@@ -159,10 +196,17 @@ TEST(Cluster, MergedTimelineSerializesCrossMachineExecution)
     sf.start();
     sb.start();
 
+    // The take empties the samplers' slots, so the back node's own
+    // timeline is copied first.
+    core::Timeline merged;
+    core::Timeline back;
+    rig.onResolved = [&](GlobalRequestId gid) {
+        back = sb.timelineOf(rig.topo.localIdOf(rig.back, gid));
+        merged = rig.topo.takeMergedTimeline(gid, {&sf, &sb});
+    };
     const auto gid = rig.topo.inject();
     rig.eq.runUntil(sim::msToCycles(50.0));
 
-    const auto merged = rig.topo.mergedTimeline(gid, {&sf, &sb});
     ASSERT_GT(merged.periods.size(), 5u);
     // Wall-clock ordered.
     for (std::size_t i = 1; i < merged.periods.size(); ++i) {
@@ -170,14 +214,12 @@ TEST(Cluster, MergedTimelineSerializesCrossMachineExecution)
                   merged.periods[i - 1].wallStart);
     }
     // The merged timeline covers roughly the whole request.
+    const Resolved &r = rig.resolved.at(gid);
     const double total =
-        rig.topo.nodeTotals(gid, rig.front).instructions +
-        rig.topo.nodeTotals(gid, rig.back).instructions;
+        r.totals[rig.front].instructions + r.totals[rig.back].instructions;
     EXPECT_NEAR(merged.totalInstructions(), total, total * 0.4);
     // The front's stage precedes the back's: the first sampled period
     // lies before any period of the back node's stage ends.
-    const core::Timeline &back =
-        sb.timelineOf(rig.topo.localIdOf(rig.back, gid));
     ASSERT_FALSE(back.periods.empty());
     EXPECT_LT(merged.periods.front().wallStart,
               back.periods.front().wallStart);
@@ -197,7 +239,7 @@ TEST(ClusterDeath, UnknownGlobalRequestIdAborts)
 {
     TwoTierRig rig;
     const auto gid = rig.topo.inject();
-    rig.eq.runUntil(sim::msToCycles(50.0));
+    rig.eq.runUntil(sim::usToCycles(150.0)); // still in flight
     // Out-of-range ids abort instead of returning a dangling
     // reference (the old vector-reallocation hazard).
     EXPECT_DEATH((void)rig.topo.request(424242), "RBV_CHECK failed");
@@ -205,6 +247,28 @@ TEST(ClusterDeath, UnknownGlobalRequestIdAborts)
     EXPECT_DEATH((void)rig.topo.localIdOf(rig.front, 424242),
                  "RBV_CHECK failed");
     EXPECT_DEATH((void)rig.topo.localIdOf(99, gid), "RBV_CHECK failed");
+}
+
+TEST(ClusterDeath, RetiredRequestIdAborts)
+{
+    TwoTierRig rig;
+    GlobalRequestId seen = InvalidGlobalRequestId;
+    rig.onResolved = [&](GlobalRequestId gid) {
+        // Inside the callback the record is still live.
+        EXPECT_EQ(rig.topo.request(gid).state, RequestState::Completed);
+        seen = gid;
+    };
+    const auto gid = rig.topo.inject();
+    rig.eq.runUntil(sim::msToCycles(50.0));
+    ASSERT_EQ(seen, gid);
+    EXPECT_EQ(rig.topo.injectedCount(), 1u);
+    EXPECT_EQ(rig.topo.heldRecords(), 0u);
+    // Once the callback returned, the id is unknown to the topology.
+    EXPECT_DEATH((void)rig.topo.request(gid), "RBV_CHECK failed");
+    EXPECT_DEATH((void)rig.topo.nodeTotals(gid, rig.front),
+                 "RBV_CHECK failed");
+    EXPECT_DEATH((void)rig.topo.localIdOf(rig.front, gid),
+                 "RBV_CHECK failed");
 }
 
 // ------------------------------------------------- circuit breaker
@@ -310,16 +374,22 @@ struct RunArtifacts
     std::string breakerLog;
 };
 
+/** Every request of a run, as its resolved callback saw it. */
+using ResolvedMap = std::map<GlobalRequestId, Resolved>;
+
 /**
  * Build a topology (optionally with a fault plan), drive @p requests
  * evenly spaced arrivals through it, and harvest the deterministic
  * artifacts. The run must always resolve every request (the
- * never-hang contract); @p inspect sees the finished topology.
+ * never-hang contract); @p inspect sees the finished topology and
+ * the snapshot of every request taken in its resolved callback.
  */
 RunArtifacts
-runTopology(const char *topoText, const char *faults,
-            std::size_t requests, std::uint64_t seed,
-            const std::function<void(Topology &)> &inspect = {})
+runTopology(
+    const char *topoText, const char *faults, std::size_t requests,
+    std::uint64_t seed,
+    const std::function<void(Topology &, const ResolvedMap &)> &inspect =
+        {})
 {
     TopologySpec spec;
     std::string err;
@@ -339,9 +409,10 @@ runTopology(const char *topoText, const char *faults,
     for (std::size_t i = 0; i < requests; ++i)
         eq.scheduleIn(sim::usToCycles(200.0) * (i + 1),
                       [&topo] { topo.inject(); });
-    std::size_t resolved = 0;
-    topo.setResolvedCallback([&](GlobalRequestId, bool) {
-        if (++resolved == requests)
+    ResolvedMap resolved;
+    topo.setResolvedCallback([&](GlobalRequestId gid, bool) {
+        resolved[gid] = snapshot(topo, gid);
+        if (resolved.size() == requests)
             eq.requestStop();
     });
     eq.runUntil(sim::msToCycles(5000.0));
@@ -363,7 +434,7 @@ runTopology(const char *topoText, const char *faults,
           << breakerStateName(e.to) << '\n';
     a.breakerLog = b.str();
     if (inspect)
-        inspect(topo);
+        inspect(topo, resolved);
     return a;
 }
 
@@ -383,7 +454,7 @@ TEST(Topology, NodeCrashFailsOverWithoutLosingRequests)
 {
     runTopology(
         "lb:1:20,app:2:80", "node-crash(node=1,at-ms=2)", 40, 1,
-        [](Topology &topo) {
+        [](Topology &topo, const ResolvedMap &resolved) {
             // The PR 4 contract: a dead replica degrades requests,
             // never loses them.
             EXPECT_EQ(topo.completedCount(), 40u);
@@ -392,14 +463,14 @@ TEST(Topology, NodeCrashFailsOverWithoutLosingRequests)
 
             double onSurvivor = 0.0;
             for (GlobalRequestId g = 0; g < 40; ++g) {
-                EXPECT_EQ(topo.request(g).state,
-                          RequestState::Completed);
+                const Resolved &r = resolved.at(g);
+                EXPECT_EQ(r.info.state, RequestState::Completed);
                 // Every request's work is accounted on some node.
                 double sum = 0.0;
-                for (NodeId n = 0; n < topo.numNodes(); ++n)
-                    sum += topo.nodeTotals(g, n).instructions;
+                for (const sim::CounterSnapshot &c : r.totals)
+                    sum += c.instructions;
                 EXPECT_GT(sum, 0.0);
-                onSurvivor += topo.nodeTotals(g, 2).instructions; // app/1
+                onSurvivor += r.totals[2].instructions; // app/1
             }
             EXPECT_GT(onSurvivor, 0.0);
         });
@@ -430,7 +501,7 @@ TEST(Topology, FullPartitionDegradesButNeverHangsOrLoses)
     runTopology(
         "lb:1:20,app:1:80",
         "link-partition(a=0,b=1,from-ms=0,for-ms=4000)", 10, 1,
-        [](Topology &topo) {
+        [](Topology &topo, const ResolvedMap &resolved) {
             // No path to the single app replica: every request
             // exhausts its retries and fails -- but each one is
             // resolved and its accounting frozen, never leaked.
@@ -438,16 +509,20 @@ TEST(Topology, FullPartitionDegradesButNeverHangsOrLoses)
             EXPECT_EQ(topo.failedCount(), 10u);
             EXPECT_TRUE(topo.allResolved());
             for (GlobalRequestId g = 0; g < 10; ++g)
-                EXPECT_EQ(topo.request(g).state, RequestState::Failed);
+                EXPECT_EQ(resolved.at(g).info.state,
+                          RequestState::Failed);
         });
 }
 
-TEST(Topology, LateHedgesRegisterNodeRequestsThatNoReportCounts)
+TEST(Topology, LateHedgesAreCompletedAtOnceAndReleased)
 {
     // With hedging on, a hedge can reach its replica after the
-    // request resolved. localIdOf then registers a node-local request
-    // that nothing completes: the replica executes the work, but no
-    // report counts it (docs/CLUSTER.md). This pins that blind spot.
+    // request resolved. The replica still registers a node-local
+    // request for it and runs the work, but the topology completes
+    // that id at once, so it is charged nothing, and hands it to the
+    // kernel's deferred release like any other id. Before late hedges
+    // were retired, these 200 requests left 91 node-local records
+    // that nothing completed and no report counted.
     TopologySpec spec;
     std::string err;
     ASSERT_TRUE(
@@ -461,32 +536,105 @@ TEST(Topology, LateHedgesRegisterNodeRequestsThatNoReportCounts)
     for (int i = 0; i < 200; ++i)
         eq.scheduleIn(sim::usToCycles(500.0) * (i + 1),
                       [&topo] { topo.inject(); });
+    std::size_t heldAtResolution = 0;
+    topo.setResolvedCallback([&](GlobalRequestId gid, bool) {
+        for (const os::RequestId l : topo.request(gid).local)
+            heldAtResolution += l != os::InvalidRequestId ? 1 : 0;
+    });
     // Run well past the last resolution, so that every late hedge
     // has been delivered and executed.
     eq.runUntil(sim::msToCycles(300.0));
     ASSERT_TRUE(topo.allResolved());
     EXPECT_EQ(topo.rpcStats().hedges, 176u);
 
-    std::size_t neverCompleted = 0;
-    NodeId node = -1;
-    os::RequestId local = os::InvalidRequestId;
+    std::size_t registered = 0;
+    std::size_t uncompleted = 0;
     for (NodeId n = 0; n < topo.numNodes(); ++n) {
         const os::Kernel &k = topo.kernel(n);
-        neverCompleted += k.numRequests() - k.completedRequests();
+        registered += k.registeredRequests();
         for (os::RequestId l = 0;
-             node < 0 && static_cast<std::size_t>(l) < k.numRequests();
-             ++l) {
-            if (!k.request(l).done) {
-                node = n;
-                local = l;
-            }
+             static_cast<std::size_t>(l) < k.numRequests(); ++l) {
+            const os::RequestInfo &info = k.request(l);
+            uncompleted += info.id == l && !info.done ? 1 : 0;
         }
+        // Every id, late hedges included, is released or still queued:
+        // once every hedge ran, only the ids the node's two workers
+        // took last can still be reached.
+        EXPECT_EQ(k.liveRequests(), k.pendingReleases()) << n;
+        EXPECT_LE(k.pendingReleases(), 2u) << n;
     }
-    // Node-local requests registered after their request resolved.
-    EXPECT_EQ(neverCompleted, 91u);
-    ASSERT_GE(node, 0);
-    const GlobalRequestId gid = topo.globalIdOf(node, local);
-    EXPECT_NE(topo.request(gid).state, RequestState::InFlight);
-    EXPECT_GT(topo.kernel(node).request(local).totals.instructions, 0.0);
-    EXPECT_EQ(topo.nodeTotals(gid, node).instructions, 0.0);
+    EXPECT_EQ(uncompleted, 0u);
+    // The late hedges still registered: the ids no record held when
+    // its request resolved.
+    EXPECT_EQ(registered - heldAtResolution, 91u);
+}
+
+TEST(Topology, LongRunKeepsPerRequestStateBounded)
+{
+    // perfbench cluster-3tier's settings: 20,000 Poisson arrivals at
+    // 2000 qps through lb -> app x2 -> db x2, with 2% of deliveries
+    // on node 3 lost. The records and the node-local request tables
+    // must stay bounded by the requests in flight, not grow with the
+    // run.
+    constexpr std::size_t Requests = 20000;
+    constexpr double Qps = 2000.0;
+    obs::Session session(obs::SessionConfig{0});
+    TopologySpec spec;
+    fi::FaultPlan plan;
+    std::string err;
+    ASSERT_TRUE(
+        TopologySpec::parse("lb:1:20,app:2:80,db:2:140", spec, err))
+        << err;
+    ASSERT_TRUE(fi::FaultPlan::parse("link-drop(node=3,p=0.02)", plan,
+                                     err))
+        << err;
+    Topology topo(spec, RpcPolicy{}, BreakerConfig{}, 7);
+    ClusterFaultSession faults(plan, 7);
+    faults.attach(topo);
+    topo.start();
+
+    sim::EventQueue &eq = topo.eventQueue();
+    stats::Rng gaps(7);
+    const auto nextGap = [&] {
+        return std::max<sim::Tick>(
+            sim::usToCycles(gaps.exponential(1.0e6 / Qps)), 1);
+    };
+    std::size_t issued = 0;
+    std::function<void()> arrive = [&] {
+        topo.inject();
+        if (++issued < Requests)
+            eq.scheduleIn(nextGap(), arrive);
+    };
+    eq.scheduleIn(nextGap(), arrive);
+
+    std::size_t resolved = 0;
+    std::size_t maxRecords = 0;
+    std::size_t maxSlots = 0;
+    topo.setResolvedCallback([&](GlobalRequestId, bool) {
+        maxRecords = std::max(maxRecords, topo.heldRecords());
+        for (NodeId n = 0; n < topo.numNodes(); ++n)
+            maxSlots = std::max(maxSlots, topo.kernel(n).numRequests());
+        if (++resolved == Requests)
+            eq.requestStop();
+    });
+    eq.runUntil(sim::msToCycles(60000.0));
+
+    ASSERT_TRUE(topo.allResolved());
+    EXPECT_EQ(topo.injectedCount(), Requests);
+    EXPECT_GT(topo.rpcStats().retries, 0u);
+    EXPECT_LE(maxRecords, 64u);
+    EXPECT_LE(maxSlots, 16u);
+    EXPECT_EQ(topo.heldRecords(), 0u);
+
+    // Every release is counted once: the counter equals the ids the
+    // kernels registered and no longer hold.
+    std::size_t released = 0;
+    for (NodeId n = 0; n < topo.numNodes(); ++n) {
+        const os::Kernel &k = topo.kernel(n);
+        released += k.registeredRequests() - k.liveRequests();
+    }
+    EXPECT_GT(released, 3 * Requests - 16);
+    EXPECT_EQ(session.mergedMetrics().counters[static_cast<std::size_t>(
+                  obs::Counter::OsRequestSlotsRecycled)],
+              released);
 }

@@ -492,3 +492,190 @@ TEST(Kernel, ExitedThreadFreesCore)
     EXPECT_NE(rig.kernel.runningThread(0), InvalidThreadId);
     EXPECT_GT(rig.machine.counters(0).snapshot().instructions, 1e5);
 }
+
+// ------------------------------------------------- deferred release
+
+namespace {
+
+/**
+ * One worker on one core that serves two requests: recv from `in`,
+ * execute, reply through a sink that records nothing, then recv
+ * again. Each case posts request `a`, completed before any worker
+ * took it, and request `b` behind it.
+ */
+struct ReleaseRig
+{
+    Rig rig{1};
+    ChannelId in = InvalidChannelId;
+    ThreadId worker = InvalidThreadId;
+
+    ReleaseRig()
+    {
+        in = rig.kernel.createChannel();
+        const ChannelId out = rig.kernel.createChannel();
+        rig.kernel.setChannelSink(out, [](const Message &) {});
+        auto logic = std::make_unique<ScriptLogic>();
+        for (int i = 0; i < 2; ++i) {
+            logic->script.push_back(recvAction(in));
+            logic->script.push_back(execAction(5000.0));
+            logic->script.push_back(sendAction(out));
+        }
+        logic->script.push_back(recvAction(in)); // blocks for good
+        worker = rig.kernel.createThread(rig.kernel.createProcess("w"),
+                                         std::move(logic));
+    }
+
+    void
+    post(RequestId id)
+    {
+        Message m;
+        m.request = id;
+        rig.kernel.post(in, m);
+    }
+
+    /**
+     * Let the worker take `a`, then `b`, then complete `b` and hand
+     * it over: the retry must release `a`, which nothing reaches any
+     * more, while the worker still holds `b`.
+     */
+    void
+    expectReleasedOnceTheWorkerMovedOn(RequestId a, RequestId b)
+    {
+        rig.eq.runUntil(sim::msToCycles(20.0));
+        EXPECT_EQ(rig.kernel.pendingReleases(), 1u);
+        rig.kernel.completeRequest(b);
+        rig.kernel.deferRelease(b);
+        EXPECT_EQ(rig.kernel.pendingReleases(), 1u); // b, held
+        EXPECT_EQ(rig.kernel.liveRequests(), 1u);
+        EXPECT_EQ(rig.kernel.request(a).id, InvalidRequestId);
+        EXPECT_EQ(rig.kernel.registerRequest(), a); // the slot is reused
+    }
+};
+
+/** Hold back every delivery on one channel by a fixed delay. */
+struct DelayChannel final : KernelFaults
+{
+    ChannelId channel = InvalidChannelId;
+
+    DeliveryFault
+    messageDelivery(ChannelId ch, const Message &) override
+    {
+        return DeliveryFault{false, ch == channel ? 200000.0 : 0.0};
+    }
+};
+
+} // namespace
+
+TEST(KernelRelease, RefusesAnIdAQueuedMessageCarries)
+{
+    ReleaseRig r;
+    const RequestId a = r.rig.kernel.registerRequest();
+    r.rig.kernel.completeRequest(a);
+    r.post(a); // before start: it waits in the channel queue
+    r.rig.kernel.deferRelease(a);
+    // Done, in no core's context and held by no thread, but a worker
+    // would still adopt it from the queue.
+    EXPECT_EQ(r.rig.kernel.request(a).messages, 1u);
+    EXPECT_EQ(r.rig.kernel.pendingReleases(), 1u);
+    EXPECT_FALSE(r.rig.kernel.releaseRequest(a));
+
+    r.rig.kernel.start();
+    const RequestId b = r.rig.kernel.registerRequest();
+    r.post(b); // the worker is busy with a: b queues too
+    r.expectReleasedOnceTheWorkerMovedOn(a, b);
+}
+
+TEST(KernelRelease, RefusesAnIdAWokenThreadsPendingMessageCarries)
+{
+    ReleaseRig r;
+    // A busy thread keeps the one core, so the woken worker waits on
+    // the runqueue with a's message pending until it exits.
+    auto busy = std::make_unique<ScriptLogic>();
+    busy->script.push_back(execAction(1e6));
+    r.rig.kernel.createThread(r.rig.kernel.createProcess("s"),
+                              std::move(busy));
+    r.rig.kernel.start();
+    r.rig.eq.runUntil(100'000);
+    ASSERT_NE(r.rig.kernel.runningThread(0), r.worker);
+
+    const RequestId a = r.rig.kernel.registerRequest();
+    r.rig.kernel.completeRequest(a);
+    r.post(a);
+    ASSERT_NE(r.rig.kernel.runningThread(0), r.worker);
+    r.rig.kernel.deferRelease(a);
+    EXPECT_EQ(r.rig.kernel.request(a).messages, 1u);
+    EXPECT_EQ(r.rig.kernel.pendingReleases(), 1u);
+    EXPECT_FALSE(r.rig.kernel.releaseRequest(a));
+
+    const RequestId b = r.rig.kernel.registerRequest();
+    r.post(b);
+    r.expectReleasedOnceTheWorkerMovedOn(a, b);
+}
+
+TEST(KernelRelease, RefusesAnIdADelayedDeliveryCarries)
+{
+    ReleaseRig r;
+    DelayChannel faults;
+    faults.channel = r.in;
+    r.rig.kernel.setFaults(&faults);
+    r.rig.kernel.start();
+    r.rig.eq.runUntil(100'000); // the worker blocks in recv
+
+    const RequestId a = r.rig.kernel.registerRequest();
+    r.rig.kernel.completeRequest(a);
+    r.post(a); // held back in the network
+    EXPECT_EQ(r.rig.kernel.stats().delayedDeliveries, 1u);
+    r.rig.kernel.deferRelease(a);
+    EXPECT_EQ(r.rig.kernel.request(a).messages, 1u);
+    EXPECT_EQ(r.rig.kernel.pendingReleases(), 1u);
+    EXPECT_FALSE(r.rig.kernel.releaseRequest(a));
+
+    const RequestId b = r.rig.kernel.registerRequest();
+    r.post(b);
+    r.expectReleasedOnceTheWorkerMovedOn(a, b);
+}
+
+TEST(KernelRelease, RecycledSlotKeepsItsSyscallBuffer)
+{
+    // A release resets the slot in place and the next registration
+    // fills it in place, so a recycled slot allocates nothing.
+    Rig rig(1);
+    const ChannelId in = rig.kernel.createChannel();
+    const ChannelId out = rig.kernel.createChannel();
+    rig.kernel.setChannelSink(out, [](const Message &) {});
+    auto logic = std::make_unique<ScriptLogic>();
+    logic->script.push_back(recvAction(in));
+    for (int i = 0; i < 8; ++i)
+        logic->script.push_back(plainSyscall());
+    logic->script.push_back(sendAction(out));
+    logic->script.push_back(recvAction(in)); // takes b, then exits
+    rig.kernel.createThread(rig.kernel.createProcess("p"),
+                            std::move(logic));
+    rig.kernel.start();
+
+    const RequestId a = rig.kernel.registerRequest();
+    Message m;
+    m.request = a;
+    rig.kernel.post(in, m);
+    rig.eq.runUntil(sim::msToCycles(5.0));
+    rig.kernel.completeRequest(a);
+    ASSERT_GE(rig.kernel.request(a).syscalls.size(), 8u);
+    const std::size_t capacity = rig.kernel.request(a).syscalls.capacity();
+
+    const RequestId b = rig.kernel.registerRequest();
+    m.request = b;
+    rig.kernel.post(in, m); // the worker moves on from a
+    rig.eq.runUntil(sim::msToCycles(10.0));
+    rig.kernel.deferRelease(a);
+    EXPECT_EQ(rig.kernel.pendingReleases(), 0u);
+    EXPECT_FALSE(rig.kernel.releaseRequest(a)); // already free
+
+    EXPECT_EQ(rig.kernel.registerRequest(), a);
+    const RequestInfo &info = rig.kernel.request(a);
+    EXPECT_EQ(info.seq, 2u); // a fresh registration sequence number
+    EXPECT_FALSE(info.done);
+    EXPECT_TRUE(info.syscalls.empty());
+    EXPECT_EQ(info.syscalls.capacity(), capacity);
+    EXPECT_EQ(rig.kernel.registeredRequests(), 3u);
+    EXPECT_EQ(rig.kernel.liveRequests(), 2u);
+}
