@@ -61,6 +61,7 @@
 
 #include "core/model/kmedoids.hh"
 #include "core/timeline.hh"
+#include "obs/obs.hh"
 #include "stats/rng.hh"
 
 namespace rbv::core {
@@ -168,7 +169,7 @@ struct CascadeStats
 };
 
 /**
- * DistanceCascade::forEach() runs on the worker pool when the set's
+ * DistanceCascade::forEach() runs on obs::parallelFor when the set's
  * squared lengths sum to at least this many DP cells: about one
  * k-medoids seeding round, which runs one DP per item against the
  * newest medoid. Smaller sets run on the calling thread: there the
@@ -267,11 +268,11 @@ class DistanceCascade
 
     /**
      * body(query, i) for every i < @p n: on the calling thread, or on
-     * the worker pool (detail::parallelFor on the constructor's job
-     * count) when the set reaches CascadeForkCells. The caller guarantees
-     * that no two bodies query the same pair and that each writes only
-     * its own state, so every query decides as it would in a serial
-     * loop. Each forked body tallies into its own CascadeStats, folded
+     * obs::parallelFor at the constructor's job count when the set
+     * reaches CascadeForkCells. The caller guarantees that no two
+     * bodies query the same pair and that each writes only its own
+     * state, so every query decides as it would in a serial loop.
+     * Each forked body tallies into its own CascadeStats, folded
      * into stats() after the join.
      */
     template <typename Body>
@@ -285,7 +286,7 @@ class DistanceCascade
             return;
         }
         std::vector<CascadeStats> shards(n);
-        detail::parallelFor(n, jobs, [&](std::size_t i) {
+        obs::parallelFor(n, jobs, [&](std::size_t i) {
             CascadeStats own;
             Query q(*this, own);
             body(q, i);

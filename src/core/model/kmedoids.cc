@@ -5,78 +5,13 @@
 
 #include "core/model/kmedoids.hh"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <thread>
 
 #include "core/check.hh"
 #include "core/model/kmedoids_impl.hh"
 #include "obs/obs.hh"
 
 namespace rbv::core {
-
-namespace detail {
-
-void
-parallelFor(std::size_t count, int jobs,
-            const std::function<void(std::size_t)> &fn)
-{
-    if (count == 0)
-        return;
-    std::size_t workers = jobs > 0
-        ? static_cast<std::size_t>(jobs)
-        : std::max(1u, std::thread::hardware_concurrency());
-    workers = std::min(workers, count);
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < count; ++i)
-            fn(i);
-        return;
-    }
-
-    // Chunked dynamic claiming: rows near the top of the triangle
-    // are much longer than rows near the bottom, so static slicing
-    // would leave workers idle — but claiming one index per atomic
-    // op serializes workers on the cursor cache line when fn is
-    // cheap (BENCH_distance.json once recorded the parallel matrix
-    // build at 0.95x serial for exactly that reason). Workers now
-    // steal a stripe of consecutive indices per claim: few enough
-    // stripes per worker to keep the tail balanced, few enough
-    // atomic ops to stay off each other's cache lines. Indices stay
-    // disjoint and every index runs exactly once, so the caller's
-    // purity contract keeps results byte-identical at any thread
-    // count, exactly as before.
-    //
-    // Each worker counts into a private obs shard that folds into the
-    // forking thread's after the join, so metric totals do not
-    // depend on the worker count either.
-    const std::size_t chunk =
-        std::max<std::size_t>(1, count / (workers * 8));
-    std::atomic<std::size_t> cursor{0};
-    obs::PoolShards shards(workers);
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w]() {
-            const obs::PoolShards::Scope scope(shards, w);
-            for (;;) {
-                const std::size_t start = cursor.fetch_add(
-                    chunk, std::memory_order_relaxed);
-                if (start >= count)
-                    return;
-                const std::size_t stop =
-                    std::min(count, start + chunk);
-                for (std::size_t i = start; i < stop; ++i)
-                    fn(i);
-            }
-        });
-    }
-    for (auto &t : pool)
-        t.join();
-    shards.fold();
-}
-
-} // namespace detail
 
 std::vector<std::size_t>
 Clustering::membersOf(std::size_t cluster) const

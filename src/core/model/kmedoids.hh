@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -22,24 +21,6 @@
 #include "stats/rng.hh"
 
 namespace rbv::core {
-
-namespace detail {
-
-/**
- * Outlined worker pool behind DistanceMatrix::build and
- * DistanceCascade::forEach: runs
- * fn(0 .. count-1) on @p jobs threads (<= 0 uses the hardware
- * concurrency), indices claimed dynamically from an atomic cursor —
- * the same decomposition contract as exp::ParallelRunner. Every
- * index runs exactly once and must write disjoint state, so results
- * cannot depend on the thread count or schedule. Workers' obs
- * counters, histograms and profile fold into the calling thread's
- * shard after the join (obs::PoolShards).
- */
-void parallelFor(std::size_t count, int jobs,
-                 const std::function<void(std::size_t)> &fn);
-
-} // namespace detail
 
 /**
  * Symmetric pairwise distance matrix with packed upper-triangular
@@ -56,13 +37,14 @@ class DistanceMatrix
     }
 
     /**
-     * Build by evaluating dist(i, j) for all i < j. The callable is
-     * invoked directly (templated, no std::function hop on the cell
-     * path). With jobs != 1 rows are filled concurrently by a worker
-     * pool; dist must be safe to call from multiple threads and pure
-     * in (i, j), which makes the result byte-identical at any job
-     * count (each cell is computed exactly once, by exactly one
-     * thread, from (i, j) alone).
+     * Build by evaluating dist(i, j) for all i < j, one row per
+     * obs::parallelFor index on @p jobs threads (<= 0 for every
+     * hardware thread). The callable is invoked directly within a row
+     * (templated, no std::function hop on the cell path). dist must
+     * be safe to call from multiple threads and pure in (i, j), which
+     * makes the result byte-identical at any job count (each cell is
+     * computed exactly once, by exactly one thread, from (i, j)
+     * alone).
      */
     template <typename Fn>
     static DistanceMatrix
@@ -74,14 +56,8 @@ class DistanceMatrix
             return dm;
         RBV_COUNT(ModelDistanceCells,
                   static_cast<std::uint64_t>(n) * (n - 1) / 2);
-        if (jobs == 1 || n < 3) {
-            for (std::size_t i = 0; i + 1 < n; ++i)
-                dm.fillRow(i, dist);
-        } else {
-            detail::parallelFor(n - 1, jobs, [&](std::size_t i) {
-                dm.fillRow(i, dist);
-            });
-        }
+        obs::parallelFor(n - 1, jobs,
+                         [&](std::size_t i) { dm.fillRow(i, dist); });
         return dm;
     }
 

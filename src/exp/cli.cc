@@ -238,8 +238,8 @@ const std::pair<const char *, const char *> FlagCatalogue[] = {
     {"help", "print this flag documentation and exit"},
     {"link-us", "cluster one-way inter-tier link latency "
                 "(microseconds)"},
-    {"jobs", "worker threads for independent simulations "
-             "(0 = hardware concurrency)"},
+    {"jobs", "worker threads for independent simulations and "
+             "distance builds, 0..256 (0 = hardware concurrency)"},
     {"k", "number of k-medoids clusters"},
     {"metrics-out",
      "write merged obs counters/histograms (flat text) to this path"},

@@ -5,6 +5,7 @@
 
 #include "exp/runner.hh"
 
+#include <atomic>
 #include <chrono>
 #include <iostream>
 #include <mutex>
@@ -149,7 +150,7 @@ RunnerOptions
 runnerOptions(const Cli &cli)
 {
     RunnerOptions opts;
-    opts.jobs = static_cast<int>(cli.getU64("jobs", 0));
+    opts.jobs = jobsFlag(cli);
     opts.progress = !cli.getBool("quiet", false);
     return opts;
 }
@@ -157,63 +158,11 @@ runnerOptions(const Cli &cli)
 int
 jobsFlag(const Cli &cli)
 {
-    return static_cast<int>(cli.getU64("jobs", 0));
+    return static_cast<int>(
+        cli.getU64("jobs", 0, 0, static_cast<std::uint64_t>(MaxJobs)));
 }
 
 ParallelRunner::ParallelRunner(RunnerOptions opts) : opts(opts) {}
-
-int
-ParallelRunner::threadsFor(std::size_t n) const
-{
-    int threads = opts.jobs > 0
-                      ? opts.jobs
-                      : static_cast<int>(
-                            std::thread::hardware_concurrency());
-    if (threads < 1)
-        threads = 1;
-    if (static_cast<std::size_t>(threads) > n)
-        threads = static_cast<int>(n);
-    return threads;
-}
-
-void
-ParallelRunner::dispatch(
-    std::size_t n, const std::function<void(std::size_t)> &work) const
-{
-    if (n == 0)
-        return;
-    const int threads = threadsFor(n);
-    if (threads == 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            work(i);
-        return;
-    }
-
-    std::atomic<std::size_t> cursor{0};
-    auto worker = [&] {
-        for (;;) {
-            const std::size_t i =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            work(i);
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads) - 1);
-    for (int t = 1; t < threads; ++t) {
-        pool.emplace_back([&worker, t] {
-            // Worker t records into its own obs shard (host track t);
-            // shards merge only after the pool is joined.
-            const obs::WorkerGuard guard(static_cast<std::uint32_t>(t));
-            worker();
-        });
-    }
-    worker();
-    for (auto &th : pool)
-        th.join();
-}
 
 std::vector<JobResult>
 ParallelRunner::run(const std::vector<Job> &jobs) const
@@ -221,14 +170,15 @@ ParallelRunner::run(const std::vector<Job> &jobs) const
     std::ostream &log = opts.log ? *opts.log : std::cerr;
     if (opts.progress && jobs.size() > 1) {
         log << "engine: " << jobs.size() << " jobs on "
-            << threadsFor(jobs.size()) << " thread(s)\n";
+            << obs::poolThreads(jobs.size(), opts.jobs)
+            << " thread(s)\n";
     }
 
     std::vector<JobResult> results(jobs.size());
     std::atomic<std::size_t> done{0};
     std::mutex log_mutex;
 
-    dispatch(jobs.size(), [&](std::size_t i) {
+    obs::parallelFor(jobs.size(), opts.jobs, [&](std::size_t i) {
         const Job &job = jobs[i];
         const auto t0 = std::chrono::steady_clock::now();
         JobResult &slot = results[i];

@@ -24,15 +24,14 @@
 #ifndef RBV_EXP_RUNNER_HH
 #define RBV_EXP_RUNNER_HH
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "exp/scenario.hh"
+#include "obs/obs.hh"
 
 namespace rbv::exp {
 
@@ -134,6 +133,9 @@ class ScenarioGrid
     std::vector<Mutator> finalizers;
 };
 
+/** Largest --jobs value: a count of threads, not of work. */
+constexpr int MaxJobs = 256;
+
 /** Execution options for ParallelRunner. */
 struct RunnerOptions
 {
@@ -151,15 +153,15 @@ struct RunnerOptions
 RunnerOptions runnerOptions(const Cli &cli);
 
 /**
- * The --jobs value for nested parallel kernels (e.g.
- * core::DistanceMatrix::build), sharing the engine's convention:
- * 0 (the default) means all hardware threads.
+ * The --jobs value in [0, MaxJobs], for the engine and for nested
+ * parallel kernels (e.g. core::DistanceMatrix::build): 0 (the
+ * default) means all hardware threads. Any other value exits 2.
  */
 int jobsFlag(const Cli &cli);
 
 /**
- * Executes a job list on a thread pool and merges the results by job
- * index. Results are bit-identical to a serial run at any thread
+ * Executes a job list on obs::parallelFor and merges the results by
+ * job index. Results are bit-identical to a serial run at any thread
  * count: job bodies are pure functions of their configs, and slot i
  * of the returned vector always holds job i's outcome.
  */
@@ -182,18 +184,12 @@ class ParallelRunner
         -> std::vector<decltype(fn(std::size_t{}))>
     {
         std::vector<decltype(fn(std::size_t{}))> out(n);
-        dispatch(n, [&](std::size_t i) { out[i] = fn(i); });
+        obs::parallelFor(n, opts.jobs,
+                         [&](std::size_t i) { out[i] = fn(i); });
         return out;
     }
 
-    /** Resolved worker-thread count for @p n jobs. */
-    int threadsFor(std::size_t n) const;
-
   private:
-    /** Claim indices 0..n-1 across the pool and run work(i). */
-    void dispatch(std::size_t n,
-                  const std::function<void(std::size_t)> &work) const;
-
     RunnerOptions opts;
 };
 

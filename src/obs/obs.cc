@@ -1,9 +1,9 @@
 /**
  * @file
- * rbv::obs implementation: shard bookkeeping, merge, and the three
+ * rbv::obs implementation: shard bookkeeping, merge, the three
  * report writers (Chrome trace_event JSON, flat metrics text, the
- * self-profile table). Everything here is cold path; the hot path
- * lives in the obs.hh inlines.
+ * self-profile table) and the fork/join pool. Everything here is
+ * cold path; the hot path lives in the obs.hh inlines.
  */
 
 #include "obs/obs.hh"
@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <exception>
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <thread>
 
 namespace rbv::obs {
 
@@ -314,7 +316,7 @@ Session::Session(SessionConfig cfg)
     Session *expected = nullptr;
     isActive = g_current.compare_exchange_strong(expected, this);
     if (isActive)
-        attachThread(0);
+        attachThread();
 }
 
 Session::~Session()
@@ -328,33 +330,33 @@ Session::~Session()
 }
 
 ThreadState *
-Session::attachThread(std::uint32_t logical_id)
+Session::attachThread()
 {
     if (!isActive)
         return nullptr;
     std::lock_guard<std::mutex> lock(mu);
-    auto &slot = threads[logical_id];
-    if (!slot) {
-        slot = std::make_unique<ThreadState>();
-        slot->ring.resize(cfg.traceCapacityPerThread);
-        slot->hist.assign(histTotalSlots(), 0);
-        slot->logicalId = logical_id;
-        slot->session = this;
+    std::size_t id = 0;
+    while (id < threads.size() && threads[id]->bound)
+        ++id;
+    if (id == threads.size()) {
+        auto ts = std::make_unique<ThreadState>();
+        ts->ring.resize(cfg.traceCapacityPerThread);
+        ts->hist.assign(histTotalSlots(), 0);
+        ts->logicalId = static_cast<std::uint32_t>(id);
+        ts->session = this;
+        threads.push_back(std::move(ts));
     }
-    detail::tl_state = slot.get();
-    return slot.get();
+    threads[id]->bound = true;
+    detail::tl_state = threads[id].get();
+    return detail::tl_state;
 }
 
 void
 Session::detachThread()
 {
+    std::lock_guard<std::mutex> lock(mu);
+    detail::tl_state->bound = false;
     detail::tl_state = nullptr;
-}
-
-Session *
-Session::current()
-{
-    return g_current.load(std::memory_order_acquire);
 }
 
 void
@@ -379,8 +381,7 @@ Session::mergedMetrics() const
     for (std::size_t h = 0; h < NumHists; ++h)
         m.hist[h].assign(histSlots(static_cast<Hist>(h)), 0);
     std::lock_guard<std::mutex> lock(mu);
-    for (const auto &[id, ts] : threads) {
-        (void)id;
+    for (const auto &ts : threads) {
         for (std::size_t c = 0; c < NumCounters; ++c)
             m.counters[c] += ts->counters[c];
         for (std::size_t h = 0; h < NumHists; ++h) {
@@ -398,8 +399,7 @@ Session::mergedProfile() const
     std::array<ProfRow, NumProfs> rows{};
     {
         std::lock_guard<std::mutex> lock(mu);
-        for (const auto &[id, ts] : threads) {
-            (void)id;
+        for (const auto &ts : threads) {
             for (std::size_t p = 0; p < NumProfs; ++p) {
                 rows[p].key = static_cast<Prof>(p);
                 rows[p].count += ts->prof[p].count;
@@ -426,10 +426,8 @@ Session::droppedEvents() const
 {
     std::lock_guard<std::mutex> lock(mu);
     std::uint64_t dropped = 0;
-    for (const auto &[id, ts] : threads) {
-        (void)id;
+    for (const auto &ts : threads)
         dropped += ts->dropped();
-    }
     return dropped;
 }
 
@@ -452,7 +450,7 @@ Session::writeChromeTrace(std::ostream &os) const
     std::map<std::uint32_t, std::string> pidNames = simProcNames;
     std::map<std::pair<std::uint32_t, std::uint32_t>, std::string>
         tidNames;
-    for (const auto &[id, ts] : threads) {
+    for (const auto &ts : threads) {
         const std::uint64_t n =
             std::min<std::uint64_t>(ts->pushed, ts->ring.size());
         const std::uint64_t start = ts->pushed - n;
@@ -472,7 +470,6 @@ Session::writeChromeTrace(std::ostream &os) const
                     "core " + std::to_string(ev.track);
             }
         }
-        (void)id;
     }
     for (const auto &[pid, name] : pidNames) {
         next() << "{\"ph\":\"M\",\"pid\":" << pid
@@ -487,8 +484,7 @@ Session::writeChromeTrace(std::ostream &os) const
     }
 
     // Events, shard by shard in logical-thread order, oldest first.
-    for (const auto &[id, ts] : threads) {
-        (void)id;
+    for (const auto &ts : threads) {
         const std::uint64_t n =
             std::min<std::uint64_t>(ts->pushed, ts->ring.size());
         const std::uint64_t start = ts->pushed - n;
@@ -584,64 +580,74 @@ Session::writeProfile(std::ostream &os, std::size_t top_n) const
         os << "  (no profiled scopes ran)\n";
 }
 
-// ----------------------------------------------------------- guards
+// ------------------------------------------------------------ pool
 
-WorkerGuard::WorkerGuard(std::uint32_t logical_id)
+std::size_t
+poolThreads(std::size_t count, int jobs)
 {
-    Session *s = Session::current();
-    if (s && !attached()) {
-        s->attachThread(logical_id);
-        didAttach = true;
-    }
-}
-
-WorkerGuard::~WorkerGuard()
-{
-    if (didAttach)
-        Session::detachThread();
-}
-
-PoolShards::PoolShards(std::size_t workers)
-    : parent(detail::tl_state)
-{
-    if (!parent)
-        return;
-    shards.resize(workers);
-    for (ThreadState &ts : shards) {
-        ts.hist.assign(histTotalSlots(), 0);
-        ts.logicalId = parent->logicalId;
-        ts.simPid = parent->simPid;
-        ts.session = parent->session;
-    }
-}
-
-PoolShards::Scope::Scope(PoolShards &shards, std::size_t worker)
-{
-    if (shards.parent) {
-        detail::tl_state = &shards.shards[worker];
-        bound = true;
-    }
-}
-
-PoolShards::Scope::~Scope()
-{
-    if (bound)
-        detail::tl_state = nullptr;
+    const std::size_t want =
+        jobs > 0 ? static_cast<std::size_t>(jobs)
+                 : std::max(1u, std::thread::hardware_concurrency());
+    return std::max<std::size_t>(1, std::min(want, count));
 }
 
 void
-PoolShards::fold()
+parallelFor(std::size_t count, int jobs,
+            const std::function<void(std::size_t)> &fn)
 {
-    for (const ThreadState &ts : shards) {
-        for (std::size_t c = 0; c < NumCounters; ++c)
-            parent->counters[c] += ts.counters[c];
-        for (std::size_t b = 0; b < ts.hist.size(); ++b)
-            parent->hist[b] += ts.hist[b];
-        for (std::size_t p = 0; p < NumProfs; ++p) {
-            parent->prof[p].count += ts.prof[p].count;
-            parent->prof[p].ns += ts.prof[p].ns;
+    // Chunked claiming: rows near the top of a distance triangle are
+    // much longer than rows near the bottom, so static slicing would
+    // leave threads idle, but claiming one index per atomic op puts
+    // the threads on the cursor's cache line when fn is cheap.
+    // Stripes of count / (threads * 8) indices keep the tail
+    // balanced with few atomic ops.
+    const std::size_t threads = poolThreads(count, jobs);
+    const std::size_t chunk =
+        std::max<std::size_t>(1, count / (threads * 8));
+    std::atomic<std::size_t> cursor{0};
+    std::mutex failureMu;
+    std::exception_ptr failure; // the first exception an index threw
+    const auto claim = [&] {
+        try {
+            for (;;) {
+                const std::size_t start =
+                    cursor.fetch_add(chunk, std::memory_order_relaxed);
+                if (start >= count)
+                    return;
+                const std::size_t stop = std::min(count, start + chunk);
+                for (std::size_t i = start; i < stop; ++i)
+                    fn(i);
+            }
+        } catch (...) {
+            const std::lock_guard<std::mutex> lock(failureMu);
+            if (!failure)
+                failure = std::current_exception();
         }
+    };
+
+    // Started threads count into the forking thread's session, in
+    // its simulated-trace process; read both before the fork, since
+    // the forking thread's own indices may change its process.
+    Session *session =
+        detail::tl_state ? detail::tl_state->session : nullptr;
+    const std::uint32_t simPid =
+        session ? detail::tl_state->simPid : 0;
+    std::vector<std::thread> pool;
+    pool.reserve(threads - 1);
+    for (std::size_t t = 1; t < threads; ++t) {
+        pool.emplace_back([&] {
+            if (session)
+                session->attachThread()->simPid = simPid;
+            claim();
+            if (session)
+                session->detachThread();
+        });
     }
+    claim();
+    for (std::thread &th : pool)
+        th.join();
+    if (failure)
+        std::rethrow_exception(failure);
 }
 
 ScopedSimProcess::ScopedSimProcess(std::uint32_t pid,

@@ -23,10 +23,11 @@
  *    lands in the calling thread's private shard; the only locks are
  *    on thread attach/detach and at merge/report time.
  *
- *  - **Totals independent of the thread count.** Pool threads that a
- *    traced thread forks count into private shards that fold into
- *    the forking thread's shard after the join (PoolShards), so a
- *    counter reads the same at any `--jobs`.
+ *  - **Totals independent of the thread count.** parallelFor() is
+ *    the one place threads are made: each thread it starts counts
+ *    into a shard of its forking thread's session, and every shard
+ *    merges by an element-wise sum, so a counter reads the same at
+ *    any `--jobs`.
  *
  * Hot-path API:
  *
@@ -46,6 +47,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -219,6 +221,7 @@ struct ThreadState
     std::uint32_t logicalId = 0; ///< Host track (0 main, N worker).
     std::uint32_t simPid = 1;    ///< Trace pid for sim-clock events.
     Session *session = nullptr;
+    bool bound = false; ///< A thread holds it (session mutex).
 
     /** Append one event to the ring (oldest entry overwritten). */
     void
@@ -409,9 +412,10 @@ struct ProfRow
  *
  * At most one session is live per process (the constructor makes the
  * new session current only if none is); the constructing thread is
- * attached as logical thread 0. Worker threads attach with their
- * worker index and must detach (and be joined) before the session is
- * merged or destroyed.
+ * attached as logical thread 0. parallelFor()'s threads attach under
+ * the lowest free logical id and detach before they are joined, so a
+ * session holds one shard per thread that ever ran at once, and the
+ * merge happens after the join.
  */
 class Session
 {
@@ -426,17 +430,19 @@ class Session
     bool active() const { return isActive; }
 
     /**
-     * Attach the calling thread under a logical id (its host trace
-     * track; 0 = main, n = worker n). Re-attaching an id reuses its
-     * shard. Returns null when this session is not the current one.
+     * Attach the calling thread to the shard of the lowest logical id
+     * no thread holds (its host trace track; 0 = main, n = worker
+     * n), made on first use. Returns null when this session is not
+     * the current one.
      */
-    ThreadState *attachThread(std::uint32_t logical_id);
+    ThreadState *attachThread();
 
-    /** Clear the calling thread's shard binding. */
-    static void detachThread();
-
-    /** The process-current session (null when none). */
-    static Session *current();
+    /**
+     * Release the calling thread's shard for the next attach. Takes
+     * the mutex, so the shard's next holder sees every write made
+     * before this call.
+     */
+    void detachThread();
 
     /** Name the simulated-trace process @p pid (e.g. a job key). */
     void nameSimProcess(std::uint32_t pid, const std::string &name);
@@ -472,66 +478,34 @@ class Session
     mutable std::mutex mu;
     // Shared registries mutated from worker threads as they attach
     // and detach; every touch outside construction must hold mu.
-    std::map<std::uint32_t, std::unique_ptr<ThreadState>>
+    // threads[id] is logical thread id's shard.
+    std::vector<std::unique_ptr<ThreadState>>
         threads; // rbvlint: guarded_by(mu)
     std::map<std::uint32_t, std::string>
         simProcNames; // rbvlint: guarded_by(mu)
 };
 
 /**
- * RAII worker-thread attachment: attaches the calling thread to the
- * current session (if any) on construction, detaches on destruction.
- * Safe to construct when no session is live (does nothing).
+ * Threads for a parallelFor() over @p count indices at @p jobs: jobs
+ * (every hardware thread when <= 0), at most count, at least 1.
  */
-class WorkerGuard
-{
-  public:
-    explicit WorkerGuard(std::uint32_t logical_id);
-    ~WorkerGuard();
-
-    WorkerGuard(const WorkerGuard &) = delete;
-    WorkerGuard &operator=(const WorkerGuard &) = delete;
-
-  private:
-    bool didAttach = false;
-};
+std::size_t poolThreads(std::size_t count, int jobs);
 
 /**
- * Private counter, histogram and profile shards for the workers of
- * one fork/join pool, folded into the forking thread's shard after
- * the join. Inert (no shard, no binding) when the forking thread has
- * no live session; workers keep no trace events.
+ * The one fork/join pool: runs fn(0 .. count-1) on
+ * poolThreads(count, jobs) threads, the calling thread among them.
+ * Threads claim max(1, count / (threads * 8)) consecutive indices at
+ * a time from an atomic cursor, so every index runs exactly once;
+ * when each writes only its own state, results cannot depend on the
+ * thread count or schedule. When the calling thread is attached to a
+ * session, each started thread attaches to the same session (lowest
+ * free logical id, the caller's simulated-trace pid) and detaches
+ * before the join; otherwise the started threads stay dormant. An
+ * exception from fn stops the thread that threw from claiming more;
+ * the first one is rethrown once every thread has been joined.
  */
-class PoolShards
-{
-  public:
-    /** Shards for @p workers threads forked by the calling thread. */
-    explicit PoolShards(std::size_t workers);
-
-    PoolShards(const PoolShards &) = delete;
-    PoolShards &operator=(const PoolShards &) = delete;
-
-    /** RAII: route the calling worker thread's writes to one shard. */
-    class Scope
-    {
-      public:
-        Scope(PoolShards &shards, std::size_t worker);
-        ~Scope();
-
-        Scope(const Scope &) = delete;
-        Scope &operator=(const Scope &) = delete;
-
-      private:
-        bool bound = false;
-    };
-
-    /** Add every shard into the forking thread's; call after join. */
-    void fold();
-
-  private:
-    ThreadState *parent;
-    std::vector<ThreadState> shards;
-};
+void parallelFor(std::size_t count, int jobs,
+                 const std::function<void(std::size_t)> &fn);
 
 /**
  * RAII simulated-process scope: routes the calling thread's

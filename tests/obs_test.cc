@@ -2,17 +2,22 @@
  * @file
  * rbv::obs tests: histogram bucket math at exact boundaries, counter
  * and histogram shard merge under the runner's --jobs parallelism
- * (merged totals must equal a serial run's), and a minimal JSON
- * schema check over the Chrome trace_event export.
+ * (merged totals must equal a serial run's), the pool's attach rule
+ * (lowest free logical id, dormant without a session), and a minimal
+ * JSON schema check over the Chrome trace_event export.
  */
 
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -415,7 +420,40 @@ TEST(ObsSession, SecondSessionIsInert)
     ASSERT_TRUE(attached());
     EXPECT_TRUE(first.active());
     EXPECT_FALSE(second.active());
-    EXPECT_EQ(second.attachThread(0), nullptr);
+    EXPECT_EQ(second.attachThread(), nullptr);
+}
+
+TEST(ObsSession, AttachTakesTheLowestFreeIdAndDetachFreesIt)
+{
+    Session session;
+    ASSERT_EQ(detail::tl_state->logicalId, 0u);
+    const auto attachedId = [&] {
+        std::uint32_t id = 0;
+        std::thread([&] {
+            id = session.attachThread()->logicalId;
+            session.detachThread();
+            EXPECT_FALSE(attached());
+        }).join();
+        return id;
+    };
+    EXPECT_EQ(attachedId(), 1u);
+    EXPECT_EQ(attachedId(), 1u); // the first thread freed id 1
+
+    // While id 1 is held, the next thread takes id 2.
+    std::atomic<bool> holding{false}, release{false};
+    std::thread holder([&] {
+        session.attachThread();
+        holding = true;
+        while (!release)
+            std::this_thread::yield();
+        session.detachThread();
+    });
+    while (!holding)
+        std::this_thread::yield();
+    EXPECT_EQ(attachedId(), 2u);
+    release = true;
+    holder.join();
+    EXPECT_EQ(attachedId(), 1u);
 }
 
 TEST(ObsSession, ProfScopesAccumulate)
@@ -614,7 +652,7 @@ profCount(const std::vector<ProfRow> &rows, Prof key)
     return 0;
 }
 
-TEST(ShardMerge, PoolThreadCountsFoldIntoTheForkingThread)
+TEST(ShardMerge, PoolThreadCountsMergeToTheSerialTotals)
 {
     const PoolRun serial = matrixBuildMetrics(1);
     const PoolRun pooled = matrixBuildMetrics(4);
@@ -644,6 +682,156 @@ TEST(ShardMerge, PoolThreadsWithoutASessionStayDormant)
         },
         4);
     EXPECT_FALSE(attached());
+}
+
+/** Busy-wait about @p us host microseconds (a body worth stealing). */
+void
+spinFor(int us)
+{
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+}
+
+/**
+ * Made on a forking thread before a parallelFor() and called by each
+ * body: the forking thread waits in its first index until a started
+ * thread has run one, so every fork of a test exercises its started
+ * threads however the host schedules them.
+ */
+class AwaitAStartedThread
+{
+  public:
+    void
+    operator()()
+    {
+        if (std::this_thread::get_id() != forker)
+            ++startedRan;
+        while (startedRan.load() == 0)
+            std::this_thread::yield();
+    }
+
+  private:
+    const std::thread::id forker = std::this_thread::get_id();
+    std::atomic<int> startedRan{0};
+};
+
+TEST(ShardMerge, PoolThreadsReuseTheLowestFreeIds)
+{
+    Session session;
+    constexpr std::size_t calls = 200, count = 16;
+    constexpr std::uint32_t unattached = ~0u;
+    std::vector<std::uint32_t> ids(calls * count, unattached);
+    std::vector<int> hits(calls * count, 0);
+    for (std::size_t c = 0; c < calls; ++c) {
+        AwaitAStartedThread await;
+        parallelFor(count, 4, [&](std::size_t i) {
+            spinFor(20);
+            await();
+            const ThreadState *ts = detail::tl_state;
+            ids[c * count + i] = ts ? ts->logicalId : unattached;
+            ++hits[c * count + i];
+            RBV_COUNT(ModelCascadeDpRuns, 1);
+        });
+    }
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+        EXPECT_EQ(hits[k], 1) << "index " << k;
+        // Every body saw a shard, and 4 threads never need id 4.
+        EXPECT_LT(ids[k], 4u) << "index " << k;
+    }
+    EXPECT_EQ(session.mergedMetrics().counters[static_cast<std::size_t>(
+                  Counter::ModelCascadeDpRuns)],
+              calls * count);
+}
+
+/** Metrics and profile of 4 runner jobs that each fork a pool. */
+PoolRun
+nestedPoolMetrics(int jobs)
+{
+    Session session;
+    exp::RunnerOptions opts;
+    opts.jobs = jobs;
+    opts.progress = false;
+    exp::ParallelRunner(opts).map(4, [&](std::size_t job) {
+        RBV_PROF_SCOPE(RunScenario);
+        parallelFor(8, jobs, [&](std::size_t i) {
+            RBV_PROF_SCOPE(KMedoids);
+            spinFor(20);
+            RBV_COUNT(ModelCascadeDpRuns, 1 + job * 8 + i);
+            RBV_HIST(SamplingPeriodCycles,
+                     static_cast<double>(1000 * (1 + i)));
+        });
+        return job;
+    });
+    return {session.mergedMetrics(), session.mergedProfile()};
+}
+
+TEST(ShardMerge, NestedPoolsMergeToTheSerialTotals)
+{
+    const PoolRun serial = nestedPoolMetrics(1);
+    const PoolRun nested = nestedPoolMetrics(2);
+
+    EXPECT_EQ(serial.metrics.counters[static_cast<std::size_t>(
+                  Counter::ModelCascadeDpRuns)],
+              32u * 33u / 2u);
+    for (std::size_t c = 0; c < NumCounters; ++c)
+        EXPECT_EQ(serial.metrics.counters[c], nested.metrics.counters[c])
+            << counterName(static_cast<Counter>(c));
+    const auto h = static_cast<std::size_t>(Hist::SamplingPeriodCycles);
+    EXPECT_EQ(serial.metrics.hist[h], nested.metrics.hist[h]);
+    for (std::size_t p = 0; p < NumProfs; ++p) {
+        const auto key = static_cast<Prof>(p);
+        EXPECT_EQ(profCount(serial.profile, key),
+                  profCount(nested.profile, key))
+            << profName(key);
+    }
+    EXPECT_EQ(profCount(nested.profile, Prof::RunScenario), 4u);
+    EXPECT_EQ(profCount(nested.profile, Prof::KMedoids), 32u);
+}
+
+TEST(ShardMerge, AnUnattachedThreadForksDormantWorkers)
+{
+    Session session;
+    std::vector<char> sawShard(16, 1);
+    std::thread([&] {
+        AwaitAStartedThread await;
+        parallelFor(sawShard.size(), 4, [&](std::size_t i) {
+            spinFor(20);
+            await();
+            sawShard[i] = attached() ? 1 : 0;
+            RBV_COUNT(ModelCascadeDpRuns, 1);
+        });
+    }).join();
+    for (std::size_t i = 0; i < sawShard.size(); ++i)
+        EXPECT_EQ(sawShard[i], 0) << "index " << i;
+    EXPECT_EQ(session.mergedMetrics().counters[static_cast<std::size_t>(
+                  Counter::ModelCascadeDpRuns)],
+              0u);
+}
+
+TEST(ShardMerge, AThrowingIndexRethrowsAfterTheJoin)
+{
+    Session session;
+    std::atomic<int> ran{0};
+    EXPECT_THROW(parallelFor(64, 4,
+                             [&](std::size_t i) {
+                                 spinFor(20);
+                                 ++ran;
+                                 if (i == 5)
+                                     throw std::runtime_error("index 5");
+                             }),
+                 std::runtime_error);
+    EXPECT_GE(ran.load(), 6);
+    // Every started thread detached: a new fork reuses ids 1..3.
+    std::vector<std::uint32_t> ids(16);
+    AwaitAStartedThread await;
+    parallelFor(ids.size(), 4, [&](std::size_t i) {
+        await();
+        ids[i] = detail::tl_state->logicalId;
+    });
+    for (const std::uint32_t id : ids)
+        EXPECT_LT(id, 4u);
 }
 
 // -------------------------------------------------- metrics writer

@@ -19,7 +19,17 @@ prints each pair's values, each side's median and quartiles, the
 median of the per-pair ratios (change over parent) and how many pairs
 the change won, taking the metric's `better` direction into account.
 It also says whether the gap between the medians exceeds the parent's
-interquartile range. The last stdout line is the summary as JSON.
+interquartile range, and gives the no-regression verdict against the
+metric's `bound`:
+
+  worse         the change's median is worse than the parent's by
+                more than bound x the parent's median;
+  unresolved    the parent's IQR exceeds bound x its median, unless
+                every run of the change beats every run of the parent;
+  within bound  otherwise.
+
+It prints each side's share of failed operations over every run that
+reported one. The last stdout line is the summary as JSON.
 """
 
 import argparse
@@ -63,6 +73,19 @@ def wins(better, parent, change):
     return change > parent if better == "higher" else change < parent
 
 
+def verdict(better, bound, ps, cs):
+    """The no-regression verdict of one metric (see the module doc)."""
+    pm, cm = quantile(ps, 0.5), quantile(cs, 0.5)
+    worse_by = pm - cm if better == "higher" else cm - pm
+    if worse_by > bound * abs(pm):
+        return "worse"
+    iqr = quantile(ps, 0.75) - quantile(ps, 0.25)
+    if iqr > bound * abs(pm) and not all(
+            wins(better, p, c) for p in ps for c in cs):
+        return "unresolved"
+    return "within bound"
+
+
 def fmt(v):
     if v == 0 or 1e-3 <= abs(v) < 1e6:
         return "%.4g" % v if abs(v) < 1000 else "{:,.0f}".format(v)
@@ -86,6 +109,7 @@ def main():
 
     sides = {"parent": args.parent_dir, "change": args.change_dir}
     values = {m["name"]: {"parent": [], "change": []} for m in metrics}
+    ops = {side: {"attempted": 0, "failed": 0} for side in sides}
     failed_pairs = 0
     for pair in range(1, args.pairs + 1):
         order = ["parent", "change"] if pair % 2 else ["change", "parent"]
@@ -94,6 +118,9 @@ def main():
         for side in order:
             out, err = run_side(sides[side], args)
             results[side] = out
+            if out is not None:
+                for k in ("attempted", "failed"):
+                    ops[side][k] += int(out.get(k, 0))
             if err:
                 errors.append("%s: %s" % (side, err))
         if errors:
@@ -112,12 +139,22 @@ def main():
         print("pair %d (%s first): %s" % (pair, order[0], "; ".join(cells)),
               flush=True)
 
+    for side in sides:
+        n = ops[side]["attempted"]
+        ops[side]["share"] = ops[side]["failed"] / n if n else None
     summary = {"workload": args.workload, "seed": args.seed,
                "seconds": args.seconds, "pairs": args.pairs,
-               "failed_pairs": failed_pairs, "metrics": {}}
+               "failed_pairs": failed_pairs, "operations": ops,
+               "metrics": {}}
     print("%d pairs, %d failed; workload %s, seed %d, %d s per run"
           % (args.pairs, failed_pairs, args.workload, args.seed,
              args.seconds))
+    for side in sides:
+        o = ops[side]
+        print("  %s: %d of %d operations failed (share %s)"
+              % (side, o["failed"], o["attempted"],
+                 "%.4g" % o["share"] if o["share"] is not None
+                 else "n/a"))
     for m in metrics:
         name, better = m["name"], m["better"]
         ps, cs = values[name]["parent"], values[name]["change"]
@@ -142,12 +179,14 @@ def main():
                  fmt(side["change"]["q3"]),
                  "%.3f" % ratio if ratio is not None else "n/a", won,
                  len(ps), ">" if abs(gap) > iqr else "<="))
+        v = verdict(better, m["bound"], ps, cs)
+        print("  verdict %s: %s (bound %g)" % (name, v, m["bound"]))
         summary["metrics"][name] = {
             "better": better, "parent": side["parent"],
             "change": side["change"], "per_pair": {"parent": ps,
                                                    "change": cs},
             "median_ratio": ratio, "change_wins": won,
-            "gap_exceeds_parent_iqr": abs(gap) > iqr}
+            "gap_exceeds_parent_iqr": abs(gap) > iqr, "verdict": v}
     print(json.dumps(summary, sort_keys=True))
     return 1 if failed_pairs else 0
 
