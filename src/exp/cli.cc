@@ -265,7 +265,8 @@ const std::pair<const char *, const char *> FlagCatalogue[] = {
                  "comma-separated, e.g. lb:1:20,app:2:80,db:2:140"},
     {"tpch", "TPC-H requests for the mixed-workload phase"},
     {"trace-buf",
-     "trace ring capacity per thread in events (0 disables tracing)"},
+     "trace ring capacity per thread in events, 0..4194304 (0 "
+     "disables tracing)"},
     {"trace-out",
      "write a Chrome trace_event JSON (Perfetto-loadable) to this "
      "path"},

@@ -17,11 +17,11 @@ ObsScope::ObsScope(const Cli &cli)
       metricsOut(cli.getStr("metrics-out", "")),
       profOut(cli.getBool("prof", false))
 {
+    obs::SessionConfig cfg;
+    cfg.traceCapacityPerThread = static_cast<std::size_t>(cli.getU64(
+        "trace-buf", cfg.traceCapacityPerThread, 0, MaxTraceBuf));
     if (traceOut.empty() && metricsOut.empty() && !profOut)
         return;
-    obs::SessionConfig cfg;
-    cfg.traceCapacityPerThread = static_cast<std::size_t>(
-        cli.getU64("trace-buf", cfg.traceCapacityPerThread));
     if (traceOut.empty())
         cfg.traceCapacityPerThread = 0; // metrics/profiling only
     sess = std::make_unique<obs::Session>(cfg);

@@ -19,6 +19,7 @@
 #ifndef RBV_EXP_OBSIO_HH
 #define RBV_EXP_OBSIO_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -27,6 +28,9 @@
 namespace rbv::exp {
 
 class Cli;
+
+/** Largest --trace-buf: 2^22 events of 120 bytes, 480 MiB a thread. */
+constexpr std::uint64_t MaxTraceBuf = std::uint64_t{1} << 22;
 
 /** RAII obs session driven by the standard CLI flags. */
 class ObsScope

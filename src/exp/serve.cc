@@ -14,6 +14,7 @@
 #include "core/model/streaming.hh"
 #include "diag/eval.hh"
 #include "diag/report.hh"
+#include "exp/handoff.hh"
 #include "fi/session.hh"
 #include "wl/micromix.hh"
 #include "wl/server.hh"
@@ -28,6 +29,31 @@ constexpr std::size_t DiagKeep = 256;
 /** Two flags within this window of simulated time count as
  *  overlapping (the scheduler-interference witness). */
 constexpr double DiagOverlapMs = 50.0;
+
+/**
+ * What the simulation stage hands the model stage for one completed
+ * request: its sampled timeline plus what the kernel holds at the
+ * completion instant, which is gone once the slot is recycled. The
+ * diagnose-only fields are filled only under cfg.diagnose.
+ */
+struct Completion
+{
+    core::Timeline tl;
+    sim::CounterSnapshot totals;
+    sim::Tick injected = 0;
+    sim::Tick completed = 0;
+    double cpi = 0.0;
+    double specified = 0.0; ///< The spec's total instructions.
+    int classId = 0;
+
+    /** @name Under cfg.diagnose only. */
+    /// @{
+    os::RequestId id = os::InvalidRequestId;
+    sim::Tick now = 0;
+    std::size_t outstanding = 0;
+    std::string className;
+    /// @}
+};
 
 /** Host VmRSS/VmHWM in KiB from /proc/self/status (0 if absent). */
 struct HostRss
@@ -219,36 +245,33 @@ runServe(const ServeConfig &cfg, std::ostream &out)
     // One flagged completion -> evidence fingerprint vs the rolling
     // baselines -> classified cause. Bounded state: a latest-N
     // report ring and a fixed-size recent-flag tick ring.
-    auto diagnoseFlag = [&](double score, os::RequestId id,
-                            const os::RequestInfo &info,
-                            const wl::RequestSpec &spec,
-                            const core::Timeline &tl) {
+    auto diagnoseFlag = [&](double score, const Completion &c) {
+        const core::Timeline &tl = c.tl;
         diag::Evidence ev;
-        ev.requestId = static_cast<std::int64_t>(id);
-        ev.group = spec.className;
+        ev.requestId = static_cast<std::int64_t>(c.id);
+        ev.group = c.className;
         ev.score = score;
-        ev.injected = info.injected;
-        ev.completed = info.completed;
+        ev.injected = c.injected;
+        ev.completed = c.completed;
 
-        const double ins = info.totals.instructions;
-        const double curMiss = ins > 0.0 ? info.totals.l2Misses / ins
+        const double ins = c.totals.instructions;
+        const double curMiss = ins > 0.0 ? c.totals.l2Misses / ins
                                          : 0.0;
-        const double curRefs = ins > 0.0 ? info.totals.l2Refs / ins
+        const double curRefs = ins > 0.0 ? c.totals.l2Refs / ins
                                          : 0.0;
         const double curCpm =
-            info.totals.l2Misses > 0.0
-                ? info.totals.cycles / info.totals.l2Misses
+            c.totals.l2Misses > 0.0
+                ? c.totals.cycles / c.totals.l2Misses
                 : 0.0;
         const auto infl = [](double cur, double base) {
             return base > 0.0 && cur > 0.0 ? cur / base : 1.0;
         };
-        ev.cpiInflation = infl(info.cpi(), cpi.mean());
+        ev.cpiInflation = infl(c.cpi, cpi.mean());
         ev.missInflation = infl(curMiss, missRate.mean());
         ev.refsInflation = infl(curRefs, refsRate.mean());
         ev.cyclesPerMissInflation = infl(curCpm, cyclesPerMiss.mean());
         ev.missesPerIns = curMiss;
-        const double specified = spec.totalInstructions();
-        ev.workInflation = specified > 0.0 ? ins / specified : 1.0;
+        ev.workInflation = c.specified > 0.0 ? ins / c.specified : 1.0;
 
         const auto cpiBins = core::binByInstructions(
             tl, cfg.binIns, core::Metric::Cpi);
@@ -271,7 +294,7 @@ runServe(const ServeConfig &cfg, std::ostream &out)
             ev.suspectFrac = static_cast<double>(suspects) / n;
         }
 
-        const sim::Tick now = eq.now();
+        const sim::Tick now = c.now;
         std::size_t overlap = 0;
         for (const sim::Tick t : recentFlagTicks)
             if (now - t <= overlapTicks)
@@ -285,7 +308,7 @@ runServe(const ServeConfig &cfg, std::ostream &out)
         }
         ev.queuePressure =
             cfg.maxOutstanding > 0
-                ? static_cast<double>(driver.outstanding()) /
+                ? static_cast<double>(c.outstanding) /
                       static_cast<double>(cfg.maxOutstanding)
                 : 0.0;
 
@@ -305,41 +328,33 @@ runServe(const ServeConfig &cfg, std::ostream &out)
         result.diagReports.push_back(std::move(rep));
     };
 
-    driver.setCompletionCallback([&](os::RequestId id,
-                                     const wl::RequestSpec &spec) {
-        // Always reclaim the timeline slot: recycled ids must never
-        // inherit stale periods.
-        core::Timeline tl = sampler ? sampler->takeTimeline(id)
-                                    : core::Timeline{};
-        const os::RequestInfo &info = kernel.request(id);
-
+    // The model stage: everything a completion feeds that only
+    // reads its record, in completion order.
+    auto consume = [&](const Completion &c) {
         latencies.add(sim::cyclesToUs(
-            static_cast<double>(info.completed - info.injected)));
-        cpi.add(info.cpi());
-        if (cfg.diagnose && info.totals.instructions > 0.0) {
+            static_cast<double>(c.completed - c.injected)));
+        cpi.add(c.cpi);
+        if (cfg.diagnose && c.totals.instructions > 0.0) {
             // Feed the diagnosis baselines from every completion so
             // inflations compare against the whole fleet, not only
             // the requests the models score.
-            missRate.add(info.totals.l2Misses /
-                         info.totals.instructions);
-            refsRate.add(info.totals.l2Refs /
-                         info.totals.instructions);
-            if (info.totals.l2Misses > 0.0)
-                cyclesPerMiss.add(info.totals.cycles /
-                                  info.totals.l2Misses);
+            missRate.add(c.totals.l2Misses / c.totals.instructions);
+            refsRate.add(c.totals.l2Refs / c.totals.instructions);
+            if (c.totals.l2Misses > 0.0)
+                cyclesPerMiss.add(c.totals.cycles /
+                                  c.totals.l2Misses);
         }
 
         // Stuck-request detection (fi req-stuck): attributed work
         // far beyond the spec marks the run degraded.
-        const double specified = spec.totalInstructions();
-        if (specified > 0.0 &&
-            info.totals.instructions > cfg.stuckFactor * specified) {
+        if (c.specified > 0.0 &&
+            c.totals.instructions > cfg.stuckFactor * c.specified) {
             ++result.stalled;
             RBV_COUNT(ServeStalledRequests, 1);
         }
 
         core::MetricSeries series = core::binByInstructions(
-            tl, cfg.binIns, core::Metric::L2RefsPerIns);
+            c.tl, cfg.binIns, core::Metric::L2RefsPerIns);
         if (series.size() >= 2) {
             // Online identification accuracy: once the reservoir is
             // warm, match the request's first-half prefix before
@@ -347,7 +362,7 @@ runServe(const ServeConfig &cfg, std::ostream &out)
             if (bank.offered() >= bank.capacity()) {
                 core::MetricSeries prefix =
                     core::binPrefixByInstructions(
-                        tl, cfg.binIns, 0.5 * specified,
+                        c.tl, cfg.binIns, 0.5 * c.specified,
                         core::Metric::L2RefsPerIns);
                 if (!prefix.empty()) {
                     const auto ident =
@@ -357,38 +372,72 @@ runServe(const ServeConfig &cfg, std::ostream &out)
                     } else {
                         ++result.idAttempts;
                         if (bank.bank().entry(ident.index).classId ==
-                            spec.classId)
+                            c.classId)
                             ++result.idCorrect;
                     }
                 }
             }
-            bank.offer(series, info.totals.cycles, spec.classId);
+            bank.offer(series, c.totals.cycles, c.classId);
             cluster.observe(series);
             if (!cluster.medoids().empty()) {
                 const double score = cluster.scoreOf(series);
                 if (scorer.observe(score) && cfg.diagnose)
-                    diagnoseFlag(score, id, info, spec, tl);
+                    diagnoseFlag(score, c);
             }
         }
+    };
+
+    // The simulation stage: copy out what the kernel holds at the
+    // completion instant and hand it over. A checkpoint first drains
+    // the hand-off, so it reads the models after its own completion,
+    // as if both stages ran in one.
+    Handoff<Completion> handoff;
+    driver.setCompletionCallback([&](os::RequestId id,
+                                     const wl::RequestSpec &spec) {
+        Completion &c = handoff.next();
+        // Always reclaim the timeline slot: recycled ids must never
+        // inherit stale periods.
+        c.tl = sampler ? sampler->takeTimeline(id) : core::Timeline{};
+        const os::RequestInfo &info = kernel.request(id);
+        c.totals = info.totals;
+        c.injected = info.injected;
+        c.completed = info.completed;
+        c.cpi = info.cpi();
+        c.specified = spec.totalInstructions();
+        c.classId = spec.classId;
+        if (cfg.diagnose) {
+            c.id = id;
+            c.now = eq.now();
+            c.outstanding = driver.outstanding();
+            c.className = spec.className;
+        }
+        handoff.push();
 
         const std::size_t n = driver.completed();
-        if (cfg.checkpointEvery > 0 && n % cfg.checkpointEvery == 0)
+        if (cfg.checkpointEvery > 0 && n % cfg.checkpointEvery == 0) {
+            handoff.drain();
             checkpoint(n);
+        }
     });
 
     // --- Run ---
-    kernel.start();
-    if (sampler)
-        sampler->start();
-    if (faultSession)
-        faultSession->start();
-    driver.start();
     const sim::Tick limit =
         cfg.targetRequests > 0
             ? cfg.base.maxTicks
             : static_cast<sim::Tick>(
                   sim::usToCycles(cfg.durationSec * 1.0e6));
-    eq.runUntil(limit);
+    runStages(
+        handoff,
+        [&] {
+            kernel.start();
+            if (sampler)
+                sampler->start();
+            if (faultSession)
+                faultSession->start();
+            driver.start();
+            eq.runUntil(limit);
+        },
+        consume);
 
     // --- Summary ---
     result.arrivals = driver.arrivals();

@@ -16,6 +16,14 @@
  *    clustering / anomaly models (core/model/streaming.hh),
  *  - and the kernel request slot is recycled.
  *
+ * The loop runs as two stages on the two threads of one
+ * obs::parallelFor: the simulation stage takes each timeline and
+ * copies out what the kernel holds at the completion instant, and
+ * the model stage consumes those records in completion order through
+ * a bounded hand-off (exp/handoff.hh). A checkpoint drains the
+ * hand-off first, so it reads the same model state as one thread
+ * would.
+ *
  * Nothing grows with the stream: a fixed seed reproduces the run bit
  * for bit, and memory stays flat over tens of millions of requests.
  * Progress is reported as checkpoint lines every N completions; all

@@ -340,7 +340,7 @@ Session::attachThread()
         ++id;
     if (id == threads.size()) {
         auto ts = std::make_unique<ThreadState>();
-        ts->ring.resize(cfg.traceCapacityPerThread);
+        ts->ringCapacity = cfg.traceCapacityPerThread;
         ts->hist.assign(histTotalSlots(), 0);
         ts->logicalId = static_cast<std::uint32_t>(id);
         ts->session = this;

@@ -200,7 +200,10 @@ class Session;
  * Per-thread observation state: a trace ring buffer plus counter,
  * histogram, and profiling shards. Created by Session::attachThread
  * and written only by its owning thread; merged under the session
- * lock after the owning thread has been joined.
+ * lock after the owning thread has been joined. The ring is made at
+ * the shard's first push, so a thread that emits no trace events
+ * (serve's model stage, a pool body of pure model work) never pays
+ * for one.
  */
 struct ThreadState
 {
@@ -211,7 +214,8 @@ struct ThreadState
         std::uint64_t ns = 0;
     };
 
-    std::vector<TraceEvent> ring; ///< Capacity fixed at attach.
+    std::vector<TraceEvent> ring; ///< Empty until the first push.
+    std::size_t ringCapacity = 0; ///< Events; fixed at attach.
     std::uint64_t pushed = 0;     ///< Total emitted (incl. dropped).
 
     std::array<std::uint64_t, NumCounters> counters{};
@@ -227,16 +231,18 @@ struct ThreadState
     void
     push(const TraceEvent &ev)
     {
-        if (ring.empty())
+        if (ringCapacity == 0)
             return;
-        ring[static_cast<std::size_t>(pushed % ring.size())] = ev;
+        if (ring.empty())
+            ring.resize(ringCapacity);
+        ring[static_cast<std::size_t>(pushed % ringCapacity)] = ev;
         ++pushed;
     }
 
     std::uint64_t
     dropped() const
     {
-        return pushed > ring.size() ? pushed - ring.size() : 0;
+        return pushed > ringCapacity ? pushed - ringCapacity : 0;
     }
 };
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/cli.hh"
+#include "exp/obsio.hh"
 #include "sim/types.hh"
 
 using namespace rbv::exp;
@@ -76,6 +77,13 @@ TEST(FlagHelp, CatalogueCoversExactlyTheKnownFlags)
     std::vector<std::string> actual = documentedFlagNames();
     std::sort(actual.begin(), actual.end());
     EXPECT_EQ(actual, expected);
+}
+
+TEST(FlagHelp, TraceBufHelpGivesItsRange)
+{
+    EXPECT_NE(flagHelp("trace-buf")
+                  .find("0.." + std::to_string(MaxTraceBuf)),
+              std::string::npos);
 }
 
 TEST(FlagHelp, UnknownFlagHasNoHelp)

@@ -495,6 +495,42 @@ TEST(ObsSession, RingDropsOldestBeyondCapacity)
     EXPECT_DOUBLE_EQ(min_ts, 12.0);
 }
 
+TEST(ObsSession, AShardMakesItsRingAtItsFirstTraceEvent)
+{
+    SessionConfig cfg;
+    cfg.traceCapacityPerThread = 8;
+    Session session(cfg);
+    ThreadState *main = detail::tl_state;
+    ASSERT_NE(main, nullptr);
+    // Attached, counting and profiling, but no trace event yet.
+    RBV_COUNT(SimEventsFired, 1);
+    { RBV_PROF_SCOPE(KMedoids); }
+    EXPECT_EQ(main->ring.capacity(), 0u);
+
+    // A second shard that records nothing holds no ring either.
+    std::thread([&] {
+        ThreadState *other = session.attachThread();
+        RBV_COUNT(SimEventsFired, 1);
+        EXPECT_EQ(other->ring.capacity(), 0u);
+        session.detachThread();
+    }).join();
+    EXPECT_EQ(session.droppedEvents(), 0u);
+    EXPECT_EQ(session.mergedMetrics().counters[static_cast<std::size_t>(
+                  Counter::SimEventsFired)],
+              2u);
+
+    simInstant("t", "e", 0, 1.0);
+    EXPECT_EQ(main->ring.size(), 8u);
+    EXPECT_EQ(session.droppedEvents(), 0u);
+    std::ostringstream os;
+    session.writeChromeTrace(os);
+    std::size_t instants = 0;
+    for (const auto &ev :
+         JsonParser(os.str()).parse().at("traceEvents").array)
+        instants += ev.at("ph").str == "i" ? 1 : 0;
+    EXPECT_EQ(instants, 1u);
+}
+
 // ----------------------------------------------------- trace schema
 
 TEST(TraceExport, EmptySessionIsValidJson)

@@ -6,7 +6,12 @@
  */
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +20,7 @@
 #include "core/model/streaming.hh"
 #include "exp/serve.hh"
 #include "fi/plan.hh"
+#include "obs/obs.hh"
 #include "stats/online.hh"
 #include "stats/rng.hh"
 #include "wl/server.hh"
@@ -295,6 +301,75 @@ TEST(ServeLoop, DurationModeRunsWithoutARequestTarget)
     const auto res = exp::runServe(cfg, out);
     EXPECT_GT(res.completed, 100u);
     EXPECT_LT(res.requestSlots, 64u);
+}
+
+TEST(ServeLoop, ACheckpointAtEveryCompletionPrintsTheSameSummary)
+{
+    // Every completion drains the stage hand-off, so the two stages
+    // run in lockstep; a free-running run never drains. Both must
+    // print the same bytes.
+    exp::ServeConfig drained = smallServe(1000);
+    drained.checkpointEvery = 1;
+    drained.quiet = true;
+    exp::ServeConfig free = drained;
+    free.checkpointEvery = 0;
+    std::ostringstream a, b;
+    const auto res = exp::runServe(drained, a);
+    exp::runServe(free, b);
+    EXPECT_EQ(res.checkpoints.size(), 1000u);
+    EXPECT_EQ(res.checkpoints.back().completed, 1000u);
+    EXPECT_FALSE(a.str().empty());
+    EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(ServeLoop, TheLastLiveMetricsDumpHoldsTheFinalModelCounters)
+{
+    const std::string path =
+        ::testing::TempDir() + "serve_test_live_metrics.txt";
+    obs::SessionConfig sc;
+    sc.traceCapacityPerThread = 0;
+    obs::Session session(sc);
+    ASSERT_TRUE(session.active());
+    exp::ServeConfig cfg = smallServe(2000);
+    cfg.checkpointEvery = 500;
+    cfg.quiet = true;
+    cfg.session = &session;
+    cfg.metricsOut = path;
+    std::ostringstream out;
+    const auto res = exp::runServe(cfg, out);
+    ASSERT_EQ(res.completed, 2000u);
+
+    // The dump at the 2000th completion: written by the simulation
+    // stage after the drain, while the model stage waits.
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    std::map<std::string, std::uint64_t> dumped;
+    std::string kind, name;
+    std::string line;
+    while (std::getline(in, line)) {
+        std::istringstream ls(line);
+        std::uint64_t value = 0;
+        if (ls >> kind >> name >> value && kind == "counter")
+            dumped[name] = value;
+    }
+    EXPECT_EQ(dumped["serve.checkpoints"], 4u);
+
+    const obs::MergedMetrics final = session.mergedMetrics();
+    std::size_t modelCounters = 0;
+    for (std::size_t c = 0; c < obs::NumCounters; ++c) {
+        const std::string cname =
+            obs::counterName(static_cast<obs::Counter>(c));
+        if (cname.rfind("model.", 0) != 0)
+            continue;
+        ++modelCounters;
+        ASSERT_TRUE(dumped.count(cname)) << cname;
+        EXPECT_EQ(dumped[cname], final.counters[c]) << cname;
+    }
+    EXPECT_GT(modelCounters, 0u);
+    EXPECT_GT(final.counters[static_cast<std::size_t>(
+                  obs::Counter::ModelCascadeDpRuns)],
+              0u);
+    std::remove(path.c_str());
 }
 
 TEST(ServeLoop, RecycledSlotsInheritOnePostReplyPeriod)
