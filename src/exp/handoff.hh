@@ -2,44 +2,45 @@
  * @file
  * A bounded single-producer/single-consumer hand-off between the two
  * stages of a pipeline that runs on the two threads of one
- * obs::parallelFor(2, 2, ...): runServe's simulation stage pushes one
- * record per completed request and its model stage consumes them in
- * push order (docs/SERVING.md, "Two stages").
+ * obs::parallelFor(2, 2, ...): runServe's simulation stage hands over
+ * one record per completed request and its model stage consumes them
+ * in order (docs/SERVING.md, "Two stages").
  *
- * The ring holds Capacity records. Each side publishes by one atomic
- * store (the producer its tail, the consumer its head) and ordinarily
- * takes no lock. A side that cannot go on sleeps on a condition
- * variable, and the other side wakes it only once WakeBatch records
- * (or free slots) wait for it, so a stage that keeps up with the
- * other one costs a wake-up per batch, not per record. A drain or a
- * stop wakes the consumer at once.
+ * The producer fills a batch of up to WakeBatch records in place and
+ * hands it over under the hand-off's one mutex; the consumer takes
+ * whole batches, oldest first. Batches batches are reused in turn, so
+ * at most Capacity records are in flight and the producer waits while
+ * every batch is handed over. A stage that keeps up with the other
+ * costs one lock and at most one wake-up per batch, not per record.
  *
  *     producer                        consumer
- *       Rec &r = h.next();              while (Rec *r = h.front()) {
- *       ...fill r...                        ...read *r...
- *       h.push();                           h.pop();
- *       h.drain();  // everything       }
- *                   // pushed is consumed
- *       h.stop();
+ *       Rec &r = h.next();              for (;;) {
+ *       ...fill r...                        auto batch = h.take();
+ *       h.push();                           if (batch.empty()) break;
+ *       h.drain();  // everything           ...read batch...
+ *                   // pushed is consumed   h.release();
+ *       h.stop();                       }
  *
  * runStages() runs the two loops on one obs::parallelFor(2, 2, ...).
- * A stage that throws closes the hand-off: the consumer's front()
- * then returns null and the producer's next() and drain() throw
- * HandoffClosed, so the other stage returns instead of waiting
- * forever, and parallelFor rethrows the first stage's exception.
- * Slots are reused in place, so next() returns a slot that still
- * holds an old record; memory a record owns is freed by the
- * producer's next assignment, on the thread that allocated it.
+ * A stage that throws closes the hand-off: take() then returns an
+ * empty batch and the producer's next() (at its next batch) and
+ * drain() throw HandoffClosed, so the other stage returns instead of
+ * waiting forever, and parallelFor rethrows the first stage's
+ * exception. Records are reused in place, so next() returns a slot
+ * that still holds the record of Capacity pushes ago; memory a record
+ * owns is freed by the producer's next assignment, on the thread that
+ * allocated it.
  */
 
 #ifndef RBV_EXP_HANDOFF_HH
 #define RBV_EXP_HANDOFF_HH
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <limits>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -59,13 +60,16 @@ template <class Record>
 class Handoff
 {
   public:
-    /** Records in flight; the producer blocks when all are taken. */
-    static constexpr std::size_t Capacity = 256;
-
-    /** Records (or free slots) that wake a sleeping stage. */
+    /** Records per batch: a sleeping consumer wakes once one is full. */
     static constexpr std::size_t WakeBatch = 32;
 
-    Handoff() : ring(Capacity) {}
+    /** Batches reused in turn. */
+    static constexpr std::size_t Batches = 8;
+
+    /** Records in flight at most. */
+    static constexpr std::size_t Capacity = Batches * WakeBatch;
+
+    Handoff() : slots(Capacity) {}
 
     Handoff(const Handoff &) = delete;
     Handoff &operator=(const Handoff &) = delete;
@@ -73,219 +77,200 @@ class Handoff
     /** @name Producer side (one thread). */
     /// @{
     /**
-     * The slot the next push() publishes. Blocks while the ring is
-     * full, until WakeBatch slots are free. Throws HandoffClosed once
-     * the hand-off is closed.
+     * The slot the next push() fills. At the start of a batch, waits
+     * while every batch is handed over, and throws HandoffClosed once
+     * the hand-off is closed. Call it once per push().
      */
     Record &
     next()
     {
-        const std::size_t t = tail.load(std::memory_order_relaxed);
-        if (closed.load(std::memory_order_relaxed))
-            throw HandoffClosed();
-        if (t - head.load(std::memory_order_acquire) == Capacity)
-            awaitHead(t - Capacity + WakeBatch);
-        return ring[t % Capacity];
+        if (filled == 0)
+            acquire();
+        return slots[fillBatch * WakeBatch + filled];
     }
 
-    /** Publish the slot next() returned. */
+    /** Count the slot next() returned; a full batch is handed over. */
     void
     push()
     {
-        const std::size_t t = tail.load(std::memory_order_relaxed) + 1;
-        tail.store(t, std::memory_order_seq_cst);
-        if (t >= consumerWakeAt.load(std::memory_order_seq_cst))
-            wake(consumerWakeAt, consumerCv);
+        if (++filled == WakeBatch)
+            publish();
     }
 
     /**
-     * Return once the consumer has popped every pushed record, so the
-     * caller sees everything the consumer wrote before its pops.
-     * Throws HandoffClosed once the hand-off is closed.
+     * Hand over a partial batch and return once the consumer has
+     * released every batch, so the caller sees everything the
+     * consumer wrote. Throws HandoffClosed once the hand-off is
+     * closed.
      */
     void
     drain()
     {
-        const std::size_t t = tail.load(std::memory_order_relaxed);
-        if (head.load(std::memory_order_acquire) != t) {
-            {
-                const std::lock_guard<std::mutex> lock(mu);
-                flushing = true;
-            }
-            consumerCv.notify_one();
-            awaitHead(t);
-        }
-        if (closed.load(std::memory_order_relaxed))
+        if (filled > 0)
+            publish();
+        std::unique_lock<std::mutex> lock(mu);
+        changed.wait(lock, [&] { return closed || consumed == produced; });
+        if (closed)
             throw HandoffClosed();
     }
 
-    /** No more records: front() returns null once the ring is empty. */
+    /** No more records: take() ends once every batch is taken. */
     void
     stop()
     {
+        if (filled > 0)
+            publish();
         {
             const std::lock_guard<std::mutex> lock(mu);
             stopped = true;
         }
-        consumerCv.notify_one();
+        changed.notify_one();
     }
     /// @}
 
     /** @name Consumer side (one thread). */
     /// @{
     /**
-     * The oldest record not yet popped. When the ring is empty, sleeps
-     * until WakeBatch records wait, or a drain or stop asks for fewer.
-     * Null after stop() once every record was popped, and once the
-     * hand-off is closed.
+     * The oldest batch handed over and not yet released; waits while
+     * there is none. Empty after stop() once every batch was taken,
+     * and once the hand-off is closed.
      */
-    Record *
-    front()
+    std::span<Record>
+    take()
     {
-        const std::size_t h = head.load(std::memory_order_relaxed);
-        if (tail.load(std::memory_order_acquire) != h)
-            return &ring[h % Capacity];
-        return awaitTail(h);
+        std::unique_lock<std::mutex> lock(mu);
+        changed.wait(lock, [&] {
+            return closed || stopped || consumed < produced;
+        });
+        if (closed || consumed == produced)
+            return {};
+        const std::size_t b = consumed % Batches;
+        return {slots.data() + b * WakeBatch, sizes[b]};
     }
 
-    /** Release the record front() returned to the producer. */
+    /** Give the batch take() returned back to the producer. */
     void
-    pop()
+    release()
     {
-        const std::size_t h = head.load(std::memory_order_relaxed) + 1;
-        head.store(h, std::memory_order_seq_cst);
-        if (h >= producerWakeAt.load(std::memory_order_seq_cst))
-            wake(producerWakeAt, producerCv);
+        {
+            const std::lock_guard<std::mutex> lock(mu);
+            ++consumed;
+        }
+        changed.notify_one();
     }
     /// @}
 
     /**
-     * Either side, on failure: wake both sides for good, so the
-     * consumer's front() returns null and the producer's next() and
-     * drain() throw HandoffClosed.
+     * Either side, on failure: wake both sides for good, so take()
+     * returns an empty batch and the producer throws HandoffClosed.
      */
     void
     close() noexcept
     {
         {
             const std::lock_guard<std::mutex> lock(mu);
-            closed.store(true, std::memory_order_relaxed);
+            closed = true;
         }
-        consumerCv.notify_all();
-        producerCv.notify_all();
+        changed.notify_all();
     }
 
   private:
-    static constexpr std::size_t Never =
-        std::numeric_limits<std::size_t>::max();
-
-    /**
-     * Producer: sleep until the consumer's head reaches @p target.
-     * The wake point is published before head is read, and pop()
-     * stores head before it reads the wake point (both seq_cst), so
-     * at least one side sees the other's store: either this check
-     * passes or pop() wakes the sleeper.
-     */
+    /** Producer: wait for a free batch and start filling it. */
     void
-    awaitHead(std::size_t target)
+    acquire()
     {
         std::unique_lock<std::mutex> lock(mu);
-        for (;;) {
-            producerWakeAt.store(target, std::memory_order_seq_cst);
-            if (closed.load(std::memory_order_relaxed) ||
-                head.load(std::memory_order_seq_cst) >= target)
-                break;
-            producerCv.wait(lock);
-        }
-        producerWakeAt.store(Never, std::memory_order_relaxed);
-        flushing = false;
-        if (closed.load(std::memory_order_relaxed))
+        changed.wait(lock, [&] {
+            return closed || produced - consumed < Batches;
+        });
+        if (closed)
             throw HandoffClosed();
+        fillBatch = produced % Batches;
     }
 
-    /** Consumer: front()'s sleep, the mirror image of awaitHead(). */
-    Record *
-    awaitTail(std::size_t h)
-    {
-        std::unique_lock<std::mutex> lock(mu);
-        Record *out = nullptr;
-        for (;;) {
-            consumerWakeAt.store(h + WakeBatch,
-                                 std::memory_order_seq_cst);
-            const std::size_t t = tail.load(std::memory_order_seq_cst);
-            if (closed.load(std::memory_order_relaxed) ||
-                (t == h && stopped))
-                break;
-            if (t - h >= WakeBatch || (t != h && (flushing || stopped))) {
-                out = &ring[h % Capacity];
-                break;
-            }
-            consumerCv.wait(lock);
-        }
-        consumerWakeAt.store(Never, std::memory_order_relaxed);
-        return out;
-    }
-
-    /** Disarm a sleeper's wake point and wake it. */
+    /** Producer: hand the batch being filled to the consumer. */
     void
-    wake(std::atomic<std::size_t> &wakeAt, std::condition_variable &cv)
+    publish()
     {
         {
-            // Taking the lock orders this wake after the sleeper's
-            // check: it holds the lock from its check into its wait.
             const std::lock_guard<std::mutex> lock(mu);
-            wakeAt.store(Never, std::memory_order_relaxed);
+            sizes[fillBatch] = filled;
+            ++produced;
         }
-        cv.notify_one();
+        changed.notify_one();
+        filled = 0;
     }
 
-    std::vector<Record> ring;
+    /** Batch b is slots [b * WakeBatch, (b + 1) * WakeBatch). */
+    std::vector<Record> slots;
 
-    /** Records pushed (producer-written) and popped (consumer). */
-    alignas(64) std::atomic<std::size_t> tail{0};
-    alignas(64) std::atomic<std::size_t> head{0};
-
-    /** A sleeper's wake point (Never when awake): the tail value
-     *  that wakes the consumer, the head value that wakes the
-     *  producer. Stored under mu, read by the other side's push or
-     *  pop. */
-    alignas(64) std::atomic<std::size_t> consumerWakeAt{Never};
-    std::atomic<std::size_t> producerWakeAt{Never};
-
-    /** Stored under mu; read anywhere. */
-    std::atomic<bool> closed{false};
+    /** The producer's batch: touched by the producer only. */
+    std::size_t fillBatch = 0;
+    std::size_t filled = 0;
 
     std::mutex mu;
-    std::condition_variable consumerCv;
-    std::condition_variable producerCv;
-    bool flushing = false; // rbvlint: guarded_by(mu)
-    bool stopped = false;  // rbvlint: guarded_by(mu)
+    /**
+     * Both sides wait on it. With one producer and one consumer, the
+     * side that notifies is not waiting, so notify_one() wakes the
+     * other.
+     */
+    std::condition_variable changed;
+    /** Batches handed over and released; batch i is i % Batches. */
+    std::size_t produced = 0;                  // rbvlint: guarded_by(mu)
+    std::size_t consumed = 0;                  // rbvlint: guarded_by(mu)
+    std::array<std::size_t, Batches> sizes{}; // rbvlint: guarded_by(mu)
+    bool stopped = false;                      // rbvlint: guarded_by(mu)
+    bool closed = false;                       // rbvlint: guarded_by(mu)
 };
 
+/** The CPU the calling thread runs on, or -1 where unknown. */
+int currentCpu();
+
 /**
- * Run @p produce, then stop(), as one stage and a front()/pop() loop
- * over @p consume as the other, on the two threads of one
+ * If the calling thread runs on @p cpu and may run on another CPU,
+ * move it to another one, then give it back every CPU it had. A host
+ * whose scheduler does not balance load (a cpuset with
+ * sched_load_balance off) starts a thread on its forking thread's CPU
+ * and keeps it there, so two stages would share one core; elsewhere
+ * the scheduler has usually placed them apart already and this does
+ * nothing.
+ */
+void leaveCpu(int cpu);
+
+/**
+ * Run @p produce, then stop(), as one stage and a take()/release()
+ * loop over @p consume as the other, on the two threads of one
  * obs::parallelFor(2, 2, ...). Either thread may run either stage,
  * and one thread may run both in turn when the producer never waits.
- * A stage that throws closes the hand-off, so the other one returns
- * (a producer through HandoffClosed); parallelFor rethrows the first
- * exception after the join.
+ * The consuming thread leaves the producing thread's CPU (leaveCpu)
+ * when it finds itself on it. A stage that throws closes the
+ * hand-off, so the other one returns (a producer through
+ * HandoffClosed); parallelFor rethrows the first exception after the
+ * join.
  */
 template <class Record, class Produce, class Consume>
 void
 runStages(Handoff<Record> &handoff, Produce &&produce,
           Consume &&consume)
 {
+    // A placement hint only: a stale value costs at most one move.
+    std::atomic<int> produceCpu{-1};
     obs::parallelFor(2, 2, [&](std::size_t stage) {
         try {
             if (stage == 0) {
+                produceCpu.store(currentCpu(), std::memory_order_relaxed);
                 produce();
                 handoff.stop();
-            } else {
-                while (Record *r = handoff.front()) {
-                    consume(*r);
-                    handoff.pop();
-                }
+                return;
+            }
+            for (;;) {
+                const std::span<Record> batch = handoff.take();
+                if (batch.empty())
+                    break;
+                leaveCpu(produceCpu.load(std::memory_order_relaxed));
+                for (Record &r : batch)
+                    consume(r);
+                handoff.release();
             }
         } catch (const HandoffClosed &) {
             // The other stage failed; parallelFor rethrows its error.

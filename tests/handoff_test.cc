@@ -1,22 +1,28 @@
 /**
  * @file
  * exp::Handoff tests: records arrive in push order, the producer
- * blocks at capacity and resumes once a batch of slots is free, a
- * drain returns only once every pushed record has been consumed, a
- * stop ends the consumer, and a throw in either stage of runStages()
- * closes the hand-off so that the other stage returns and the first
- * exception is rethrown after the join.
+ * blocks at capacity and resumes once a batch is released, a drain
+ * returns only once every pushed record has been consumed, a stop
+ * ends the consumer, a throw in either stage of runStages() closes
+ * the hand-off so that the other stage returns and the first
+ * exception is rethrown after the join, and leaveCpu moves a thread
+ * off a CPU without narrowing its CPU mask.
  */
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "exp/handoff.hh"
 
@@ -35,6 +41,21 @@ pushRange(IntHandoff &h, std::size_t from, std::size_t n)
     for (std::size_t i = from; i < from + n; ++i) {
         h.next() = i;
         h.push();
+    }
+}
+
+/** Take batches until the end, calling @p fn on each value. */
+template <class Fn>
+void
+consumeAll(IntHandoff &h, Fn fn)
+{
+    for (;;) {
+        const std::span<std::size_t> batch = h.take();
+        if (batch.empty())
+            return;
+        for (const std::size_t v : batch)
+            fn(v);
+        h.release();
     }
 }
 
@@ -66,16 +87,23 @@ TEST(Handoff, RecordsArriveInPushOrder)
 TEST(Handoff, OneThreadMayRunTheProducerThenTheConsumer)
 {
     // The order parallelFor gives when its calling thread claims both
-    // indices: a producer below capacity never waits.
+    // indices: a producer that fills no more than Capacity never waits.
     IntHandoff h;
     pushRange(h, 0, Capacity);
     h.stop();
     std::size_t next = 0;
-    while (const std::size_t *v = h.front()) {
-        EXPECT_EQ(*v, next++);
-        h.pop();
+    std::size_t batches = 0;
+    for (;;) {
+        const std::span<std::size_t> batch = h.take();
+        if (batch.empty())
+            break;
+        ++batches;
+        for (const std::size_t v : batch)
+            EXPECT_EQ(v, next++);
+        h.release();
     }
     EXPECT_EQ(next, Capacity);
+    EXPECT_EQ(batches, IntHandoff::Batches);
 }
 
 TEST(Handoff, ProducerBlocksAtCapacityAndResumesAfterABatch)
@@ -92,25 +120,24 @@ TEST(Handoff, ProducerBlocksAtCapacityAndResumesAfterABatch)
     });
     awaitTrue([&] { return pushed.load() == Capacity; });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_EQ(pushed.load(), Capacity); // blocked on a full ring
+    EXPECT_EQ(pushed.load(), Capacity); // every batch handed over
 
-    // One slot short of a batch: still asleep.
-    for (std::size_t i = 0; i + 1 < WakeBatch; ++i) {
-        ASSERT_EQ(*h.front(), i);
-        h.pop();
-    }
+    // A batch taken but not yet released: still waiting.
+    const std::span<std::size_t> first = h.take();
+    ASSERT_EQ(first.size(), WakeBatch);
+    for (std::size_t i = 0; i < WakeBatch; ++i)
+        ASSERT_EQ(first[i], i);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     EXPECT_EQ(pushed.load(), Capacity);
 
-    // The batch's last slot wakes it, and it fills the free slots.
-    ASSERT_EQ(*h.front(), WakeBatch - 1);
-    h.pop();
+    // Its release wakes the producer, which fills the freed batch.
+    h.release();
     producer.join();
     EXPECT_EQ(pushed.load(), total);
-    for (std::size_t i = WakeBatch; i < total; ++i) {
-        ASSERT_EQ(*h.front(), i);
-        h.pop();
-    }
+    std::size_t next = WakeBatch;
+    h.stop();
+    consumeAll(h, [&](std::size_t v) { ASSERT_EQ(v, next++); });
+    EXPECT_EQ(next, total);
 }
 
 TEST(Handoff, DrainReturnsOnlyOnceEveryPushedRecordIsConsumed)
@@ -122,12 +149,11 @@ TEST(Handoff, DrainReturnsOnlyOnceEveryPushedRecordIsConsumed)
     std::size_t consumed = 0;
     std::size_t sum = 0;
     std::thread consumer([&] {
-        while (const std::size_t *v = h.front()) {
+        consumeAll(h, [&](std::size_t v) {
             std::this_thread::sleep_for(std::chrono::microseconds(50));
-            sum += *v;
+            sum += v;
             ++consumed;
-            h.pop();
-        }
+        });
     });
     std::size_t pushed = 0;
     for (const std::size_t n :
@@ -147,12 +173,12 @@ TEST(Handoff, DrainReturnsOnlyOnceEveryPushedRecordIsConsumed)
 
 TEST(Handoff, StopEndsTheConsumer)
 {
-    // A consumer already asleep on an empty ring.
+    // A consumer already asleep on an empty hand-off.
     {
         IntHandoff h;
         std::atomic<bool> ended{false};
         std::thread consumer([&] {
-            EXPECT_EQ(h.front(), nullptr);
+            EXPECT_TRUE(h.take().empty());
             ended = true;
         });
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -165,12 +191,8 @@ TEST(Handoff, StopEndsTheConsumer)
     {
         IntHandoff h;
         std::size_t seen = 0;
-        std::thread consumer([&] {
-            while (h.front()) {
-                ++seen;
-                h.pop();
-            }
-        });
+        std::thread consumer(
+            [&] { consumeAll(h, [&](std::size_t) { ++seen; }); });
         pushRange(h, 0, 3);
         h.stop();
         consumer.join();
@@ -187,7 +209,7 @@ TEST(Handoff, AThrowingProducerClosesItAndTheConsumerReturns)
             runStages(
                 h,
                 [&] {
-                    pushRange(h, 0, 10);
+                    pushRange(h, 0, WakeBatch + 10);
                     throw std::runtime_error("simulation failed");
                 },
                 [&](std::size_t) { ++seen; });
@@ -195,13 +217,13 @@ TEST(Handoff, AThrowingProducerClosesItAndTheConsumerReturns)
         } catch (const std::runtime_error &e) {
             EXPECT_EQ(std::string(e.what()), "simulation failed");
         }
-        EXPECT_LE(seen, 10u);
+        EXPECT_LE(seen, WakeBatch);
     }
 }
 
 TEST(Handoff, AThrowingConsumerClosesItAndTheProducerReturns)
 {
-    // The producer is blocked in a full ring, or in a drain, when the
+    // The producer waits for a free batch, or in a drain, when the
     // consumer fails; either way it leaves through HandoffClosed.
     for (const bool drains : {false, true}) {
         for (int round = 0; round < 10; ++round) {
@@ -236,7 +258,7 @@ TEST(Handoff, AThrowingConsumerClosesItAndTheProducerReturns)
 TEST(Handoff, CloseWakesBothSleepers)
 {
     IntHandoff a;
-    std::thread consumer([&] { EXPECT_EQ(a.front(), nullptr); });
+    std::thread consumer([&] { EXPECT_TRUE(a.take().empty()); });
     IntHandoff b;
     pushRange(b, 0, Capacity);
     std::thread producer([&] { EXPECT_THROW(b.next(), HandoffClosed); });
@@ -246,5 +268,26 @@ TEST(Handoff, CloseWakesBothSleepers)
     consumer.join();
     producer.join();
 }
+
+#ifdef __linux__
+TEST(Handoff, LeaveCpuMovesOffACpuAndKeepsTheMask)
+{
+    cpu_set_t before;
+    ASSERT_EQ(sched_getaffinity(0, sizeof before, &before), 0);
+    const int cpu = currentCpu();
+    ASSERT_GE(cpu, 0);
+
+    leaveCpu(cpu == 0 ? 1 : cpu - 1); // not this CPU: no move
+    leaveCpu(cpu);
+    if (CPU_COUNT(&before) > 1)
+        EXPECT_NE(currentCpu(), cpu);
+    else
+        EXPECT_EQ(currentCpu(), cpu);
+
+    cpu_set_t after;
+    ASSERT_EQ(sched_getaffinity(0, sizeof after, &after), 0);
+    EXPECT_TRUE(CPU_EQUAL(&before, &after));
+}
+#endif
 
 } // namespace

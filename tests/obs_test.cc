@@ -524,9 +524,9 @@ TEST(ObsSession, AShardMakesItsRingAtItsFirstTraceEvent)
     EXPECT_EQ(session.droppedEvents(), 0u);
     std::ostringstream os;
     session.writeChromeTrace(os);
+    const JsonValue doc = JsonParser(os.str()).parse();
     std::size_t instants = 0;
-    for (const auto &ev :
-         JsonParser(os.str()).parse().at("traceEvents").array)
+    for (const auto &ev : doc.at("traceEvents").array)
         instants += ev.at("ph").str == "i" ? 1 : 0;
     EXPECT_EQ(instants, 1u);
 }
